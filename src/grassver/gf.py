@@ -188,12 +188,6 @@ def _check_compatible(u: Subspace, v: Subspace) -> None:
         )
 
 
-def rref(matrix, q: int, n: int | None = None) -> Subspace:
-    """Canonical subspace for the row space of ``matrix`` (residues mod q)."""
-    validate_field_order(q)
-    return Subspace.from_matrix(matrix, q, n)
-
-
 def sum_rows(urows, vrows, q: int):
     return rref_rows(tuple(urows) + tuple(vrows), q)
 

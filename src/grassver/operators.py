@@ -1,16 +1,17 @@
 """Sparse exact operators indexed by the projective geometry.
 
-The six generators K1, K2 (diagonal, half-integer powers of q) and L1, L2,
-R1, R2 (cover-kind incidence) are built directly from the geometry; the
-derived elements R, L are compositions, while F0, F+, F- are built
-entrywise from the cover-kind profile of same-dimension adjacent pairs.
-The algebraic expressions for F0/F+/F- are *verification targets* (see
-grassver.relations), never constructors.
+Materialized matrices over Q(sqrt(q)) for the library API (build_generator,
+build_derived, entry_of_product) and as the brute-force reference of the
+relation tests; the identities themselves are checked by the integer
+evaluator in grassver.relations, which sweeps the geometry on its own.
+K1, K2 are diagonal (half-integer powers of q); L1, L2, R1, R2 (cover-kind
+incidence) and F0, F+, F- (same-dimension pairs split by cover-kind
+profile) are built from the geometry; R, L are compositions.  The algebraic
+expressions for F0/F+/F- are *verification targets*, never constructors.
 
-Operator expressions are linear combinations of Terms: a Term is
-``num / (q-1)^dq * q^(half/2) * K1^k1 * K2^k2 * word`` where ``word`` is a
-product of operator symbols.  The same Term lists drive full-matrix
-evaluation here and column-mode evaluation in grassver.relations.
+A Term is ``num / (q-1)^dq * q^(half/2) * K1^k1 * K2^k2 * word`` where
+``word`` is a product of operator symbols; operator expressions are lists
+of Terms.
 """
 
 from __future__ import annotations
@@ -183,18 +184,6 @@ class SparseOperator:
 
     def __hash__(self):
         return id(self)
-
-
-def op_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a + b
-
-
-def op_scale(scalar, a: SparseOperator) -> SparseOperator:
-    return a.scale(scalar)
-
-
-def op_compose(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a @ b
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 """Registry and verification of the operator identities.
 
 Every identity is stored as a named list of components, each a list of
-Terms summing to the zero operator.  Full mode evaluates the sum as a
-sparse matrix over a fully enumerated context; Columns mode applies the
-sum to selected coordinate basis vectors e_x, walking covers lazily so no
-global enumeration is needed.
+Terms summing to the zero operator.  Both modes check a component column
+by column with one exact integer evaluator.  Each incidence letter (L1,
+L2, R1, R2, R, L, F0, F+, F-, F) moves the stratum (i, j) by a fixed step
+and K1, K2 scale by a power of sqrt(q) read off the stratum, so once the
+central elements are expanded, a Term applied to e_x is a coefficient in
+Q(sqrt(q)) fixed by the stratum of x times a word of 0/1 letters applied
+to e_x.  Scaled per stratum, the coefficients are integers a + b*sqrt(q)
+and the residual is a pair of integer vectors; only reported violations
+become exact values.  A column's word vectors live while it is checked,
+so suffixes shared by its words are applied once.  Full mode runs on the
+element ids of a fully enumerated context; columns mode sweeps lazily
+from the given columns.
 
 Relation ids: REL-1 .. REL-8 (plus REL-8P, the literally-printed variant
 of REL-8 whose F- coefficient lacks a K2 factor), REL-F0A/F0B/F+/F-,
@@ -14,20 +22,29 @@ REL-A3(i)-(iv), REL-A4.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .geometry import GeometryContext
-from .operators import T, Term, omega_terms, operator_set
-from .scalars import QSqrtScalar, q_pow_half
+from .gf import Subspace
+from .operators import T, Term, omega_terms
+from .scalars import QSqrtScalar
 
 MAX_VIOLATIONS = 25  # reports stay readable; holds-flag still exact
 
-# words made of these symbols preserve the dimension band of a column,
-# and their Term coefficients reduce to plain rationals entrywise
-_BAND_SYMBOLS = frozenset({"R", "L", "F0", "F+", "F-", "F"})
+# stratum step (di, dj) from column to row of each incidence letter
+_STEPS = {
+    "L1": (-1, 0), "L2": (0, -1), "R1": (1, 0), "R2": (0, 1),
+    "R": (-1, 1), "L": (1, -1),
+    "F0": (0, 0), "F+": (0, 0), "F-": (0, 0), "F": (0, 0),
+}
+# exponent of sqrt(q) of each diagonal letter, as multiples of
+# (k - 2i, 2j - (n-k)) at the stratum it acts on
+_DIAGONALS = {"K1": (1, 0), "K1i": (-1, 0), "K2": (0, 1), "K2i": (0, -1)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +336,99 @@ class RelationReport:
 
 
 # ---------------------------------------------------------------------------
-# column-mode evaluation
+# the integer evaluator
+
+
+def _expand_terms(terms, q: int, n: int, k: int) -> list[Term]:
+    """The Terms with every central element of a word replaced by its own
+    Terms, whose K factors become diagonal letters of the word."""
+    out = []
+    for term in terms:
+        parts = [term._replace(word=())]
+        for sym in term.word:
+            if sym in ("O0", "O1", "O2"):
+                parts = [
+                    p._replace(num=p.num * o.num, dq=p.dq + o.dq,
+                               half=p.half + o.half,
+                               # a tuple times a negative count is empty
+                               word=p.word + ("K1",) * o.k1 + ("K1i",) * -o.k1
+                               + ("K2",) * o.k2 + ("K2i",) * -o.k2 + o.word)
+                    for p in parts for o in omega_terms(sym, q, n, k)
+                ]
+            else:
+                parts = [p._replace(word=p.word + (sym,)) for p in parts]
+        out += parts
+    return out
+
+
+def _stratum_coefficients(terms, stratum, q: int, n: int, k: int):
+    """Integer coefficients of expanded Terms on columns of one stratum.
+
+    Returns (coeffs, unit): coeffs maps each word of incidence letters to
+    [a, b], its coefficient being (a + b*sqrt(q)) * unit.  Terms whose word
+    leaves the strata, and words whose Terms cancel, are left out.
+    """
+    nk = n - k
+    found = []
+    for term in terms:
+        i, j = stratum
+        e2 = term.half  # the power of sqrt(q), read right to left
+        for sym in reversed(term.word):
+            if sym in _DIAGONALS:
+                a, b = _DIAGONALS[sym]
+                e2 += a * (k - 2 * i) + b * (2 * j - nk)
+            else:
+                i, j = i + _STEPS[sym][0], j + _STEPS[sym][1]
+                if not (0 <= i <= k and 0 <= j <= nk):
+                    break
+        else:
+            e2 += term.k1 * (k - 2 * i) + term.k2 * (2 * j - nk)
+            found.append((term, e2))
+    top = max((term.dq for term, _ in found), default=0)
+    low = min((e2 // 2 for _, e2 in found), default=0)
+    coeffs: dict = {}
+    for term, e2 in found:
+        word = tuple(sym for sym in term.word if sym in _STEPS)
+        ab = coeffs.setdefault(word, [0, 0])
+        ab[e2 % 2] += term.num * (q - 1) ** (top - term.dq) * q ** (
+            e2 // 2 - low)
+    unit = Fraction(q) ** low / (q - 1) ** top
+    return {w: ab for w, ab in coeffs.items() if ab[0] or ab[1]}, unit
+
+
+def _word_vector(word: tuple, memo: dict, apply):
+    """The word applied to the column memo[()], reusing stored suffixes."""
+    vec = memo.get(word)
+    if vec is None:
+        vec = apply(word[0], _word_vector(word[1:], memo, apply))
+        memo[word] = vec
+    return vec
+
+
+def _residual(coeffs: dict, memo: dict, apply) -> list:
+    """Nonzero entries (row, a, b) of one column's scaled residual."""
+    acc: dict = {}
+    for word, (ca, cb) in coeffs.items():
+        for r, c in _word_vector(word, memo, apply).items():
+            ab = acc.setdefault(r, [0, 0])
+            ab[0] += ca * c
+            ab[1] += cb * c
+    return [(r, a, b) for r, (a, b) in acc.items() if a or b]
 
 
 class ColumnEvaluator:
-    """Applies operator words to basis vectors without global enumeration.
+    """Applies incidence letters to integer vectors of one context.
 
-    The same-dimension labels (R, L, F0, F+, F-, F) run on an integer fast
-    path: the typed adjacency of each visited subspace is swept once and
-    cached, and Term coefficients reduce to rationals per target stratum.
-    Everything else (cover generators, diagonals, central elements) goes
-    through exact QSqrtScalar vectors.
+    The same-dimension letters (R, L, F0, F+, F-, F) read the typed
+    adjacency of each visited subspace, swept once and cached; the cover
+    letters sweep hyperplanes or superspaces lazily.  Full mode works on
+    element ids, with each letter's id lists built once.
     """
 
     def __init__(self, ctx: GeometryContext):
         self.ctx = ctx
         self._typed: dict[tuple, dict[str, list]] = {}
+        self._ids: dict[str, list] = {}  # letter -> row ids per column id
 
     def typed_columns(self, zrows) -> dict[str, list]:
         cols = self._typed.get(zrows)
@@ -356,138 +450,72 @@ class ColumnEvaluator:
         self._typed[zrows] = cols
         return cols
 
-    def _band_lists(self, sym: str, zrows):
+    def _letter_rows(self, sym: str, zrows) -> list:
+        """Rows of the nonzero (all 1) entries of column z of a letter."""
+        if sym in ("L1", "L2", "R1", "R2"):
+            ctx = self.ctx
+            i_z = ctx.intersection_dim_with_y(zrows)
+            if sym[0] == "L":  # w below z; L1 when z slash-covers w
+                return [w for w in ctx.hyperplanes_rows(zrows)
+                        if (ctx.intersection_dim_with_y(w) < i_z)
+                        == (sym == "L1")]
+            return [w for w, _ in ctx.superspaces_rows(zrows)
+                    if (ctx.intersection_dim_with_y(w) > i_z)
+                    == (sym == "R1")]
         cols = self.typed_columns(zrows)
         if sym == "F":
             return cols["F0"] + cols["F+"] + cols["F-"]
         return cols[sym]
 
     def apply_band_int(self, sym: str, vec: dict) -> dict:
+        """An incidence letter applied to an integer vector keyed by rows."""
         out: dict = {}
         for zrows, val in vec.items():
-            for urows in self._band_lists(sym, zrows):
+            for urows in self._letter_rows(sym, zrows):
                 out[urows] = out.get(urows, 0) + val
         return out
 
-    # -- exact slow path ----------------------------------------------------
-
-    def apply_symbol(self, sym: str, vec: dict) -> dict:
-        ctx = self.ctx
-        q, n, k = ctx.q, ctx.n, ctx.k
-        if sym in _BAND_SYMBOLS:
-            out: dict = {}
-            for zrows, val in vec.items():
-                for urows in self._band_lists(sym, zrows):
-                    cur = out.get(urows)
-                    out[urows] = val if cur is None else cur + val
-            return {r: v for r, v in out.items() if v}
-        if sym in ("K1", "K1i", "K2", "K2i"):
-            out = {}
-            for rows, val in vec.items():
-                i = ctx.intersection_dim_with_y(rows)
-                j = len(rows) - i
-                if sym == "K1":
-                    f = q_pow_half(k - 2 * i, q)
-                elif sym == "K1i":
-                    f = q_pow_half(2 * i - k, q)
-                elif sym == "K2":
-                    f = q_pow_half(2 * j - (n - k), q)
-                else:
-                    f = q_pow_half(n - k - 2 * j, q)
-                out[rows] = f * val
-            return out
-        if sym in ("L1", "L2"):
-            # (L1 v)_m sums v_w over w slash-covering m; L2 backslash
-            out = {}
-            for wrows, val in vec.items():
-                i_w = ctx.intersection_dim_with_y(wrows)
-                for mrows in ctx.hyperplanes_rows(wrows):
-                    slash = i_w == ctx.intersection_dim_with_y(mrows) + 1
-                    if slash == (sym == "L1"):
-                        cur = out.get(mrows)
-                        out[mrows] = val if cur is None else cur + val
-            return {r: v for r, v in out.items() if v}
-        if sym in ("R1", "R2"):
-            out = {}
-            for wrows, val in vec.items():
-                i_w = ctx.intersection_dim_with_y(wrows)
-                for vrows, _ in ctx.superspaces_rows(wrows):
-                    slash = ctx.intersection_dim_with_y(vrows) == i_w + 1
-                    if slash == (sym == "R1"):
-                        cur = out.get(vrows)
-                        out[vrows] = val if cur is None else cur + val
-            return {r: v for r, v in out.items() if v}
-        if sym in ("O0", "O1", "O2"):
-            return self.apply_terms(omega_terms(sym, q, n, k), vec)
-        raise ValueError(f"unknown operator symbol {sym!r}")
-
-    def apply_term(self, term: Term, vec: dict) -> dict:
-        ctx = self.ctx
-        q, n, k = ctx.q, ctx.n, ctx.k
-        cur = vec
-        for sym in reversed(term.word):
-            cur = self.apply_symbol(sym, cur)
-        base = Fraction(term.num, (q - 1) ** term.dq)
-        out = {}
-        for rows, val in cur.items():
-            i = ctx.intersection_dim_with_y(rows)
-            j = len(rows) - i
-            f = q_pow_half(
-                term.half + term.k1 * (k - 2 * i)
-                + term.k2 * (2 * j - (n - k)), q) * base
-            v = f * val
-            if v:
-                out[rows] = v
+    def _apply_ids(self, sym: str, vec: dict) -> dict:
+        """apply_band_int on vectors keyed by element id (full mode), with
+        the letter's column-major id lists built once."""
+        adj = self._ids.get(sym)
+        if adj is None:
+            ids = self.ctx.id_by_rows
+            adj = self._ids[sym] = [
+                [ids[w] for w in self._letter_rows(sym, u.rows)]
+                for u in self.ctx.elements]
+        out: dict = {}
+        for c, val in vec.items():
+            for r in adj[c]:
+                out[r] = out.get(r, 0) + val
         return out
 
-    def apply_terms(self, terms, vec: dict) -> dict:
-        acc: dict = {}
-        for term in terms:
-            for rows, val in self.apply_term(term, vec).items():
-                cur = acc.get(rows)
-                s = val if cur is None else cur + val
-                if s:
-                    acc[rows] = s
-                elif cur is not None:
-                    del acc[rows]
-        return acc
+    def residuals(self, components, columns=None):
+        """Every nonzero residual entry of the components on the columns.
 
-    # -- integer fast path --------------------------------------------------
-
-    def evaluate_band_terms(self, terms, xrows) -> dict:
-        """Residual of a band relation on e_x, scaled by (q-1)^max_dq.
-
-        Only valid when every word uses band symbols; the scaled per-entry
-        coefficients are then integers times q^e with integer e, so the
-        whole evaluation stays in integer/Fraction arithmetic (no radicals).
-        Returns a map rows -> residual coefficient; empty means zero.
+        Yields (component index, row, column, a, b, unit), the entry being
+        (a + b*sqrt(q)) * unit.  Columns and rows are basis rows; without
+        columns (full mode) they are the ids of all elements of a fully
+        enumerated context.
         """
         ctx = self.ctx
         q, n, k = ctx.q, ctx.n, ctx.k
-        scale_dq = max(t.dq for t in terms)
-        acc: dict = {}
-        for term in terms:
-            vec = {xrows: 1}
-            for sym in reversed(term.word):
-                vec = self.apply_band_int(sym, vec)
-            base = term.num * (q - 1) ** (scale_dq - term.dq)
-            for rows, val in vec.items():
-                i = ctx.intersection_dim_with_y(rows)
-                j = len(rows) - i
-                e2 = (term.half + term.k1 * (k - 2 * i)
-                      + term.k2 * (2 * j - (n - k)))
-                if e2 % 2:
-                    raise ArithmeticError("band term with half-integer power")
-                e = e2 // 2
-                coeff = base * val
-                contrib = coeff * q**e if e >= 0 else Fraction(coeff, q**-e)
-                cur = acc.get(rows, 0)
-                s = cur + contrib
-                if s:
-                    acc[rows] = s
-                elif rows in acc:
-                    del acc[rows]
-        return acc
+        full = columns is None
+        if full:
+            columns = range(len(ctx.elements))
+        apply = self._apply_ids if full else self.apply_band_int
+        expanded = [_expand_terms(terms, q, n, k) for _, terms in components]
+        by_stratum: dict = {}
+        for x in columns:
+            s = ctx.stratum_rows(ctx.elements[x].rows if full else x)
+            memo = {(): {x: 1}}  # word -> vector; suffixes are shared
+            at = by_stratum.get(s)
+            if at is None:
+                at = by_stratum[s] = [_stratum_coefficients(terms, s, q, n, k)
+                                      for terms in expanded]
+            for t, (coeffs, unit) in enumerate(at):
+                for r, a, b in _residual(coeffs, memo, apply):
+                    yield t, r, x, a, b, unit
 
 
 _EVALUATORS: "weakref.WeakKeyDictionary[GeometryContext, ColumnEvaluator]" = (
@@ -504,10 +532,6 @@ def column_evaluator(ctx: GeometryContext) -> ColumnEvaluator:
     return ev
 
 
-def _is_band_component(terms) -> bool:
-    return all(set(t.word) <= _BAND_SYMBOLS for t in terms)
-
-
 def _rows_ref(rows, q: int) -> str:
     if q == 2:
         return ":".join(format(r, "x") for r in rows)
@@ -516,8 +540,6 @@ def _rows_ref(rows, q: int) -> str:
 
 def _column_rows(ctx: GeometryContext, col) -> tuple:
     """Accepts an element id, a Subspace, or packed basis rows."""
-    from .gf import Subspace
-
     if isinstance(col, int):
         return ctx.elements[col].rows
     if isinstance(col, Subspace):
@@ -525,41 +547,24 @@ def _column_rows(ctx: GeometryContext, col) -> tuple:
     return tuple(col)
 
 
-def _verify_columns_chunk(ctx, components, col_rows_list):
-    ev = column_evaluator(ctx)
-    q = ctx.q
-    out = []
-    for xrows in col_rows_list:
-        for name, terms in components:
-            if _is_band_component(terms):
-                residual = ev.evaluate_band_terms(terms, xrows)
-                items = [(r, str(v)) for r, v in residual.items()]
-            else:
-                residual = ev.apply_terms(terms, {
-                    xrows: QSqrtScalar.from_int(1, q)})
-                items = [(r, str(v)) for r, v in residual.items()]
-            for rrows, value in sorted(items):
-                out.append((name, _rows_ref(rrows, q),
-                            _rows_ref(xrows, q), value))
-    return out
-
-
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(q, n, k):
-    _WORKER_STATE["ctx"] = GeometryContext(q, n, k, dims=())
+def _worker_init(q, n, k, yrows):
+    _WORKER_STATE["ctx"] = GeometryContext(
+        q, n, k, y=Subspace(q, n, yrows), dims=())
 
 
 def _worker_task(args):
     components, chunk = args
-    return _verify_columns_chunk(_WORKER_STATE["ctx"], components, chunk)
+    ctx = _WORKER_STATE["ctx"]
+    return list(column_evaluator(ctx).residuals(components, chunk))
 
 
 def verify_relation(relation_id: str, ctx: GeometryContext,
                     mode: str = "full", columns=None,
                     workers: int = 1) -> RelationReport:
-    """Check one identity, either as a full sparse matrix or on columns."""
+    """Check one identity on every enumerated column or on given columns."""
     q, n, k = ctx.q, ctx.n, ctx.k
     components = relation_components(relation_id, q, n, k)
     report = RelationReport(
@@ -568,37 +573,42 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
         mode=mode,
         components=[name for name, _ in components],
     )
+    ev = column_evaluator(ctx)
+    names = report.components
     if mode == "full":
-        ops = operator_set(ctx)
-        for name, terms in components:
-            residual = ops.evaluate_terms(terms)
-            for r, c, v in sorted(residual.nonzero_entries()):
-                if len(report.violations) >= MAX_VIOLATIONS:
-                    report.truncated = True
-                    return report
-                report.violations.append(RelationViolation(
-                    name, ctx.ref(ctx.elements[r]),
-                    ctx.ref(ctx.elements[c]), str(v)))
-        return report
-    if mode != "columns":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not columns:
-        raise ValueError("columns mode requires a nonempty column list")
-    col_rows = [_column_rows(ctx, c) for c in columns]
-    report.checked_columns = len(col_rows)
-    if workers > 1:
-        size = max(1, len(col_rows) // (workers * 4))
-        chunks = [col_rows[t:t + size] for t in range(0, len(col_rows), size)]
-        with multiprocessing.Pool(
-                workers, initializer=_worker_init, initargs=(q, n, k)) as pool:
-            results = pool.map(_worker_task,
-                               [(components, c) for c in chunks])
-        flat = [v for chunk in results for v in chunk]
+        if not all(ctx.has_dim(d) for d in range(n + 1)):
+            raise ValueError("full mode needs every dimension enumerated; "
+                             "use columns mode on a partial context")
+        # ordered by component, row id, column id
+        kept = heapq.nsmallest(MAX_VIOLATIONS + 1, ev.residuals(components))
+        kept = [(names[t], ctx.ref(ctx.elements[r]),
+                 ctx.ref(ctx.elements[c]), *v) for t, r, c, *v in kept]
+    elif mode == "columns":
+        if not columns:
+            raise ValueError("columns mode requires a nonempty column list")
+        col_rows = [_column_rows(ctx, c) for c in columns]
+        report.checked_columns = len(col_rows)
+        if workers > 1:
+            size = max(1, len(col_rows) // (workers * 4))
+            chunks = [col_rows[t:t + size]
+                      for t in range(0, len(col_rows), size)]
+            with multiprocessing.Pool(
+                    workers, initializer=_worker_init,
+                    initargs=(q, n, k, ctx.y.rows)) as pool:
+                found = list(chain.from_iterable(pool.map(
+                    _worker_task, [(components, c) for c in chunks])))
+        else:
+            found = ev.residuals(components, col_rows)
+        kept = heapq.nsmallest(
+            MAX_VIOLATIONS + 1,
+            ((names[t], _rows_ref(r, q), _rows_ref(c, q), *v)
+             for t, r, c, *v in found),
+            key=lambda v: (v[2], v[0], v[1]))
     else:
-        flat = _verify_columns_chunk(ctx, components, col_rows)
-    for name, row, col, value in sorted(flat, key=lambda t: (t[2], t[0], t[1])):
-        if len(report.violations) >= MAX_VIOLATIONS:
-            report.truncated = True
-            break
-        report.violations.append(RelationViolation(name, row, col, value))
+        raise ValueError(f"unknown mode {mode!r}")
+    report.truncated = len(kept) > MAX_VIOLATIONS
+    # only the reported entries become exact values
+    report.violations = [
+        RelationViolation(name, row, col, str(QSqrtScalar(a * u, b * u, q)))
+        for name, row, col, a, b, u in kept[:MAX_VIOLATIONS]]
     return report

@@ -28,10 +28,6 @@ class QSqrtScalar:
     def from_int(cls, value, q: int) -> "QSqrtScalar":
         return cls(Fraction(value), Fraction(0), q)
 
-    @classmethod
-    def from_fraction(cls, value: Fraction, q: int) -> "QSqrtScalar":
-        return cls(value, Fraction(0), q)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b
 

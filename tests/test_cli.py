@@ -53,6 +53,19 @@ def test_verify_algebra_columns_mode(capsys):
     assert "PASS algebra:REL-8P-columns" in out
 
 
+def test_verify_algebra_columns_mode_odd_codimension(capsys):
+    # n-k odd: sqrt(q) coefficients on the stratum-(1,1) k-spaces, where
+    # the printed REL-8P variant really fails
+    code, out, err = run(capsys, "verify", "--suite", "algebra",
+                         "--q", "2", "--n", "5", "--k", "2",
+                         "--mode", "columns", "--i", "1")
+    assert code == 1
+    assert "Traceback" not in out + err
+    for t in range(1, 9):
+        assert f"PASS algebra:REL-{t}-columns (2,5,2)" in out
+    assert "FAIL algebra:REL-8P-columns (2,5,2)" in out
+
+
 def test_verify_graph_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "graph",
                        "--q", "2", "--n", "7", "--k", "3", "--i", "2")

@@ -1,8 +1,10 @@
 import pytest
 
 from grassver.geometry import GeometryContext
+from grassver.gf import Subspace, enumerate_subspaces
 from grassver.operators import operator_set
 from grassver.relations import (
+    MAX_VIOLATIONS,
     column_evaluator,
     relation_components,
     relation_ids,
@@ -69,8 +71,8 @@ def test_columns_mode_matches_full_mode(contexts):
 
 
 def test_columns_mode_slow_path(contexts):
-    # relations whose words include diagonal or central symbols use the
-    # exact-scalar path rather than the integer fast path
+    # words with diagonal, cover or central letters: K factors inside a
+    # word, lazy cover sweeps and the expansion of the central elements
     ctx = contexts[(2, 4, 2)]
     cols = list(ctx.ids_by_dim[2])[:6]
     for rid in ("REL-F0A", "REL-FC0", "REL-A3(i)", "REL-A4"):
@@ -95,8 +97,6 @@ def test_columns_accept_subspace_and_rows(contexts):
 
 def test_banded_columns_mode_needs_no_enumeration():
     ctx = GeometryContext(2, 5, 2, dims=())
-    from grassver.gf import enumerate_subspaces
-
     cols = [u.rows for u in enumerate_subspaces(5, 2, 2)][:20]
     for rid in ("REL-1", "REL-8"):
         assert verify_relation(rid, ctx, "columns", columns=cols).holds
@@ -106,7 +106,7 @@ def test_column_evaluator_band_application_matches_matrix(contexts):
     ctx = contexts[(2, 4, 2)]
     ev = column_evaluator(ctx)
     ops = operator_set(ctx)
-    for sym in ("R", "L", "F0", "F+", "F-"):
+    for sym in ("R", "L", "F0", "F+", "F-", "L1", "L2", "R1", "R2"):
         mat = ops.get(sym)
         for zid in list(ctx.ids_by_dim[2])[:8]:
             vec = ev.apply_band_int(sym, {ctx.elements[zid].rows: 1})
@@ -131,3 +131,82 @@ def test_bad_mode_and_empty_columns(contexts):
         verify_relation("REL-1", ctx, "sideways")
     with pytest.raises(ValueError):
         verify_relation("REL-1", ctx, "columns", columns=[])
+    # full mode needs every dimension: a letter cut at the edge of a
+    # partial enumeration would report violations that do not exist
+    with pytest.raises(ValueError):
+        verify_relation("REL-F0A", GeometryContext(2, 4, 2, dims=(2,)))
+
+
+def _oracle_record(ctx, rid):
+    """The full-mode record, built from the materialized SparseOperator
+    residual of each component (the brute-force reference)."""
+    q, n, k = ctx.q, ctx.n, ctx.k
+    ops = operator_set(ctx)
+    found = []
+    for name, terms in relation_components(rid, q, n, k):
+        for r, c, v in sorted(ops.evaluate_terms(terms).nonzero_entries()):
+            found.append({"component": name,
+                          "row": ctx.ref(ctx.elements[r]),
+                          "col": ctx.ref(ctx.elements[c]), "value": str(v)})
+    return {
+        "record": "relation-report", "version": 1, "relation_id": rid,
+        "instance": [q, n, k], "mode": "full", "holds": not found,
+        "checked_columns": None, "violations": found[:MAX_VIOLATIONS],
+        "violations_truncated": len(found) > MAX_VIOLATIONS,
+    }
+
+
+@pytest.fixture(scope="module")
+def ctx252():
+    return GeometryContext(2, 5, 2)
+
+
+@pytest.mark.parametrize("instance, rid", [
+    *[((2, 4, 2), rid) for rid in relation_ids()],
+    # n-k odd: coefficients with odd powers of sqrt(q)
+    ((2, 5, 2), "REL-8"), ((2, 5, 2), "REL-8P"),
+])
+def test_full_mode_matches_sparse_operator_oracle(contexts, ctx252,
+                                                  instance, rid):
+    ctx = ctx252 if instance == (2, 5, 2) else contexts[instance]
+    got = verify_relation(rid, ctx, "full").to_record()
+    assert got == _oracle_record(ctx, rid)
+    assert got["holds"] == (rid != "REL-8P")
+
+
+def _ref(rows) -> str:
+    return ":".join(format(r, "x") for r in rows)
+
+
+def test_columns_mode_rel8p_at_odd_codimension(ctx252):
+    # REL-8P fails on the stratum-(1,1) k-spaces of (2,5,2); columns mode
+    # reports the full residual on those columns, values included
+    lazy = GeometryContext(2, 5, 2, dims=())
+    cols = [u.rows for u in enumerate_subspaces(5, 2, 2)
+            if lazy.intersection_dim_with_y(u.rows) == 1]
+    ((_, terms),) = relation_components("REL-8P", 2, 5, 2)
+    residual = operator_set(ctx252).evaluate_terms(terms)
+    full = sorted(
+        (_ref(ctx252.elements[c].rows), "REL-8P",
+         _ref(ctx252.elements[r].rows), str(v))
+        for r, c, v in residual.nonzero_entries()
+        if ctx252.elements[c].rows in cols)
+    got = []
+    for col in cols:  # one column at a time, so no report is truncated
+        rep = verify_relation("REL-8P", lazy, "columns", columns=[col])
+        assert not rep.truncated
+        got += [(v.col, v.component, v.row, v.value)
+                for v in rep.violations]
+    assert full and sorted(got) == full
+    assert any(not value.endswith(" 0*sqrt(2)") for *_, value in full)
+
+
+def test_workers_keep_the_reference_subspace():
+    y = Subspace.from_matrix([[1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 1]], 2)
+    ctx = GeometryContext(2, 6, 2, y=y, dims=())
+    cols = [u.rows for u in enumerate_subspaces(6, 2, 2)
+            if ctx.intersection_dim_with_y(u.rows) == 1][:4]
+    one = verify_relation("REL-8P", ctx, "columns", columns=cols)
+    two = verify_relation("REL-8P", ctx, "columns", columns=cols, workers=2)
+    assert one.violations
+    assert two.to_record() == one.to_record()
