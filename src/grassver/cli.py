@@ -5,19 +5,26 @@ structure-constant and edge-type tables), enumerate (dump strata and cover
 counts).  Every flag can also be set through an environment variable with
 the GRASSVER_ prefix (e.g. GRASSVER_Q=3); explicit flags win.
 
-Exit codes: 0 all checks pass, 1 at least one verification failure,
-2 invalid usage.
+Every input is checked, and the output (--out or stdout) opened, before
+any work starts.  Each check is written out as soon as it finishes, so a
+run that stops early keeps the checks it finished.
+
+Exit codes: 0 all checks pass; 1 at least one verification failure, or an
+exception inside a check (its FAIL record names the exception, the run
+stops and ``error: ...`` goes to stderr); 2 invalid usage, including an
+--out that cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .gf import gaussian_binomial, is_prime
+from .gf import enumerate_subspaces, gaussian_binomial, is_prime
 from .geometry import (
     GeometryContext,
     expected_stratum_size,
@@ -34,9 +41,10 @@ from .grassmann import (
 )
 from .relations import relation_ids, verify_relation
 from .reports import (
+    CHECKS_CSV_HEADER,
     check_record,
-    checks_to_csv,
-    format_check_line,
+    csv_lines,
+    format_check,
     records_to_ndjson,
     table_to_csv,
     table_to_text,
@@ -47,31 +55,14 @@ SUITES = ("algebra", "geometry", "graph", "entries", "all")
 COLUMN_RELATIONS = tuple(f"REL-{t}" for t in range(1, 9)) + ("REL-8P",)
 
 
-@dataclass
-class RunConfig:
-    q: int
-    n: int
-    k: int
-    i: int | None = None
-    suite: str = "all"
-    mode: str = "full"
-    output_format: str = "text"
-    output_path: str | None = None
-    worker_count: int = 1
-    sweep_x: bool = False
-
-
 class UsageError(Exception):
-    pass
+    """Bad input, refused before any work starts (exit 2)."""
 
 
 def _env(name: str):
+    # argparse converts a string default with the option's type, so a bad
+    # value here is refused like a bad flag
     return os.environ.get(ENV_PREFIX + name)
-
-
-def _env_int(name: str):
-    raw = _env(name)
-    return int(raw) if raw is not None else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,10 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "tables", "enumerate"):
         p = sub.add_parser(name)
-        p.add_argument("--q", type=int, default=_env_int("Q"))
-        p.add_argument("--n", type=int, default=_env_int("N"))
-        p.add_argument("--k", type=int, default=_env_int("K"))
-        p.add_argument("--i", type=int, default=_env_int("I"))
+        p.add_argument("--q", type=int, default=_env("Q"))
+        p.add_argument("--n", type=int, default=_env("N"))
+        p.add_argument("--k", type=int, default=_env("K"))
+        p.add_argument("--i", type=int, default=_env("I"))
         p.add_argument("--suite", choices=SUITES,
                        default=_env("SUITE") or "all")
         p.add_argument("--mode", choices=("full", "columns"),
@@ -97,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output_path",
                        default=_env("OUT"))
         p.add_argument("--workers", type=int,
-                       default=_env_int("WORKERS") or 1)
+                       default=_env("WORKERS") or 1)
         p.add_argument("--sweep-x", action="store_true",
                        default=bool(_env("SWEEP_X")))
     return parser
@@ -120,222 +111,198 @@ def _validate_instance(q, n, k, graph: bool, i=None):
         raise UsageError("instance too large for packed-row kernels")
 
 
-class _Runner:
-    """Collects per-check records and writes them in the chosen format."""
+class _Output:
+    """The one output stream of a command, in one format; counts failures
+    for the exit code."""
 
-    def __init__(self, output_format: str, output_path: str | None):
-        self.output_format = output_format
-        self.stream = (open(output_path, "w", encoding="utf-8")
-                       if output_path else sys.stdout)
-        self._owns = output_path is not None
-        self.records: list[dict] = []
-        self.extra_text: list[str] = []
+    def __init__(self, stream, output_format: str):
+        self.stream = stream
+        self.format = output_format
+        self.total = self.failed = 0
 
-    def check(self, suite, name, instance, passed, seconds, detail=None):
-        rec = check_record(suite, name, instance, passed, seconds, detail)
-        self.records.append(rec)
-        if self.output_format == "text":
-            print(format_check_line(rec), file=self.stream)
+    def write(self, text: str) -> None:
+        self.stream.write(text)
+        self.stream.flush()
 
-    def text(self, block: str):
-        if self.output_format == "text":
-            print(block, file=self.stream)
-        else:
-            self.extra_text.append(block)
+    @contextlib.contextmanager
+    def check(self, suite, name, instance):
+        """Time the body and write its check record when it ends.
 
-    def finish(self) -> int:
-        if self.output_format == "records":
-            self.stream.write(records_to_ndjson(self.records))
-        elif self.output_format == "csv":
-            self.stream.write(checks_to_csv(self.records))
-        ok = all(r["pass"] for r in self.records)
-        if self.output_format == "text":
-            total = len(self.records)
-            failed = sum(1 for r in self.records if not r["pass"])
-            print(f"{total - failed}/{total} checks passed",
-                  file=self.stream)
-        if self._owns:
-            self.stream.close()
-        return 0 if ok else 1
-
-
-def _run_geometry(runner: _Runner, q, n, k):
-    t0 = time.perf_counter()
-    ctx = GeometryContext(q, n, k)
-    counts_ok = all(
-        len(ctx.ids_by_dim[d]) == gaussian_binomial(n, d, q)
-        for d in range(n + 1)
-    )
-    runner.check("geometry", "enumeration", (q, n, k), counts_ok,
-                 time.perf_counter() - t0,
-                 {"total": len(ctx.elements)})
-    t0 = time.perf_counter()
-    sizes = stratum_sizes(ctx)
-    strata_ok = all(
-        expected_stratum_size(s.i, s.j, ctx) == c for s, c in sizes.items()
-    ) and sum(sizes.values()) == len(ctx.elements)
-    runner.check("geometry", "stratum-sizes", (q, n, k), strata_ok,
-                 time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    rep = verify_cover_counts(ctx)
-    runner.check("geometry", "cover-counts", (q, n, k), rep.holds,
-                 time.perf_counter() - t0,
-                 {"checked": rep.checked,
-                  "violations": len(rep.violations)})
+        The body sets ``passed`` and may set ``detail`` on the object it
+        gets.  If the body raises, the record is a FAIL whose detail names
+        the exception, and the exception propagates.
+        """
+        result = SimpleNamespace(passed=False, detail=None)
+        error = None
+        t0 = time.perf_counter()
+        try:
+            yield result
+        except Exception as exc:
+            error = exc
+            result.passed = False
+            result.detail = {"error": f"{type(exc).__name__}: {exc}"}
+        rec = check_record(suite, name, instance, result.passed,
+                           time.perf_counter() - t0, result.detail)
+        self.total += 1
+        self.failed += not rec["pass"]
+        self.write(format_check(rec, self.format))
+        if error is not None:
+            raise error
 
 
-def _run_algebra_full(runner: _Runner, q, n, k):
+def _run_geometry(out: _Output, q, n, k):
+    with out.check("geometry", "enumeration", (q, n, k)) as c:
+        ctx = GeometryContext(q, n, k)
+        c.passed = all(
+            len(ctx.ids_by_dim[d]) == gaussian_binomial(n, d, q)
+            for d in range(n + 1)
+        )
+        c.detail = {"total": len(ctx.elements)}
+    with out.check("geometry", "stratum-sizes", (q, n, k)) as c:
+        sizes = stratum_sizes(ctx)
+        c.passed = all(
+            expected_stratum_size(s.i, s.j, ctx) == m
+            for s, m in sizes.items()
+        ) and sum(sizes.values()) == len(ctx.elements)
+    with out.check("geometry", "cover-counts", (q, n, k)) as c:
+        rep = verify_cover_counts(ctx)
+        c.passed = rep.holds
+        c.detail = {"checked": rep.checked,
+                    "violations": len(rep.violations)}
+
+
+def _run_algebra_full(out: _Output, q, n, k):
     ctx = GeometryContext(q, n, k)
     variant_holds = {}
     for rid in relation_ids():
-        t0 = time.perf_counter()
-        rep = verify_relation(rid, ctx, "full")
-        if rid in ("REL-8", "REL-8P"):
-            variant_holds[rid] = rep.holds
-            # resolution of the printed discrepancy is reported separately
-            runner.check("algebra", f"{rid}-evaluated", (q, n, k), True,
-                         time.perf_counter() - t0, {"holds": rep.holds})
-            continue
-        detail = None
-        if not rep.holds:
-            detail = {"violations": [
-                {"component": v.component, "row": v.row,
-                 "col": v.col, "value": v.value}
-                for v in rep.violations[:5]
-            ]}
-        runner.check("algebra", rid, (q, n, k), rep.holds,
-                     time.perf_counter() - t0, detail)
-    resolved = variant_holds.get("REL-8", False) != variant_holds.get(
-        "REL-8P", False)
-    winner = ("REL-8" if variant_holds.get("REL-8") else
-              "REL-8P" if variant_holds.get("REL-8P") else "neither")
-    runner.check("algebra", "REL-8-variant-resolution", (q, n, k),
-                 resolved, 0.0, {"holds": winner})
+        variant = rid in ("REL-8", "REL-8P")
+        # the two printed variants of REL-8 are resolved separately below
+        name = f"{rid}-evaluated" if variant else rid
+        with out.check("algebra", name, (q, n, k)) as c:
+            rep = verify_relation(rid, ctx, "full")
+            if variant:
+                variant_holds[rid] = rep.holds
+                c.passed, c.detail = True, {"holds": rep.holds}
+                continue
+            c.passed = rep.holds
+            if not rep.holds:
+                c.detail = {"violations": [
+                    {"component": v.component, "row": v.row,
+                     "col": v.col, "value": v.value}
+                    for v in rep.violations[:5]
+                ]}
+    with out.check("algebra", "REL-8-variant-resolution", (q, n, k)) as c:
+        c.passed = variant_holds.get("REL-8", False) != variant_holds.get(
+            "REL-8P", False)
+        c.detail = {"holds": "REL-8" if variant_holds.get("REL-8") else
+                    "REL-8P" if variant_holds.get("REL-8P") else "neither"}
 
 
-def _run_algebra_columns(runner: _Runner, q, n, k, i, workers):
+def _run_algebra_columns(out: _Output, q, n, k, i, workers):
     ctx = GeometryContext(q, n, k, dims=())
-    from .gf import enumerate_subspaces
-
     columns = [
         u.rows for u in enumerate_subspaces(n, k, q)
         if ctx.intersection_dim_with_y(u.rows) == k - i
     ]
     for rid in COLUMN_RELATIONS:
-        t0 = time.perf_counter()
-        rep = verify_relation(rid, ctx, "columns", columns=columns,
-                              workers=workers)
-        runner.check("algebra", f"{rid}-columns", (q, n, k), rep.holds,
-                     time.perf_counter() - t0,
-                     {"columns": rep.checked_columns, "i": i})
+        with out.check("algebra", f"{rid}-columns", (q, n, k)) as c:
+            rep = verify_relation(rid, ctx, "columns", columns=columns,
+                                  workers=workers)
+            c.passed = rep.holds
+            c.detail = {"columns": rep.checked_columns, "i": i}
 
 
 def _graph_instances(ctx, i, sweep_x):
     if not sweep_x:
         yield GrassmannInstance(ctx, i=i)
         return
-    from .gf import enumerate_subspaces
-
     for u in enumerate_subspaces(ctx.n, ctx.k, ctx.q):
         if ctx.intersection_dim_with_y(u.rows) == ctx.k - i:
             yield GrassmannInstance(ctx, i=i, x=u)
 
 
-def _run_graph(runner: _Runner, q, n, k, i, sweep_x):
+def _run_graph(out: _Output, q, n, k, i, sweep_x):
     ctx = GeometryContext(q, n, k, dims=())
     for inst in _graph_instances(ctx, i, sweep_x):
-        t0 = time.perf_counter()
-        sizes = inst.orbit_sizes()
-        expected = expected_orbit_sizes(inst)
-        sizes_ok = sizes == expected and sum(
-            sizes.values()) == sum(expected.values())
-        runner.check("graph", "orbit-sizes", inst.instance, sizes_ok,
-                     time.perf_counter() - t0,
-                     {"sizes": {l.value: sizes[l] for l in OrbitLabel}})
-        t0 = time.perf_counter()
-        sc = structure_constants(inst)
-        runner.check("graph", "structure-constants", inst.instance,
-                     sc.holds, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        et = count_edge_types(inst)
-        runner.check("graph", "edge-types", inst.instance, et.holds,
-                     time.perf_counter() - t0)
+        with out.check("graph", "orbit-sizes", inst.instance) as c:
+            sizes = inst.orbit_sizes()
+            expected = expected_orbit_sizes(inst)
+            c.passed = sizes == expected and sum(
+                sizes.values()) == sum(expected.values())
+            c.detail = {"sizes": {l.value: sizes[l] for l in OrbitLabel}}
+        with out.check("graph", "structure-constants", inst.instance) as c:
+            c.passed = structure_constants(inst).holds
+        with out.check("graph", "edge-types", inst.instance) as c:
+            c.passed = count_edge_types(inst).holds
 
 
-def _run_entries(runner: _Runner, q, n, k, i, sweep_x):
+def _run_entries(out: _Output, q, n, k, i, sweep_x):
     ctx = GeometryContext(q, n, k, dims=())
     for inst in _graph_instances(ctx, i, sweep_x):
-        t0 = time.perf_counter()
-        rep = verify_entry_table(inst)
-        runner.check("entries", "entry-table", inst.instance, rep.holds,
-                     time.perf_counter() - t0)
+        with out.check("entries", "entry-table", inst.instance) as c:
+            c.passed = verify_entry_table(inst).holds
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    runner = _Runner(cfg.output_format, cfg.output_path)
-    explicit = cfg.q is not None or cfg.n is not None or cfg.k is not None
-    if cfg.suite == "all" and not explicit:
+def _verify_steps(args, i) -> list[tuple]:
+    """The check groups that verify runs, as (function, *arguments)."""
+    q, n, k, suite = args.q, args.n, args.k, args.suite
+    if suite == "all" and q is None and n is None and k is None:
         # canonical bundle: smallest instances exercising every check
-        for q, n, k in ((2, 4, 2), (3, 4, 2)):
-            _run_geometry(runner, q, n, k)
-            _run_algebra_full(runner, q, n, k)
-        _run_graph(runner, 2, 7, 3, 2, False)
-        _run_entries(runner, 2, 7, 3, 2, False)
-        return runner.finish()
-    i = cfg.i if cfg.i is not None else 2
-    graph_suites = cfg.suite in ("graph", "entries")
-    _validate_instance(cfg.q, cfg.n, cfg.k,
-                       graph=graph_suites, i=i if graph_suites else None)
-    if cfg.suite in ("geometry", "all"):
-        _run_geometry(runner, cfg.q, cfg.n, cfg.k)
-    if cfg.suite in ("algebra", "all"):
-        if cfg.mode == "columns":
-            _run_algebra_columns(runner, cfg.q, cfg.n, cfg.k, i,
-                                 cfg.worker_count)
+        return [(_run_geometry, 2, 4, 2), (_run_algebra_full, 2, 4, 2),
+                (_run_geometry, 3, 4, 2), (_run_algebra_full, 3, 4, 2),
+                (_run_graph, 2, 7, 3, 2, False),
+                (_run_entries, 2, 7, 3, 2, False)]
+    graph_only = suite in ("graph", "entries")
+    _validate_instance(q, n, k, graph=graph_only,
+                       i=i if graph_only else None)
+    steps = []
+    if suite in ("geometry", "all"):
+        steps.append((_run_geometry, q, n, k))
+    if suite in ("algebra", "all"):
+        if args.mode == "full":
+            steps.append((_run_algebra_full, q, n, k))
+        elif 0 <= i <= min(k, n - k):
+            steps.append((_run_algebra_columns, q, n, k, i, args.workers))
         else:
-            _run_algebra_full(runner, cfg.q, cfg.n, cfg.k)
-    if cfg.suite in ("graph", "entries", "all"):
+            raise UsageError(f"columns mode needs 0 <= i <= min(k, n-k) = "
+                             f"{min(k, n - k)}, got i={i}")
+    if suite == "all":
         try:
-            _validate_instance(cfg.q, cfg.n, cfg.k, graph=True, i=i)
+            _validate_instance(q, n, k, graph=True, i=i)
         except UsageError:
-            if cfg.suite != "all":
-                raise
+            return steps  # no graph checks at this instance
+    if suite in ("graph", "all"):
+        steps.append((_run_graph, q, n, k, i, args.sweep_x))
+    if suite in ("entries", "all"):
+        steps.append((_run_entries, q, n, k, i, args.sweep_x))
+    return steps
+
+
+def cmd_verify(out: _Output, steps) -> None:
+    if out.format == "csv":
+        out.write(CHECKS_CSV_HEADER)
+    for run, *params in steps:
+        run(out, *params)
+    if out.format == "text":
+        out.write(f"{out.total - out.failed}/{out.total} checks passed\n")
+
+
+def cmd_tables(out: _Output, q, n, k, i) -> None:
+    inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+    for title, table in (("structure constants", structure_constants),
+                         ("edge-type triples", count_edge_types)):
+        report = table(inst)
+        out.failed += not report.holds
+        if out.format == "text":
+            out.write(table_to_text(report, title) + "\n")
+        elif out.format == "csv":
+            out.write(table_to_csv(report))
         else:
-            if cfg.suite in ("graph", "all"):
-                _run_graph(runner, cfg.q, cfg.n, cfg.k, i, cfg.sweep_x)
-            if cfg.suite in ("entries", "all"):
-                _run_entries(runner, cfg.q, cfg.n, cfg.k, i, cfg.sweep_x)
-    return runner.finish()
+            out.write(records_to_ndjson([report.to_record()]))
 
 
-def cmd_tables(cfg: RunConfig) -> int:
-    i = cfg.i if cfg.i is not None else 2
-    _validate_instance(cfg.q, cfg.n, cfg.k, graph=True, i=i)
-    ctx = GeometryContext(cfg.q, cfg.n, cfg.k, dims=())
-    inst = GrassmannInstance(ctx, i=i)
-    sc = structure_constants(inst)
-    et = count_edge_types(inst)
-    stream = (open(cfg.output_path, "w", encoding="utf-8")
-              if cfg.output_path else sys.stdout)
-    try:
-        if cfg.output_format == "text":
-            print(table_to_text(sc, "structure constants"), file=stream)
-            print(table_to_text(et, "edge-type triples"), file=stream)
-        elif cfg.output_format == "csv":
-            stream.write(table_to_csv(sc))
-            stream.write(table_to_csv(et))
-        else:
-            stream.write(records_to_ndjson(
-                [sc.to_record(), et.to_record()]))
-    finally:
-        if cfg.output_path:
-            stream.close()
-    return 0 if sc.holds and et.holds else 1
-
-
-def cmd_enumerate(cfg: RunConfig) -> int:
-    _validate_instance(cfg.q, cfg.n, cfg.k, graph=False)
-    ctx = GeometryContext(cfg.q, cfg.n, cfg.k)
+def cmd_enumerate(out: _Output, q, n, k) -> None:
+    ctx = GeometryContext(q, n, k)
     sizes = stratum_sizes(ctx)
     slash = back = 0
     for u in ctx.elements:
@@ -349,69 +316,70 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                 back += 1
     rows = [
         {"record": "stratum", "version": 1, "i": s.i, "j": s.j,
-         "size": c, "closed_form": expected_stratum_size(s.i, s.j, ctx)}
-        for s, c in sorted(sizes.items())
+         "size": m, "closed_form": expected_stratum_size(s.i, s.j, ctx)}
+        for s, m in sorted(sizes.items())
     ]
-    summary = {
-        "record": "enumeration-summary", "version": 1,
-        "instance": [cfg.q, cfg.n, cfg.k],
-        "total": len(ctx.elements),
-        "slash_cover_pairs": slash,
-        "backslash_cover_pairs": back,
-    }
-    stream = (open(cfg.output_path, "w", encoding="utf-8")
-              if cfg.output_path else sys.stdout)
-    try:
-        if cfg.output_format == "text":
-            print(f"P_q(n) at (q,n,k)=({cfg.q},{cfg.n},{cfg.k}): "
-                  f"{len(ctx.elements)} subspaces", file=stream)
-            for r in rows:
-                print(f"  |P_{{{r['i']},{r['j']}}}| = {r['size']} "
-                      f"(closed form {r['closed_form']})", file=stream)
-            print(f"  cover pairs: {slash} slash, {back} backslash",
-                  file=stream)
-        elif cfg.output_format == "csv":
-            import csv as _csv
+    out.failed += sum(r["size"] != r["closed_form"] for r in rows)
+    if out.format == "text":
+        lines = [f"P_q(n) at (q,n,k)=({q},{n},{k}): "
+                 f"{len(ctx.elements)} subspaces"]
+        lines += [f"  |P_{{{r['i']},{r['j']}}}| = {r['size']} "
+                  f"(closed form {r['closed_form']})" for r in rows]
+        lines.append(f"  cover pairs: {slash} slash, {back} backslash")
+        out.write("\n".join(lines) + "\n")
+    elif out.format == "csv":
+        out.write(csv_lines([("i", "j", "size", "closed_form")] + [
+            (r["i"], r["j"], r["size"], r["closed_form"]) for r in rows]))
+    else:
+        out.write(records_to_ndjson(rows + [{
+            "record": "enumeration-summary", "version": 1,
+            "instance": [q, n, k],
+            "total": len(ctx.elements),
+            "slash_cover_pairs": slash,
+            "backslash_cover_pairs": back,
+        }]))
 
-            w = _csv.writer(stream, lineterminator="\n")
-            w.writerow(["i", "j", "size", "closed_form"])
-            for r in rows:
-                w.writerow([r["i"], r["j"], r["size"], r["closed_form"]])
-        else:
-            stream.write(records_to_ndjson(rows + [summary]))
-    finally:
-        if cfg.output_path:
-            stream.close()
-    ok = all(r["size"] == r["closed_form"] for r in rows)
-    return 0 if ok else 1
+
+def _command(args) -> tuple:
+    """The command function and its arguments; UsageError on bad input."""
+    q, n, k = args.q, args.n, args.k
+    i = args.i if args.i is not None else 2
+    if args.command == "verify":
+        return cmd_verify, (_verify_steps(args, i),)
+    if args.command == "tables":
+        _validate_instance(q, n, k, graph=True, i=i)
+        return cmd_tables, (q, n, k, i)
+    _validate_instance(q, n, k, graph=False)
+    return cmd_enumerate, (q, n, k)
+
+
+def _open_output(path):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {path}: {exc.strerror}") \
+            from None
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    cfg = RunConfig(
-        q=args.q, n=args.n, k=args.k, i=args.i,
-        suite=args.suite, mode=args.mode,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        worker_count=args.workers,
-        sweep_x=args.sweep_x,
-    )
     try:
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "tables":
-            return cmd_tables(cfg)
-        return cmd_enumerate(cfg)
+        command, params = _command(args)
+        with _open_output(args.output_path) as stream:
+            out = _Output(stream, args.output_format)
+            command(out, *params)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    return 1 if out.failed else 0
 
 
 if __name__ == "__main__":

@@ -51,6 +51,21 @@ class AdjacentProfile(NamedTuple):
     bot_u: bool
     bot_z: bool
 
+    def f_class(self) -> str | None:
+        """The F-class of the pair: "F0", "F+", "F-", or None for none.
+
+        F0: u+z slash-covers both and neither slash-covers u∩z; F+: u+z
+        slash-covers neither; F-: both slash-cover u∩z.  At most one holds:
+        F+ forces u∩y = (u+z)∩y = z∩y ⊆ u∩z, which rules out F-.
+        """
+        if self.top_u and self.top_z and not self.bot_u and not self.bot_z:
+            return "F0"
+        if not self.top_u and not self.top_z:
+            return "F+"
+        if self.bot_u and self.bot_z:
+            return "F-"
+        return None
+
 
 class GeometryContext:
     """Fixed (q, n, k, y) with optional enumeration of dimension bands.

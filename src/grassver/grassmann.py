@@ -82,18 +82,11 @@ def intersection_numbers(i: int, ctx: GeometryContext) -> tuple[int, int]:
     return b, qint(i, q) ** 2
 
 
-def _a_label(prof: AdjacentProfile) -> OrbitLabel | None:
-    """A-subclass from the cover-kind profile of (z, x) relative to y."""
-    matches = []
-    if prof.top_u and prof.top_z and not prof.bot_u and not prof.bot_z:
-        matches.append(OrbitLabel.A0)
-    if not prof.top_u and not prof.top_z:
-        matches.append(OrbitLabel.APLUS)
-    if prof.bot_u and prof.bot_z:
-        matches.append(OrbitLabel.AMINUS)
-    if len(matches) != 1:
-        return None
-    return matches[0]
+# F-class of the pair (z, x) relative to y -> A-class of z, and edge type
+_A_CLASS = {"F0": OrbitLabel.A0, "F+": OrbitLabel.APLUS,
+            "F-": OrbitLabel.AMINUS}
+_EDGE_TYPE = {"F0": EdgeType.T0, "F+": EdgeType.TPLUS,
+              "F-": EdgeType.TMINUS}
 
 
 class GrassmannInstance:
@@ -154,9 +147,9 @@ class GrassmannInstance:
             return OrbitLabel.C
         if dist != self.i:
             raise ValueError("neighbor at impossible distance")
-        label = _a_label(prof)
+        label = _A_CLASS.get(prof.f_class())
         if label is None:
-            raise ValueError("equidistant neighbor fits no unique A-class")
+            raise ValueError("equidistant neighbor fits no A-class")
         return label
 
     def orbit_partition(self) -> dict[OrbitLabel, list]:
@@ -243,6 +236,23 @@ class TableReport:
     mismatches: list = field(default_factory=list)  # cells observed!=expected
     inequitable: list = field(default_factory=list)  # cells varying across w
 
+    @classmethod
+    def from_cells(cls, kind, instance, expected, cells) -> TableReport:
+        """The report from (cell, set of values over the cell's class)
+        pairs, in report order.  A cell taking more than one value is
+        inequitable and shows its least value; a constant cell is compared
+        with the closed form."""
+        report = cls(kind, instance, expected=expected)
+        for cell, values in cells:
+            if len(values) != 1:
+                report.inequitable.append(cell)
+                report.observed[cell] = min(values)
+                continue
+            (report.observed[cell],) = values
+            if report.observed[cell] != expected[cell]:
+                report.mismatches.append(cell)
+        return report
+
     @property
     def holds(self) -> bool:
         return not self.mismatches and not self.inequitable
@@ -276,7 +286,6 @@ def structure_constants(inst: GrassmannInstance) -> TableReport:
         for rows in members
     }
     all_rows = list(label_by_rows)
-    report = TableReport("structure-constants", inst.instance)
     per_cell: dict[tuple, set] = {}
     for wrows in all_rows:
         o = label_by_rows[wrows]
@@ -286,17 +295,9 @@ def structure_constants(inst: GrassmannInstance) -> TableReport:
                 counts[label_by_rows[zrows]] += 1
         for nn, c in counts.items():
             per_cell.setdefault((o, nn), set()).add(c)
-    expected = closed_structure_constants(*inst.instance)
-    report.expected = expected
-    for cell, values in sorted(per_cell.items()):
-        if len(values) != 1:
-            report.inequitable.append(cell)
-            report.observed[cell] = min(values)
-            continue
-        report.observed[cell] = values.pop()
-        if report.observed[cell] != expected[cell]:
-            report.mismatches.append(cell)
-    return report
+    return TableReport.from_cells(
+        "structure-constants", inst.instance,
+        closed_structure_constants(*inst.instance), sorted(per_cell.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +305,10 @@ def structure_constants(inst: GrassmannInstance) -> TableReport:
 
 
 def _type_from_profile(prof: AdjacentProfile) -> EdgeType:
-    label = _a_label(prof)
-    if label is None:
-        raise ValueError("equidistant edge fits no unique type")
-    return {
-        OrbitLabel.A0: EdgeType.T0,
-        OrbitLabel.APLUS: EdgeType.TPLUS,
-        OrbitLabel.AMINUS: EdgeType.TMINUS,
-    }[label]
+    edge = _EDGE_TYPE.get(prof.f_class())
+    if edge is None:
+        raise ValueError("equidistant edge fits no type")
+    return edge
 
 
 def edge_type(w: Subspace, z: Subspace, inst: GrassmannInstance) -> EdgeType:
@@ -361,7 +358,6 @@ def count_edge_types(inst: GrassmannInstance) -> TableReport:
         for label, members in orbits.items()
         for rows in members
     }
-    report = TableReport("edge-types", inst.instance)
     per_cell: dict[tuple, set] = {}
     slot = {EdgeType.T0: 0, EdgeType.TPLUS: 1, EdgeType.TMINUS: 2}
     for wrows, o in label_by_rows.items():
@@ -376,17 +372,9 @@ def count_edge_types(inst: GrassmannInstance) -> TableReport:
             counts[nn][slot[_type_from_profile(prof)]] += 1
         for nn, triple in counts.items():
             per_cell.setdefault((o, nn), set()).add(tuple(triple))
-    expected = closed_edge_type_table(*inst.instance)
-    report.expected = expected
-    for cell, values in sorted(per_cell.items()):
-        if len(values) != 1:
-            report.inequitable.append(cell)
-            report.observed[cell] = min(values)
-            continue
-        report.observed[cell] = values.pop()
-        if report.observed[cell] != expected[cell]:
-            report.mismatches.append(cell)
-    return report
+    return TableReport.from_cells(
+        "edge-types", inst.instance, closed_edge_type_table(*inst.instance),
+        sorted(per_cell.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -435,28 +423,20 @@ def verify_entry_table(inst: GrassmannInstance) -> TableReport:
         "A+": orbits[OrbitLabel.APLUS],
         "A-": orbits[OrbitLabel.AMINUS],
     }
-    report = TableReport("entry-table", inst.instance)
     expected_by_word = closed_entry_table(*inst.instance)
     expected = {
         (f"{a}{b}", o): expected_by_word[(a, b)][t]
         for (a, b) in ENTRY_PRODUCTS
         for t, o in enumerate(("A0", "A+", "A-"))
     }
-    report.expected = expected
+    per_cell: dict[tuple, set] = {}
     for a, b in ENTRY_PRODUCTS:
         vec = ev.apply_band_int(b, {inst.x.rows: 1})
         vec = ev.apply_band_int(a, vec)
         for o, members in a_classes.items():
-            values = {vec.get(wrows, 0) for wrows in members}
-            cell = (f"{a}{b}", o)
-            if len(values) != 1:
-                report.inequitable.append(cell)
-                report.observed[cell] = min(values)
-                continue
-            report.observed[cell] = values.pop()
-            if report.observed[cell] != expected[cell]:
-                report.mismatches.append(cell)
-    return report
+            per_cell[(f"{a}{b}", o)] = {vec.get(wrows, 0) for wrows in members}
+    return TableReport.from_cells("entry-table", inst.instance, expected,
+                                  per_cell.items())
 
 
 def edge_type_matches_orbits(inst: GrassmannInstance) -> bool:
@@ -474,8 +454,6 @@ def edge_type_matches_orbits(inst: GrassmannInstance) -> bool:
     by_dist: dict[int, list] = {}
     for rows in equidistant:
         by_dist.setdefault(ctx.intersection_dim_with_y(rows), []).append(rows)
-    want = {OrbitLabel.A0: EdgeType.T0, OrbitLabel.APLUS: EdgeType.TPLUS,
-            OrbitLabel.AMINUS: EdgeType.TMINUS}
     for members in by_dist.values():
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
@@ -489,7 +467,6 @@ def edge_type_matches_orbits(inst: GrassmannInstance) -> bool:
                 t = edge_type(w, z, inst)
                 if t != edge_type(z, w, inst):
                     return False
-                prof = pair_profile(w, z, ctx)
-                if want[_a_label(prof)] != t:
+                if _EDGE_TYPE[pair_profile(w, z, ctx).f_class()] != t:
                     return False
     return True

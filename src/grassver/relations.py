@@ -436,13 +436,9 @@ class ColumnEvaluator:
             return cols
         cols = {"F0": [], "F+": [], "F-": [], "R": [], "L": []}
         for urows, prof in self.ctx.typed_adjacency(zrows):
-            if prof.top_u and prof.top_z:
-                if not prof.bot_u and not prof.bot_z:
-                    cols["F0"].append(urows)
-            elif not prof.top_u and not prof.top_z:
-                cols["F+"].append(urows)
-            if prof.bot_u and prof.bot_z:
-                cols["F-"].append(urows)
+            f = prof.f_class()
+            if f is not None:
+                cols[f].append(urows)
             if prof.top_u and not prof.top_z:
                 cols["R"].append(urows)
             if prof.bot_u and not prof.bot_z:

@@ -1,9 +1,9 @@
 """Serialization of verification results.
 
 Three output shapes: human-readable text lines, newline-delimited JSON
-records (one self-describing record per check), and CSV for the tables.
-All output is deterministic: dict keys are sorted and rows are emitted in
-a canonical order.
+records (one self-describing record per check), and CSV.  All output is
+deterministic: dict keys are sorted and rows are emitted in a canonical
+order.
 """
 
 from __future__ import annotations
@@ -40,18 +40,29 @@ def records_to_ndjson(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-def checks_to_csv(records) -> str:
+def csv_lines(rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["suite", "check", "instance", "pass", "seconds"])
-    for r in records:
-        w.writerow([
-            r["suite"], r["check"],
-            " ".join(str(v) for v in r["instance"]),
-            "1" if r["pass"] else "0",
-            f"{r['seconds']:.3f}",
-        ])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+CHECKS_CSV_HEADER = csv_lines([("suite", "check", "instance", "pass",
+                                "seconds")])
+
+
+def format_check(rec: dict, output_format: str) -> str:
+    """One check record as written out: a text line, a CSV row (after
+    CHECKS_CSV_HEADER) or an NDJSON line."""
+    if output_format == "text":
+        return format_check_line(rec) + "\n"
+    if output_format == "csv":
+        return csv_lines([(
+            rec["suite"], rec["check"],
+            " ".join(str(v) for v in rec["instance"]),
+            "1" if rec["pass"] else "0",
+            f"{rec['seconds']:.3f}",
+        )])
+    return records_to_ndjson([rec])
 
 
 def _cell_str(value) -> str:
@@ -62,11 +73,9 @@ def _cell_str(value) -> str:
 
 def table_to_csv(report) -> str:
     """CSV for a TableReport: one row per cell, brute and closed columns."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     q, n, k, i = report.instance
-    w.writerow(["kind", "q", "n", "k", "i", "cell",
-                "brute", "closed", "match"])
+    rows = [("kind", "q", "n", "k", "i", "cell",
+             "brute", "closed", "match")]
     for cell in sorted(report.expected):
         name = "|".join(cell) if isinstance(cell, tuple) else str(cell)
         brute = report.observed.get(cell, "")
@@ -74,9 +83,9 @@ def table_to_csv(report) -> str:
         ok = (cell not in report.mismatches
               and cell not in report.inequitable
               and cell in report.observed)
-        w.writerow([report.kind, q, n, k, i, name,
-                    _cell_str(brute), _cell_str(closed), "1" if ok else "0"])
-    return buf.getvalue()
+        rows.append((report.kind, q, n, k, i, name,
+                     _cell_str(brute), _cell_str(closed), "1" if ok else "0"))
+    return csv_lines(rows)
 
 
 def table_to_text(report, title: str) -> str:

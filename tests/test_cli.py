@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from grassver import cli
 from grassver.cli import main
 from grassver.reports import check_record, format_check_line
 
@@ -183,3 +186,93 @@ def test_verify_all_default_bundle(capsys):
     assert "PASS geometry:enumeration (3,4,2)" in out
     assert "PASS graph:orbit-sizes (2,7,3,2)" in out
     assert "PASS entries:entry-table (2,7,3,2)" in out
+
+
+def test_check_exception_writes_fail_record_and_exits_1(
+        tmp_path, capsys, monkeypatch):
+    # an internal error inside a check is a failure, not bad usage, and the
+    # checks finished before it stay in the output
+    def broken(inst):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "count_edge_types", broken)
+    path = tmp_path / "checks.ndjson"
+    code, out, err = run(capsys, "verify", "--suite", "graph",
+                         "--q", "2", "--n", "7", "--k", "3", "--i", "2",
+                         "--format", "records", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValueError: boom\n"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["check"], r["pass"]) for r in recs] == [
+        ("orbit-sizes", True), ("structure-constants", True),
+        ("edge-types", False)]
+    assert recs[-1]["detail"] == {"error": "ValueError: boom"}
+
+
+def test_tables_out_in_missing_directory_exit_2(tmp_path, capsys,
+                                                monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "structure_constants", computed.append)
+    code, out, err = run(capsys, "tables", "--q", "2", "--n", "7",
+                         "--k", "3", "--i", "2",
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert err.startswith("error: cannot open --out")
+    assert "Traceback" not in out + err
+    assert computed == []
+
+
+def test_verify_columns_mode_i_out_of_range_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "algebra",
+                         "--mode", "columns", "--q", "2", "--n", "5",
+                         "--k", "2", "--i", "5")
+    assert code == 2
+    assert out == ""
+    assert "got i=5" in err
+
+
+def test_usage_error_leaves_out_file_unopened(tmp_path, capsys):
+    path = tmp_path / "checks.csv"
+    code, _, _ = run(capsys, "verify", "--suite", "graph", "--q", "2",
+                     "--n", "4", "--k", "2", "--out", str(path))
+    assert code == 2
+    assert not path.exists()
+
+
+DATA = Path(__file__).parent / "data" / "cli"
+FORMAT_SUFFIX = {"text": "txt", "csv": "csv", "records": "ndjson"}
+
+
+def mask_seconds(text: str) -> str:
+    """The output with every check's measured time replaced by S."""
+    text = re.sub(r"(?m)^((?:PASS|FAIL) \S+ \(\S+\)) \d+\.\d+s$", r"\1 Ss",
+                  text)
+    text = re.sub(r'"seconds": [0-9.e-]+', '"seconds": S', text)
+    return re.sub(r"(?m)^(\w+,[^,\n]+,[0-9 ]+,[01]),\d+\.\d+$", r"\1,S",
+                  text)
+
+
+@pytest.mark.parametrize("name,argv,fmt", [
+    *[("verify-geometry-2-4-2", ["verify", "--suite", "geometry", "--q", "2",
+                                 "--n", "4", "--k", "2"], fmt)
+      for fmt in FORMAT_SUFFIX],
+    *[("enumerate-2-4-2", ["enumerate", "--q", "2", "--n", "4", "--k", "2"],
+       fmt) for fmt in FORMAT_SUFFIX],
+    ("tables-2-7-3-2", ["tables", "--q", "2", "--n", "7", "--k", "3",
+                        "--i", "2"], "records"),
+])
+def test_whole_output_matches_expected(name, argv, fmt, tmp_path, capsys):
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    expected = (DATA / f"{name}.{FORMAT_SUFFIX[fmt]}").read_text()
+    assert mask_seconds(path.read_text()) == mask_seconds(expected)
+
+
+def test_bad_env_value_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("GRASSVER_Q", "two")
+    code, _, err = run(capsys, "verify", "--suite", "geometry")
+    assert code == 2
+    assert "invalid int value: 'two'" in err
+    assert "Traceback" not in err

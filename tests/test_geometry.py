@@ -115,6 +115,27 @@ def test_typed_adjacency_matches_pair_profile(ctx242):
     assert count == len(swept)
 
 
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
+def test_f_class_is_the_only_class_that_holds(q, n, k):
+    # f_class returns one class, so the three conditions must exclude each
+    # other on every adjacent pair of every dimension
+    ctx = GeometryContext(q, n, k)
+    seen = set()
+    for z in ctx.elements:
+        for _, p in ctx.typed_adjacency(z.rows):
+            held = [
+                p.top_u and p.top_z and not p.bot_u and not p.bot_z,
+                not p.top_u and not p.top_z,
+                p.bot_u and p.bot_z,
+            ]
+            assert sum(held) <= 1
+            f = p.f_class()
+            assert f == (("F0", "F+", "F-")[held.index(True)]
+                         if any(held) else None)
+            seen.add(f)
+    assert seen == {"F0", "F+", "F-", None}
+
 def test_banded_context_skips_enumeration():
     ctx = GeometryContext(2, 7, 3, dims=())
     assert ctx.elements == []
