@@ -1,5 +1,9 @@
 """Benchmark the pure-Python and compiled row-reduction kernels.
 
+Prints microseconds per call for each kernel under each backend, and for
+``gf.extend_rows`` (extend a canonical basis by one row), which is pure
+Python under both backends.
+
 Usage: python3 benchmarks/bench_kernels.py [--reps N]
 """
 
@@ -9,15 +13,17 @@ import argparse
 import random
 import time
 
+from grassver.gf import extend_rows
 from grassver.kernels import BACKENDS
 
 
 def bench(fn, args_list, reps):
+    """Microseconds per call of fn over args_list."""
     t0 = time.perf_counter()
     for _ in range(reps):
         for args in args_list:
             fn(*args)
-    return time.perf_counter() - t0
+    return (time.perf_counter() - t0) / (reps * len(args_list)) * 1e6
 
 
 def main():
@@ -33,23 +39,34 @@ def main():
         ([tuple(rng.randrange(3) for _ in range(10)) for _ in range(6)], 3)
         for _ in range(200)
     ]
+    # the same inputs split into a canonical basis of the first rows and
+    # one more row
+    rref2, rrefp = BACKENDS["python"].rref2, BACKENDS["python"].rrefp
+    gf2_extend = [(rref2(rows[:-1]), rows[-1], 2) for (rows,) in gf2_cases]
+    gfp_extend = [(rrefp(rows[:-1], q), rows[-1], q)
+                  for rows, q in gfp_cases]
 
     workloads = [
         ("rref2 (GF(2), 8x20)", "rref2", gf2_cases),
         ("rank2 (GF(2), 8x20)", "rank2", gf2_cases),
+        ("extend_rows (GF(2), 7+1 rows)", extend_rows, gf2_extend),
         ("rrefp (GF(3), 6x10)", "rrefp", gfp_cases),
         ("rankp (GF(3), 6x10)", "rankp", gfp_cases),
+        ("extend_rows (GF(3), 5+1 rows)", extend_rows, gfp_extend),
     ]
 
-    print(f"backends: {', '.join(BACKENDS)}  reps={opts.reps}")
-    for title, fname, cases in workloads:
-        times = {}
-        for name, mod in BACKENDS.items():
-            times[name] = bench(getattr(mod, fname), cases, opts.reps)
-        line = "  ".join(f"{n}={t:.3f}s" for n, t in times.items())
-        if "python" in times and "cython" in times and times["cython"] > 0:
-            line += f"  speedup={times['python'] / times['cython']:.1f}x"
-        print(f"{title:24s} {line}")
+    print(f"backends: {', '.join(BACKENDS)}  reps={opts.reps}  "
+          "(us per call; extend_rows is pure Python under both)")
+    for title, fn, cases in workloads:
+        if callable(fn):
+            line = f"gf={bench(fn, cases, opts.reps):.2f}us"
+        else:
+            times = {name: bench(getattr(mod, fn), cases, opts.reps)
+                     for name, mod in BACKENDS.items()}
+            line = "  ".join(f"{n}={t:.2f}us" for n, t in times.items())
+            if "cython" in times and times["cython"] > 0:
+                line += f"  speedup={times['python'] / times['cython']:.1f}x"
+        print(f"{title:30s} {line}")
 
 
 if __name__ == "__main__":

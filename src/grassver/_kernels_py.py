@@ -2,9 +2,10 @@
 
 Rows over GF(2) are packed into integers (bit ``j`` holds the coordinate of
 column ``j``); rows over a general prime field are tuples of residues.
-These four functions are the hot inner loop of the whole package; a compiled
-equivalent lives in ``_kernels.pyx`` and is selected at import time by
-:mod:`grassver.kernels`.
+These four functions do every full row reduction of the package (the
+geometry sweeps extend a basis by one row with ``gf.extend_rows`` instead);
+a compiled equivalent lives in ``_kernels.pyx`` and is selected at import
+time by :mod:`grassver.kernels`.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ def rref2(rows):
     Returns:
         Tuple of nonzero RREF rows ordered by increasing pivot column.
     """
-    piv = {}  # pivot bit -> row
+    piv = {}  # pivot bit -> row, kept mutually reduced
     for r in rows:
-        for p in sorted(piv):
+        # each row is zero at the other pivots, so any order reduces fully
+        for p, b in piv.items():
             if r & p:
-                r ^= piv[p]
+                r ^= b
         if r:
             low = r & -r
             for p, b in piv.items():

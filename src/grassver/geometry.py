@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional
 from .gf import (
     Subspace,
     enumerate_subspaces,
+    extend_rows,
     gaussian_binomial,
     qint,
     rank_rows,
@@ -86,6 +87,8 @@ class GeometryContext:
         self.k = k
         if y is None:
             y = Subspace.coordinate_span(range(k), q, n)
+        else:  # a caller's rows may not be canonical
+            y = Subspace(y.q, y.n, rref_rows(y.rows, y.q))
         if y.n != n or y.q != q or y.dim != k:
             raise ValueError("reference subspace must be a k-space of F_q^n")
         self.y = y
@@ -166,17 +169,12 @@ class GeometryContext:
             pivmask = 0
             for r in rows:
                 pivmask |= r & -r
-            free = [j for j in range(n) if not (pivmask >> j) & 1]
-            for m in range(1, 1 << len(free)):
-                w = 0
-                t = 0
-                mm = m
-                while mm:
-                    if mm & 1:
-                        w |= 1 << free[t]
-                    mm >>= 1
-                    t += 1
-                yield rref_rows(tuple(rows) + (w,), q), w
+            free_bit = [1 << j for j in range(n) if not (pivmask >> j) & 1]
+            # Gray-code order: mask m differs from m-1 in bit ctz(m)
+            w = 0
+            for m in range(1, 1 << len(free_bit)):
+                w ^= free_bit[(m & -m).bit_length() - 1]
+                yield extend_rows(rows, w, q), w
         else:
             pivots = {next(t for t, v in enumerate(r) if v) for r in rows}
             free = [j for j in range(n) if j not in pivots]
@@ -188,7 +186,7 @@ class GeometryContext:
                 for j, v in zip(free, values):
                     w[j] = v
                 w = tuple(w)
-                yield rref_rows(tuple(rows) + (w,), q), w
+                yield extend_rows(rows, w, q), w
 
     def hyperplanes_rows(self, rows):
         """All covers below: canonical bases of the (d-1)-spaces under rows.
@@ -240,7 +238,7 @@ class GeometryContext:
                 if urows == zrows:
                     continue
                 i_u = self.intersection_dim_with_y(urows)
-                srows = rref_rows(tuple(zrows) + (w,), q)
+                srows = extend_rows(zrows, w, q)
                 i_s = self.intersection_dim_with_y(srows)
                 yield urows, AdjacentProfile(
                     i_s == i_u + 1, i_s == i_z + 1, i_u == i_m + 1, bot_z

@@ -73,6 +73,50 @@ def rref_rows(rows, q: int):
     return rrefp(rows, q)
 
 
+def extend_rows(rows, v, q: int):
+    """Canonical RREF of span(rows, v), for ``rows`` already canonical RREF.
+
+    Takes O(d) row operations instead of a full reduction: reduce v by
+    the rows whose pivot it hits, normalise it, clear its pivot column
+    from the rows and insert it in pivot order.  Returns ``rows`` as a
+    tuple when v already lies in their span.
+    """
+    out = []
+    placed = False
+    if q == 2:
+        for r in rows:
+            if v & r & -r:
+                v ^= r
+        if not v:
+            return tuple(rows)
+        low = v & -v
+        for r in rows:
+            if not placed and r & -r > low:
+                out.append(v)
+                placed = True
+            out.append(r ^ v if r & low else r)
+    else:
+        for r in rows:
+            c = v[r.index(1)]
+            if c:
+                v = [(a - c * b) % q for a, b in zip(v, r)]
+        pc = next((t for t, a in enumerate(v) if a), -1)
+        if pc < 0:
+            return tuple(rows)
+        inv = pow(v[pc], -1, q)
+        v = tuple((a * inv) % q for a in v) if inv != 1 else tuple(v)
+        for r in rows:
+            if not placed and r.index(1) > pc:
+                out.append(v)
+                placed = True
+            c = r[pc]
+            out.append(tuple((a - c * b) % q for a, b in zip(r, v))
+                       if c else r)
+    if not placed:
+        out.append(v)
+    return tuple(out)
+
+
 def rank_rows(rows, q: int) -> int:
     if q == 2:
         return rank2(rows)

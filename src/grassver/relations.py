@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .geometry import GeometryContext
-from .gf import Subspace
+from .gf import Subspace, rref_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
 
@@ -535,12 +535,13 @@ def _rows_ref(rows, q: int) -> str:
 
 
 def _column_rows(ctx: GeometryContext, col) -> tuple:
-    """Accepts an element id, a Subspace, or packed basis rows."""
+    """Accepts an element id, a Subspace, or packed basis rows; returns
+    the canonical basis rows."""
     if isinstance(col, int):
         return ctx.elements[col].rows
     if isinstance(col, Subspace):
-        return col.rows
-    return tuple(col)
+        col = col.rows
+    return rref_rows(col, ctx.q)
 
 
 _WORKER_STATE: dict = {}

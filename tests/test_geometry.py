@@ -100,6 +100,30 @@ def test_superspace_and_hyperplane_counts(ctx242):
                     == qint(d, 2))
 
 
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4)])
+def test_superspaces_rows_yields_each_cover_once(q, n):
+    # oracle: containment of vector sets over a filtered enumeration
+    ctx = GeometryContext(q, n, 1, dims=())
+    spaces = {d: [(u, frozenset(u.vectors()))
+                  for u in enumerate_subspaces(n, d, q)]
+              for d in range(n + 1)}
+    for d in range(n):
+        for u, uvecs in spaces[d]:
+            pivots = [r & -r for r in u.rows] if q == 2 else [
+                1 << r.index(1) for r in u.rows]
+            yielded = []
+            for vrows, w in ctx.superspaces_rows(u.rows):
+                yielded.append(vrows)
+                wbits = w if q == 2 else sum(
+                    1 << j for j, a in enumerate(w) if a)
+                assert wbits and not any(wbits & p for p in pivots)
+                assert Subspace(q, n, vrows).contains_vector(w)
+            expected = {v.rows for v, vvecs in spaces[d + 1]
+                        if uvecs <= vvecs}
+            assert len(yielded) == len(set(yielded))
+            assert set(yielded) == expected
+
+
 def test_typed_adjacency_matches_pair_profile(ctx242):
     from grassver.gf import dim_intersect
 
@@ -151,6 +175,13 @@ def test_non_canonical_reference_subspace():
     assert ctx.stratum(y) == Stratum(2, 0)
     rep = verify_cover_counts(ctx)
     assert rep.holds
+
+
+def test_reference_subspace_rows_are_made_canonical():
+    # rows (3, 2) span the same 2-space as the canonical (1, 2)
+    ctx = GeometryContext(2, 4, 2, y=Subspace(2, 4, (3, 2)))
+    assert ctx.y == Subspace.coordinate_span([0, 1], 2, 4)
+    assert verify_cover_counts(ctx).holds
 
 
 def test_invalid_parameters():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +8,10 @@ from grassver.gf import (
     dim_intersect,
     dim_sum,
     enumerate_subspaces,
+    extend_rows,
     gaussian_binomial,
     qint,
+    rref_rows,
     subspace_intersect,
     subspace_sum,
     validate_field_order,
@@ -117,3 +121,17 @@ def test_zero_and_full():
     f = Subspace.full(3, 4)
     assert z.dim == 0 and f.dim == 4
     assert f.contains(z)
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4)])
+def test_extend_rows_matches_full_reduction(q, n):
+    # every subspace times every vector, v = 0 and v in the span included
+    if q == 2:
+        vectors = range(1 << n)
+    else:
+        vectors = list(product(range(q), repeat=n))
+    for d in range(n + 1):
+        for u in enumerate_subspaces(n, d, q):
+            for v in vectors:
+                assert extend_rows(u.rows, v, q) == rref_rows(
+                    u.rows + (v,), q), (u, v)

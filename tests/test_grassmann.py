@@ -211,6 +211,19 @@ def test_alternate_x_gives_same_tables(inst273):
         assert structure_constants(inst).holds
 
 
+def test_non_canonical_x_and_bfs_source_are_made_canonical():
+    # rows (9, 8, 16) span the same 3-space as the canonical (1, 8, 16);
+    # kept as given, x was not recognised as itself among its neighbours
+    ctx = GeometryContext(2, 7, 3, dims=())
+    inst = GrassmannInstance(ctx, x=Subspace(2, 7, (9, 8, 16)))
+    assert inst.x == Subspace(2, 7, (1, 8, 16))
+    sizes = {label.value: c for label, c in inst.orbit_sizes().items()}
+    assert sizes == {"B": 96, "C": 9, "A0": 9, "A+": 72, "A-": 24}
+    ctx262 = GeometryContext(2, 6, 2, dims=())
+    dist = bfs_distances(Subspace(2, 6, (3, 2)), ctx262)
+    assert dist == bfs_distances(Subspace(2, 6, (1, 2)), ctx262)
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         GrassmannInstance(GeometryContext(2, 5, 2, dims=()), i=2)  # n<=2k

@@ -95,6 +95,17 @@ def test_columns_accept_subspace_and_rows(contexts):
                                columns=[col]).holds
 
 
+def test_non_canonical_column_gives_the_canonical_report():
+    # rows (19, 18) span the stratum-(1,1) 2-space with canonical rows
+    # (1, 18), on which REL-8P fails and REL-8 holds
+    ctx = GeometryContext(2, 5, 2, dims=())
+    for rid in ("REL-8P", "REL-8"):
+        got = verify_relation(rid, ctx, "columns", columns=[(19, 18)])
+        want = verify_relation(rid, ctx, "columns", columns=[(1, 18)])
+        assert got.to_record() == want.to_record()
+        assert got.holds == (rid == "REL-8")
+
+
 def test_banded_columns_mode_needs_no_enumeration():
     ctx = GeometryContext(2, 5, 2, dims=())
     cols = [u.rows for u in enumerate_subspaces(5, 2, 2)][:20]
