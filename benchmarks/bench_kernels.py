@@ -1,8 +1,7 @@
-"""Benchmark the pure-Python and compiled row-reduction kernels.
+"""Benchmark the row-reduction kernels.
 
-Prints microseconds per call for each kernel under each backend, and for
-``gf.extend_rows`` (extend a canonical basis by one row), which is pure
-Python under both backends.
+Prints microseconds per call for each kernel of ``grassver.kernels`` and
+for ``gf.extend_rows`` (extend a canonical basis by one row).
 
 Usage: python3 benchmarks/bench_kernels.py [--reps N]
 """
@@ -14,7 +13,7 @@ import random
 import time
 
 from grassver.gf import extend_rows
-from grassver.kernels import BACKENDS
+from grassver.kernels import rank2, rankp, rref2, rrefp
 
 
 def bench(fn, args_list, reps):
@@ -41,32 +40,22 @@ def main():
     ]
     # the same inputs split into a canonical basis of the first rows and
     # one more row
-    rref2, rrefp = BACKENDS["python"].rref2, BACKENDS["python"].rrefp
     gf2_extend = [(rref2(rows[:-1]), rows[-1], 2) for (rows,) in gf2_cases]
     gfp_extend = [(rrefp(rows[:-1], q), rows[-1], q)
                   for rows, q in gfp_cases]
 
     workloads = [
-        ("rref2 (GF(2), 8x20)", "rref2", gf2_cases),
-        ("rank2 (GF(2), 8x20)", "rank2", gf2_cases),
+        ("rref2 (GF(2), 8x20)", rref2, gf2_cases),
+        ("rank2 (GF(2), 8x20)", rank2, gf2_cases),
         ("extend_rows (GF(2), 7+1 rows)", extend_rows, gf2_extend),
-        ("rrefp (GF(3), 6x10)", "rrefp", gfp_cases),
-        ("rankp (GF(3), 6x10)", "rankp", gfp_cases),
+        ("rrefp (GF(3), 6x10)", rrefp, gfp_cases),
+        ("rankp (GF(3), 6x10)", rankp, gfp_cases),
         ("extend_rows (GF(3), 5+1 rows)", extend_rows, gfp_extend),
     ]
 
-    print(f"backends: {', '.join(BACKENDS)}  reps={opts.reps}  "
-          "(us per call; extend_rows is pure Python under both)")
+    print(f"reps={opts.reps}  (us per call)")
     for title, fn, cases in workloads:
-        if callable(fn):
-            line = f"gf={bench(fn, cases, opts.reps):.2f}us"
-        else:
-            times = {name: bench(getattr(mod, fn), cases, opts.reps)
-                     for name, mod in BACKENDS.items()}
-            line = "  ".join(f"{n}={t:.2f}us" for n, t in times.items())
-            if "cython" in times and times["cython"] > 0:
-                line += f"  speedup={times['python'] / times['cython']:.1f}x"
-        print(f"{title:30s} {line}")
+        print(f"{title:30s} {bench(fn, cases, opts.reps):.2f}us")
 
 
 if __name__ == "__main__":

@@ -113,7 +113,7 @@ def _validate_instance(q, n, k, graph: bool, i=None):
         if i is None or not 1 < i < k:
             raise UsageError(f"graph checks need 1 < i < k, got i={i}")
     if k > 25 or n > 25:
-        raise UsageError("instance too large for packed-row kernels")
+        raise UsageError(f"need n, k <= 25, got n={n}, k={k}")
 
 
 class _Output:

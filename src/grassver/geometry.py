@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 from .gf import (
     Subspace,
+    canonical_rows,
     enumerate_subspaces,
     extend_rows,
     gaussian_binomial,
@@ -68,6 +69,15 @@ class AdjacentProfile(NamedTuple):
         return None
 
 
+def _projective_points(f: int, q: int):
+    """The vectors of GF(q)^f whose first nonzero entry is 1, one per line
+    through 0, in lexicographic order."""
+    for lead in range(f - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for rest in product(range(q), repeat=f - lead - 1):
+            yield head + rest
+
+
 class GeometryContext:
     """Fixed (q, n, k, y) with optional enumeration of dimension bands.
 
@@ -88,7 +98,7 @@ class GeometryContext:
         if y is None:
             y = Subspace.coordinate_span(range(k), q, n)
         else:  # a caller's rows may not be canonical
-            y = Subspace(y.q, y.n, rref_rows(y.rows, y.q))
+            y = Subspace(y.q, y.n, canonical_rows(y.rows, y.q))
         if y.n != n or y.q != q or y.dim != k:
             raise ValueError("reference subspace must be a k-space of F_q^n")
         self.y = y
@@ -178,10 +188,7 @@ class GeometryContext:
         else:
             pivots = {next(t for t, v in enumerate(r) if v) for r in rows}
             free = [j for j in range(n) if j not in pivots]
-            for values in product(range(q), repeat=len(free)):
-                lead = next((v for v in values if v), 0)
-                if lead != 1:  # one normalized representative per line
-                    continue
+            for values in _projective_points(len(free), q):
                 w = [0] * n
                 for j, v in zip(free, values):
                     w[j] = v
@@ -206,11 +213,8 @@ class GeometryContext:
                 yield rref_rows(new, q)
         else:
             n = self.n
-            for a in product(range(q), repeat=d):
-                lead = next((v for v in a if v), 0)
-                if lead != 1:
-                    continue
-                t = next(s for s, v in enumerate(a) if v)
+            for a in _projective_points(d, q):
+                t = a.index(1)  # the leading entry
                 new = []
                 for s in range(d):
                     if s == t:

@@ -73,6 +73,17 @@ def rref_rows(rows, q: int):
     return rrefp(rows, q)
 
 
+def canonical_rows(rows, q: int):
+    """Canonical RREF of rows handed in by a caller.
+
+    Reduces every residue mod q first (a caller may pass 4 or -1 at q=3);
+    the kernels expect residues in [0, q).
+    """
+    if q != 2:
+        rows = [tuple(v % q for v in r) for r in rows]
+    return rref_rows(rows, q)
+
+
 def extend_rows(rows, v, q: int):
     """Canonical RREF of span(rows, v), for ``rows`` already canonical RREF.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .gf import Subspace, dim_intersect, qint, rank_rows, rref_rows
+from .gf import Subspace, canonical_rows, dim_intersect, qint, rank_rows
 from .geometry import AdjacentProfile, GeometryContext, pair_profile
 from .relations import column_evaluator
 
@@ -58,7 +58,7 @@ def vertex_neighbors_rows(zrows, ctx: GeometryContext):
 def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
     """Path-length distances from u to every vertex, as an independent
     oracle for graph_distance.  Walks the actual edges; test-scale only."""
-    start = rref_rows(u.rows, ctx.q)
+    start = canonical_rows(u.rows, ctx.q)
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -110,7 +110,7 @@ class GrassmannInstance:
                 raise ValueError("either x or the distance i is required")
             x = self._default_x(i)
         else:  # a caller's rows may not be canonical
-            x = Subspace(x.q, x.n, rref_rows(x.rows, x.q))
+            x = Subspace(x.q, x.n, canonical_rows(x.rows, x.q))
         self.x = x
         self.i = graph_distance(x, self.y, ctx)
         if i is not None and self.i != i:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .geometry import GeometryContext
-from .gf import Subspace, rref_rows
+from .gf import Subspace, canonical_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
 
@@ -541,7 +541,7 @@ def _column_rows(ctx: GeometryContext, col) -> tuple:
         return ctx.elements[col].rows
     if isinstance(col, Subspace):
         col = col.rows
-    return rref_rows(col, ctx.q)
+    return canonical_rows(col, ctx.q)
 
 
 _WORKER_STATE: dict = {}

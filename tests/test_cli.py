@@ -240,6 +240,16 @@ def test_usage_error_leaves_out_file_unopened(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_instance_over_size_bound_exit_2(tmp_path, capsys):
+    path = tmp_path / "checks.txt"
+    code, out, err = run(capsys, "verify", "--suite", "geometry", "--q", "2",
+                         "--n", "26", "--k", "2", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "need n, k <= 25, got n=26, k=2" in err
+    assert not path.exists()
+
+
 DATA = Path(__file__).parent / "data" / "cli"
 FORMAT_SUFFIX = {"text": "txt", "csv": "csv", "records": "ndjson"}
 

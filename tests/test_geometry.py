@@ -124,6 +124,22 @@ def test_superspaces_rows_yields_each_cover_once(q, n):
             assert set(yielded) == expected
 
 
+def test_hyperplanes_rows_yields_each_hyperplane_once_q3():
+    # oracle: containment of vector sets over a filtered enumeration
+    q, n = 3, 4
+    ctx = GeometryContext(q, n, 1, dims=())
+    spaces = {d: [(u, frozenset(u.vectors()))
+                  for u in enumerate_subspaces(n, d, q)]
+              for d in range(n + 1)}
+    for d in range(1, n + 1):
+        for u, uvecs in spaces[d]:
+            yielded = list(ctx.hyperplanes_rows(u.rows))
+            expected = {m.rows for m, mvecs in spaces[d - 1]
+                        if mvecs <= uvecs}
+            assert len(yielded) == len(set(yielded)) == qint(d, q)
+            assert set(yielded) == expected
+
+
 def test_typed_adjacency_matches_pair_profile(ctx242):
     from grassver.gf import dim_intersect
 
@@ -181,6 +197,17 @@ def test_reference_subspace_rows_are_made_canonical():
     # rows (3, 2) span the same 2-space as the canonical (1, 2)
     ctx = GeometryContext(2, 4, 2, y=Subspace(2, 4, (3, 2)))
     assert ctx.y == Subspace.coordinate_span([0, 1], 2, 4)
+    assert verify_cover_counts(ctx).holds
+
+
+def test_reference_subspace_residues_are_reduced_mod_q():
+    # (3,1,0,0) is (0,1,0,0) mod 3, and (4,1,0,0) is (1,1,0,0)
+    ctx = GeometryContext(3, 4, 2, y=Subspace(3, 4, ((3, 1, 0, 0),
+                                                    (0, 0, 1, 0))))
+    assert ctx.y == Subspace.coordinate_span([1, 2], 3, 4)
+    ctx = GeometryContext(3, 4, 2, y=Subspace(3, 4, ((4, 1, 0, 0),
+                                                    (0, 0, 1, 0))))
+    assert ctx.y == Subspace(3, 4, ((1, 1, 0, 0), (0, 0, 1, 0)))
     assert verify_cover_counts(ctx).holds
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from grassver.gf import (
     Subspace,
+    canonical_rows,
     dim_intersect,
     dim_sum,
     enumerate_subspaces,
@@ -135,3 +136,11 @@ def test_extend_rows_matches_full_reduction(q, n):
             for v in vectors:
                 assert extend_rows(u.rows, v, q) == rref_rows(
                     u.rows + (v,), q), (u, v)
+
+
+def test_canonical_rows_reduces_residues_mod_q():
+    assert canonical_rows([(-1, 1, 0), (0, 2, 1)], 3) == ((1, 0, 2),
+                                                         (0, 1, 2))
+    assert canonical_rows([(3, 1, 0), (4, 1, 7)], 3) == ((1, 0, 1),
+                                                        (0, 1, 0))
+    assert canonical_rows([3, 2], 2) == (1, 2)

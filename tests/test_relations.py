@@ -106,6 +106,17 @@ def test_non_canonical_column_gives_the_canonical_report():
         assert got.holds == (rid == "REL-8")
 
 
+def test_column_residues_are_reduced_mod_q():
+    # mod 3 the rows (4,0,0,0), (0,0,-2,0) are (1,0,0,0), (0,0,1,0)
+    ctx = GeometryContext(3, 4, 2, dims=())
+    for rid in ("REL-8P", "REL-1"):
+        got = verify_relation(rid, ctx, "columns",
+                              columns=[((4, 0, 0, 0), (0, 0, -2, 0))])
+        want = verify_relation(rid, ctx, "columns",
+                               columns=[((1, 0, 0, 0), (0, 0, 1, 0))])
+        assert got.to_record() == want.to_record()
+
+
 def test_banded_columns_mode_needs_no_enumeration():
     ctx = GeometryContext(2, 5, 2, dims=())
     cols = [u.rows for u in enumerate_subspaces(5, 2, 2)][:20]
