@@ -92,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=_env("FORMAT") or "text")
         p.add_argument("--out", dest="output_path",
                        default=_env("OUT"))
-        p.add_argument("--workers", type=int,
-                       default=_env("WORKERS") or 1)
         p.add_argument("--sweep-x", action="store_true",
                        default=bool(_env("SWEEP_X")))
     return parser
@@ -203,7 +201,7 @@ def _run_algebra_full(out: _Output, q, n, k):
                     "REL-8P" if variant_holds.get("REL-8P") else "neither"}
 
 
-def _run_algebra_columns(out: _Output, q, n, k, i, workers):
+def _run_algebra_columns(out: _Output, q, n, k, i):
     ctx = GeometryContext(q, n, k, dims=())
     columns = [
         u.rows for u in enumerate_subspaces(n, k, q)
@@ -211,8 +209,7 @@ def _run_algebra_columns(out: _Output, q, n, k, i, workers):
     ]
     for rid in COLUMN_RELATIONS:
         with out.check("algebra", f"{rid}-columns", (q, n, k)) as c:
-            rep = verify_relation(rid, ctx, "columns", columns=columns,
-                                  workers=workers)
+            rep = verify_relation(rid, ctx, "columns", columns=columns)
             c.passed = rep.holds
             c.detail = {"columns": rep.checked_columns, "i": i}
 
@@ -267,7 +264,7 @@ def _verify_steps(args, i) -> list[tuple]:
         if args.mode == "full":
             steps.append((_run_algebra_full, q, n, k))
         elif 0 <= i <= min(k, n - k):
-            steps.append((_run_algebra_columns, q, n, k, i, args.workers))
+            steps.append((_run_algebra_columns, q, n, k, i))
         else:
             raise UsageError(f"columns mode needs 0 <= i <= min(k, n-k) = "
                              f"{min(k, n - k)}, got i={i}")

@@ -21,6 +21,7 @@ from .gf import (
     canonical_rows,
     enumerate_subspaces,
     extend_rows,
+    format_rows,
     gaussian_binomial,
     qint,
     rank_rows,
@@ -164,7 +165,8 @@ class GeometryContext:
         """Stable textual reference for a subspace in reports."""
         idx = self.id_of.get(u)
         loc = f"#{idx}" if idx is not None else "-"
-        return f"(dim={u.dim}, {loc}, rows={':'.join(u.row_strings())})"
+        rows = ":".join(format_rows(u.rows, self.q))
+        return f"(dim={u.dim}, {loc}, rows={rows})"
 
     # -- covers ----------------------------------------------------------
 

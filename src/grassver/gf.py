@@ -128,6 +128,13 @@ def extend_rows(rows, v, q: int):
     return tuple(out)
 
 
+def format_rows(rows, q: int) -> list[str]:
+    """Compact row rendering: hex bitmask for q=2, digit string else."""
+    if q == 2:
+        return [format(r, "x") for r in rows]
+    return ["".join(str(v) for v in r) for r in rows]
+
+
 def rank_rows(rows, q: int) -> int:
     if q == 2:
         return rank2(rows)
@@ -186,10 +193,8 @@ class Subspace:
         return [_unpack_row(r, self.n, self.q) for r in self.rows]
 
     def row_strings(self) -> list[str]:
-        """Compact row rendering: hex bitmask for q=2, digit string else."""
-        if self.q == 2:
-            return [format(r, "x") for r in self.rows]
-        return ["".join(str(v) for v in r) for r in self.rows]
+        """The basis rows as ``format_rows`` renders them."""
+        return format_rows(self.rows, self.q)
 
     def vectors(self):
         """Iterate every vector of the subspace (packed). Test-scale only."""

@@ -422,9 +422,9 @@ def verify_entry_table(inst: GrassmannInstance) -> TableReport:
     ev = column_evaluator(ctx)
     orbits = inst.orbit_partition()
     a_classes = {
-        "A0": orbits[OrbitLabel.A0],
-        "A+": orbits[OrbitLabel.APLUS],
-        "A-": orbits[OrbitLabel.AMINUS],
+        o: [ev.intern(wrows) for wrows in orbits[label]]
+        for o, label in (("A0", OrbitLabel.A0), ("A+", OrbitLabel.APLUS),
+                         ("A-", OrbitLabel.AMINUS))
     }
     expected_by_word = closed_entry_table(*inst.instance)
     expected = {
@@ -432,12 +432,12 @@ def verify_entry_table(inst: GrassmannInstance) -> TableReport:
         for (a, b) in ENTRY_PRODUCTS
         for t, o in enumerate(("A0", "A+", "A-"))
     }
+    x = ev.intern(inst.x.rows)
     per_cell: dict[tuple, set] = {}
     for a, b in ENTRY_PRODUCTS:
-        vec = ev.apply_band_int(b, {inst.x.rows: 1})
-        vec = ev.apply_band_int(a, vec)
+        vec = ev.apply_band_int(a, ev.apply_band_int(b, {x: 1}))
         for o, members in a_classes.items():
-            per_cell[(f"{a}{b}", o)] = {vec.get(wrows, 0) for wrows in members}
+            per_cell[(f"{a}{b}", o)] = {vec.get(w, 0) for w in members}
     return TableReport.from_cells("entry-table", inst.instance, expected,
                                   per_cell.items())
 

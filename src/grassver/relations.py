@@ -10,9 +10,11 @@ Q(sqrt(q)) fixed by the stratum of x times a word of 0/1 letters applied
 to e_x.  Scaled per stratum, the coefficients are integers a + b*sqrt(q)
 and the residual is a pair of integer vectors; only reported violations
 become exact values.  A column's word vectors live while it is checked,
-so suffixes shared by its words are applied once.  Full mode runs on the
-element ids of a fully enumerated context; columns mode sweeps lazily
-from the given columns.
+so suffixes shared by its words are applied once.  Vectors are keyed by
+the ids the evaluator gives the subspaces it visits, one apply path for
+both modes: full mode checks every element of a fully enumerated context
+(whose element ids the evaluator keeps), columns mode the given columns,
+sweeping their neighbourhoods lazily.
 
 Relation ids: REL-1 .. REL-8 (plus REL-8P, the literally-printed variant
 of REL-8 whose F- coefficient lacks a K2 factor), REL-F0A/F0B/F+/F-,
@@ -23,14 +25,12 @@ REL-A3(i)-(iv), REL-A4.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 from .geometry import GeometryContext
-from .gf import Subspace, canonical_rows
+from .gf import Subspace, canonical_rows, format_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
 
@@ -419,98 +419,98 @@ def _residual(coeffs: dict, memo: dict, apply) -> list:
 class ColumnEvaluator:
     """Applies incidence letters to integer vectors of one context.
 
-    The same-dimension letters (R, L, F0, F+, F-, F) read the typed
-    adjacency of each visited subspace, swept once and cached; the cover
-    letters sweep hyperplanes or superspaces lazily.  Full mode works on
-    element ids, with each letter's id lists built once.
+    Every subspace the evaluator visits is interned as a small int id, and
+    vectors are dicts keyed by id; the elements of an enumerated context
+    keep their element ids.  Each letter's column at a visited subspace is
+    built once, as a list of row ids: the same-dimension letters (R, L, F0,
+    F+, F-, F) read the typed adjacency of the subspace, swept once and
+    cached; the cover letters sweep its hyperplanes or superspaces.
     """
 
     def __init__(self, ctx: GeometryContext):
         self.ctx = ctx
-        self._typed: dict[tuple, dict[str, list]] = {}
-        self._ids: dict[str, list] = {}  # letter -> row ids per column id
+        self.rows: list[tuple] = [u.rows for u in ctx.elements]  # id -> rows
+        self._id: dict[tuple, int] = dict(ctx.id_by_rows)
+        self._typed: dict[int, dict[str, list[int]]] = {}
+        self._cols: dict[str, dict[int, list[int]]] = {s: {} for s in _STEPS}
 
-    def typed_columns(self, zrows) -> dict[str, list]:
-        cols = self._typed.get(zrows)
+    def intern(self, rows) -> int:
+        """The id of the subspace with canonical basis rows ``rows``."""
+        z = self._id.get(rows)
+        if z is None:
+            z = self._id[rows] = len(self.rows)
+            self.rows.append(rows)
+        return z
+
+    def typed_columns(self, z: int) -> dict[str, list[int]]:
+        """Row ids of the columns at z of F0, F+, F-, R and L."""
+        cols = self._typed.get(z)
         if cols is not None:
             return cols
         cols = {"F0": [], "F+": [], "F-": [], "R": [], "L": []}
-        for urows, prof in self.ctx.typed_adjacency(zrows):
+        for urows, prof in self.ctx.typed_adjacency(self.rows[z]):
+            u = self.intern(urows)
             f = prof.f_class()
             if f is not None:
-                cols[f].append(urows)
+                cols[f].append(u)
             if prof.top_u and not prof.top_z:
-                cols["R"].append(urows)
+                cols["R"].append(u)
             if prof.bot_u and not prof.bot_z:
-                cols["L"].append(urows)
-        self._typed[zrows] = cols
+                cols["L"].append(u)
+        self._typed[z] = cols
         return cols
 
-    def _letter_rows(self, sym: str, zrows) -> list:
-        """Rows of the nonzero (all 1) entries of column z of a letter."""
+    def _column(self, sym: str, z: int) -> list[int]:
+        """Row ids of the nonzero (all 1) entries of column z of a letter."""
         if sym in ("L1", "L2", "R1", "R2"):
             ctx = self.ctx
+            zrows = self.rows[z]
             i_z = ctx.intersection_dim_with_y(zrows)
             if sym[0] == "L":  # w below z; L1 when z slash-covers w
-                return [w for w in ctx.hyperplanes_rows(zrows)
-                        if (ctx.intersection_dim_with_y(w) < i_z)
-                        == (sym == "L1")]
-            return [w for w, _ in ctx.superspaces_rows(zrows)
-                    if (ctx.intersection_dim_with_y(w) > i_z)
-                    == (sym == "R1")]
-        cols = self.typed_columns(zrows)
+                found = [w for w in ctx.hyperplanes_rows(zrows)
+                         if (ctx.intersection_dim_with_y(w) < i_z)
+                         == (sym == "L1")]
+            else:
+                found = [w for w, _ in ctx.superspaces_rows(zrows)
+                         if (ctx.intersection_dim_with_y(w) > i_z)
+                         == (sym == "R1")]
+            return [self.intern(w) for w in found]
+        cols = self.typed_columns(z)
         if sym == "F":
             return cols["F0"] + cols["F+"] + cols["F-"]
         return cols[sym]
 
     def apply_band_int(self, sym: str, vec: dict) -> dict:
-        """An incidence letter applied to an integer vector keyed by rows."""
+        """An incidence letter applied to an integer vector keyed by id."""
+        cols = self._cols[sym]
         out: dict = {}
-        for zrows, val in vec.items():
-            for urows in self._letter_rows(sym, zrows):
-                out[urows] = out.get(urows, 0) + val
+        for z, val in vec.items():
+            col = cols.get(z)
+            if col is None:
+                col = cols[z] = self._column(sym, z)
+            for u in col:
+                out[u] = out.get(u, 0) + val
         return out
 
-    def _apply_ids(self, sym: str, vec: dict) -> dict:
-        """apply_band_int on vectors keyed by element id (full mode), with
-        the letter's column-major id lists built once."""
-        adj = self._ids.get(sym)
-        if adj is None:
-            ids = self.ctx.id_by_rows
-            adj = self._ids[sym] = [
-                [ids[w] for w in self._letter_rows(sym, u.rows)]
-                for u in self.ctx.elements]
-        out: dict = {}
-        for c, val in vec.items():
-            for r in adj[c]:
-                out[r] = out.get(r, 0) + val
-        return out
-
-    def residuals(self, components, columns=None):
+    def residuals(self, components, columns):
         """Every nonzero residual entry of the components on the columns.
 
-        Yields (component index, row, column, a, b, unit), the entry being
-        (a + b*sqrt(q)) * unit.  Columns and rows are basis rows; without
-        columns (full mode) they are the ids of all elements of a fully
-        enumerated context.
+        Columns and rows are ids.  Yields (component index, row, column,
+        a, b, unit), the entry being (a + b*sqrt(q)) * unit.
         """
         ctx = self.ctx
         q, n, k = ctx.q, ctx.n, ctx.k
-        full = columns is None
-        if full:
-            columns = range(len(ctx.elements))
-        apply = self._apply_ids if full else self.apply_band_int
         expanded = [_expand_terms(terms, q, n, k) for _, terms in components]
         by_stratum: dict = {}
         for x in columns:
-            s = ctx.stratum_rows(ctx.elements[x].rows if full else x)
+            s = ctx.stratum_rows(self.rows[x])
             memo = {(): {x: 1}}  # word -> vector; suffixes are shared
             at = by_stratum.get(s)
             if at is None:
                 at = by_stratum[s] = [_stratum_coefficients(terms, s, q, n, k)
                                       for terms in expanded]
             for t, (coeffs, unit) in enumerate(at):
-                for r, a, b in _residual(coeffs, memo, apply):
+                for r, a, b in _residual(coeffs, memo, self.apply_band_int):
                     yield t, r, x, a, b, unit
 
 
@@ -528,12 +528,6 @@ def column_evaluator(ctx: GeometryContext) -> ColumnEvaluator:
     return ev
 
 
-def _rows_ref(rows, q: int) -> str:
-    if q == 2:
-        return ":".join(format(r, "x") for r in rows)
-    return ":".join("".join(str(v) for v in r) for r in rows)
-
-
 def _column_rows(ctx: GeometryContext, col) -> tuple:
     """Accepts an element id, a Subspace, or packed basis rows; returns
     the canonical basis rows."""
@@ -544,68 +538,45 @@ def _column_rows(ctx: GeometryContext, col) -> tuple:
     return canonical_rows(col, ctx.q)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(q, n, k, yrows):
-    _WORKER_STATE["ctx"] = GeometryContext(
-        q, n, k, y=Subspace(q, n, yrows), dims=())
-
-
-def _worker_task(args):
-    components, chunk = args
-    ctx = _WORKER_STATE["ctx"]
-    return list(column_evaluator(ctx).residuals(components, chunk))
-
-
 def verify_relation(relation_id: str, ctx: GeometryContext,
-                    mode: str = "full", columns=None,
-                    workers: int = 1) -> RelationReport:
+                    mode: str = "full", columns=None) -> RelationReport:
     """Check one identity on every enumerated column or on given columns."""
     q, n, k = ctx.q, ctx.n, ctx.k
     components = relation_components(relation_id, q, n, k)
-    report = RelationReport(
-        relation_id=relation_id,
-        instance=(q, n, k),
-        mode=mode,
-        components=[name for name, _ in components],
-    )
+    names = [name for name, _ in components]
+    report = RelationReport(relation_id=relation_id, instance=(q, n, k),
+                            mode=mode, components=names)
     ev = column_evaluator(ctx)
-    names = report.components
     if mode == "full":
         if not all(ctx.has_dim(d) for d in range(n + 1)):
             raise ValueError("full mode needs every dimension enumerated; "
                              "use columns mode on a partial context")
-        # ordered by component, row id, column id
-        kept = heapq.nsmallest(MAX_VIOLATIONS + 1, ev.residuals(components))
-        kept = [(names[t], ctx.ref(ctx.elements[r]),
-                 ctx.ref(ctx.elements[c]), *v) for t, r, c, *v in kept]
+        ids = range(len(ctx.elements))
+
+        def ref(u):
+            return ctx.ref(ctx.elements[u])
+
+        def order(v):  # component, row id, column id
+            return v[:3]
     elif mode == "columns":
         if not columns:
             raise ValueError("columns mode requires a nonempty column list")
-        col_rows = [_column_rows(ctx, c) for c in columns]
-        report.checked_columns = len(col_rows)
-        if workers > 1:
-            size = max(1, len(col_rows) // (workers * 4))
-            chunks = [col_rows[t:t + size]
-                      for t in range(0, len(col_rows), size)]
-            with multiprocessing.Pool(
-                    workers, initializer=_worker_init,
-                    initargs=(q, n, k, ctx.y.rows)) as pool:
-                found = list(chain.from_iterable(pool.map(
-                    _worker_task, [(components, c) for c in chunks])))
-        else:
-            found = ev.residuals(components, col_rows)
-        kept = heapq.nsmallest(
-            MAX_VIOLATIONS + 1,
-            ((names[t], _rows_ref(r, q), _rows_ref(c, q), *v)
-             for t, r, c, *v in found),
-            key=lambda v: (v[2], v[0], v[1]))
+        ids = [ev.intern(_column_rows(ctx, c)) for c in columns]
+        report.checked_columns = len(ids)
+
+        def ref(u):
+            return ":".join(format_rows(ev.rows[u], q))
+
+        def order(v):  # column, component, row, as reported
+            return ref(v[2]), names[v[0]], ref(v[1])
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    kept = heapq.nsmallest(MAX_VIOLATIONS + 1, ev.residuals(components, ids),
+                           key=order)
     report.truncated = len(kept) > MAX_VIOLATIONS
     # only the reported entries become exact values
     report.violations = [
-        RelationViolation(name, row, col, str(QSqrtScalar(a * u, b * u, q)))
-        for name, row, col, a, b, u in kept[:MAX_VIOLATIONS]]
+        RelationViolation(names[t], ref(r), ref(c),
+                          str(QSqrtScalar(a * u, b * u, q)))
+        for t, r, c, a, b, u in kept[:MAX_VIOLATIONS]]
     return report

@@ -121,15 +121,3 @@ def q_pow_half(m: int, q: int) -> QSqrtScalar:
 
 def scalar_add(x: QSqrtScalar, y: QSqrtScalar) -> QSqrtScalar:
     return x + y
-
-
-def scalar_mul(x: QSqrtScalar, y: QSqrtScalar) -> QSqrtScalar:
-    return x * y
-
-
-def scalar_neg(x: QSqrtScalar) -> QSqrtScalar:
-    return -x
-
-
-def scalar_inv(x: QSqrtScalar) -> QSqrtScalar:
-    return x.inverse()

@@ -96,6 +96,15 @@ def test_unknown_flag_exit_2(capsys):
     assert code == 2
 
 
+def test_workers_flag_is_unknown(capsys):
+    # columns mode runs in one process; there is no worker count to set
+    code, _, err = run(capsys, "verify", "--suite", "algebra", "--mode",
+                       "columns", "--q", "2", "--n", "5", "--k", "2",
+                       "--i", "1", "--workers", "2")
+    assert code == 2
+    assert "unrecognized arguments: --workers 2" in err
+
+
 def test_missing_subcommand_exit_2(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -195,6 +195,18 @@ def test_banded_instance_283():
     assert verify_entry_table(inst).holds
 
 
+def test_distance_3_instance_294():
+    # k = 4 is the smallest k with a distance i = 3 inside 1 < i < k
+    ctx = GeometryContext(2, 9, 4, dims=())
+    inst = GrassmannInstance(ctx, i=3)
+    sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
+    assert sizes == {"B": 384, "C": 49, "A0": 49, "A+": 336, "A-": 112}
+    assert inst.orbit_sizes() == expected_orbit_sizes(inst)
+    assert structure_constants(inst).holds
+    assert count_edge_types(inst).holds
+    assert verify_entry_table(inst).holds
+
+
 def test_alternate_x_gives_same_tables(inst273):
     # orbit data must not depend on the representative x
     ctx = inst273.ctx

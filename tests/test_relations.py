@@ -1,3 +1,8 @@
+import itertools
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from grassver.geometry import GeometryContext
@@ -131,11 +136,8 @@ def test_column_evaluator_band_application_matches_matrix(contexts):
     for sym in ("R", "L", "F0", "F+", "F-", "L1", "L2", "R1", "R2"):
         mat = ops.get(sym)
         for zid in list(ctx.ids_by_dim[2])[:8]:
-            vec = ev.apply_band_int(sym, {ctx.elements[zid].rows: 1})
-            expected = {
-                ctx.elements[r].rows: 1
-                for r, row in mat.rows.items() if zid in row
-            }
+            vec = ev.apply_band_int(sym, {zid: 1})
+            expected = {r: 1 for r, row in mat.rows.items() if zid in row}
             assert vec == expected
 
 
@@ -223,12 +225,102 @@ def test_columns_mode_rel8p_at_odd_codimension(ctx252):
     assert any(not value.endswith(" 0*sqrt(2)") for *_, value in full)
 
 
-def test_workers_keep_the_reference_subspace():
-    y = Subspace.from_matrix([[1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 1]], 2)
-    ctx = GeometryContext(2, 6, 2, y=y, dims=())
-    cols = [u.rows for u in enumerate_subspaces(6, 2, 2)
-            if ctx.intersection_dim_with_y(u.rows) == 1][:4]
-    one = verify_relation("REL-8P", ctx, "columns", columns=cols)
-    two = verify_relation("REL-8P", ctx, "columns", columns=cols, workers=2)
-    assert one.violations
-    assert two.to_record() == one.to_record()
+def _random_matrix(rng, q, n, k=0):
+    """A random invertible n x n matrix over GF(q), as rows of residues;
+    with k > 0 its first k rows lie in span(e_0, ..., e_{k-1}), so the
+    matrix fixes that subspace."""
+    while True:
+        g = [[rng.randrange(q) if c < k or t >= k else 0 for c in range(n)]
+             for t in range(n)]
+        if Subspace.from_matrix(g, q, n).dim == n:
+            return g
+
+
+def _times(rows, g, q, n) -> tuple:
+    """Canonical basis rows of the span of ``rows`` times the matrix g."""
+    vecs = Subspace(q, n, rows).basis_matrix()
+    return Subspace.from_matrix(
+        [[sum(v[t] * g[t][c] for t in range(n)) % q for c in range(n)]
+         for v in vecs], q, n).rows
+
+
+@pytest.mark.parametrize("instance", [(2, 5, 2), (3, 4, 2)])
+def test_residuals_commute_with_the_stabilizer_of_y(instance):
+    # For g fixing y, every letter commutes with g, so the residual of
+    # each identity at column gx is g applied to its residual at x.  The
+    # columns are every coordinate span, in every stratum, and 12 others.
+    q, n, k = instance
+    rng = random.Random(1)
+    ctx = GeometryContext(q, n, k, dims=())
+    ev = column_evaluator(ctx)
+    every = [u.rows for d in range(n + 1)
+             for u in enumerate_subspaces(n, d, q)]
+    coordinate = [Subspace.coordinate_span(idx, q, n).rows
+                  for d in range(n + 1)
+                  for idx in itertools.combinations(range(n), d)]
+    cols = coordinate + rng.sample(every, 12)
+    nonzero = 0
+    for _ in range(2):
+        g = _random_matrix(rng, q, n, k)
+        for rid in relation_ids():
+            components = relation_components(rid, q, n, k)
+            for rows in cols:
+                got, moved = set(), set()
+                x, gx = ev.intern(rows), ev.intern(_times(rows, g, q, n))
+                for t, r, _, a, b, unit in ev.residuals(components, [gx]):
+                    got.add((t, ev.rows[r], a, b, unit))
+                for t, r, _, a, b, unit in ev.residuals(components, [x]):
+                    moved.add((t, _times(ev.rows[r], g, q, n), a, b, unit))
+                assert got == moved, (rid, rows)
+                nonzero += len(got)
+    assert nonzero  # REL-8P fails on some of the columns
+
+
+@pytest.mark.parametrize("instance", [(2, 6, 2), (3, 5, 2)])
+def test_columns_verdicts_do_not_depend_on_y(instance):
+    # y = y0 g with the columns moved by the same g: every report keeps
+    # its verdict, truncation and violation values; only the names of the
+    # rows and columns change.  REL-8P fails on the two columns, with
+    # fewer violations than a report keeps.
+    q, n, k = instance
+    g = _random_matrix(random.Random(2), q, n)
+    ctx0 = GeometryContext(q, n, k, dims=())
+    y = Subspace(q, n, _times(ctx0.y.rows, g, q, n))
+    ctx = GeometryContext(q, n, k, y=y, dims=())
+    assert ctx.y != ctx0.y
+    cols = [u.rows for u in enumerate_subspaces(n, k, q)
+            if ctx0.intersection_dim_with_y(u.rows) == 1][:2]
+    for rid in ("REL-8", "REL-8P"):
+        want = verify_relation(rid, ctx0, "columns", columns=cols)
+        got = verify_relation(rid, ctx, "columns",
+                              columns=[_times(c, g, q, n) for c in cols])
+        assert got.holds == want.holds == (rid == "REL-8")
+        assert got.truncated == want.truncated
+        assert (sorted(v.value for v in got.violations)
+                == sorted(v.value for v in want.violations))
+
+
+DATA = Path(__file__).parent / "data" / "relations"
+
+
+def _records(name):
+    with open(DATA / name, encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
+
+
+def test_q3_full_mode_reports_match_the_recorded_ones():
+    # every record at (3,4,2), REL-8P's 25 violation references included
+    ctx = GeometryContext(3, 4, 2)
+    got = [verify_relation(rid, ctx, "full").to_record()
+           for rid in relation_ids()]
+    assert got == _records("full-3-4-2.ndjson")
+
+
+def test_q3_columns_mode_reports_match_the_recorded_ones():
+    # REL-8 and REL-8P on the 156 k-spaces of (3,5,2) at distance 1 from y
+    ctx = GeometryContext(3, 5, 2, dims=())
+    cols = [u.rows for u in enumerate_subspaces(5, 2, 3)
+            if ctx.intersection_dim_with_y(u.rows) == 1]
+    got = [verify_relation(rid, ctx, "columns", columns=cols).to_record()
+           for rid in ("REL-8", "REL-8P")]
+    assert got == _records("columns-3-5-2-1.ndjson")
