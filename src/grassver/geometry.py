@@ -54,6 +54,15 @@ class AdjacentProfile(NamedTuple):
     bot_u: bool
     bot_z: bool
 
+    @classmethod
+    def from_dims(cls, i_u: int, i_z: int, i_s: int,
+                  i_m: int) -> AdjacentProfile:
+        """The profile from dim(· ∩ y) of u, z, s = u+z and m = u∩z."""
+        # tuple.__new__ skips the generated __new__: every typed sweep
+        # builds one profile per adjacent pair
+        return tuple.__new__(cls, (i_s == i_u + 1, i_s == i_z + 1,
+                                   i_u == i_m + 1, i_z == i_m + 1))
+
     def f_class(self) -> str | None:
         """The F-class of the pair: "F0", "F+", "F-", or None for none.
 
@@ -227,28 +236,36 @@ class GeometryContext:
                     new.append(row)
                 yield rref_rows(new, q)
 
-    def typed_adjacency(self, zrows):
-        """Sweep the same-dimension adjacency of z with cover-kind profiles.
+    def adjacency_sweep(self, zrows):
+        """Sweep the same-dimension adjacency of z through its hyperplanes.
 
-        Yields (u_rows, AdjacentProfile) for every u of the same dimension
-        with dim(u ∩ z) = dim(z) - 1.  Each u appears exactly once (it is
-        found under the unique hyperplane m = u ∩ z).
+        Yields (u_rows, i_m, w) for every u of the same dimension with
+        dim(u ∩ z) = dim(z) - 1: i_m = dim(m ∩ y) for the hyperplane
+        m = u ∩ z, and w the coset vector with u = m + <w>.  Each u appears
+        exactly once (it is found under the unique hyperplane m = u ∩ z).
         """
-        d = len(zrows)
-        i_z = self.intersection_dim_with_y(zrows)
-        q = self.q
         for mrows in self.hyperplanes_rows(zrows):
             i_m = self.intersection_dim_with_y(mrows)
-            bot_z = i_z == i_m + 1
             for urows, w in self.superspaces_rows(mrows):
-                if urows == zrows:
-                    continue
-                i_u = self.intersection_dim_with_y(urows)
-                srows = extend_rows(zrows, w, q)
-                i_s = self.intersection_dim_with_y(srows)
-                yield urows, AdjacentProfile(
-                    i_s == i_u + 1, i_s == i_z + 1, i_u == i_m + 1, bot_z
-                )
+                if urows != zrows:
+                    yield urows, i_m, w
+
+    def adjacent_profiles(self, zrows, items):
+        """(u_rows, AdjacentProfile of (u, z)) for each item (u_rows, i_m, w)
+        of adjacency_sweep(z) in ``items``; u+z = z + <w> is the only basis
+        it builds."""
+        intersection_dim = self.intersection_dim_with_y
+        q = self.q
+        i_z = intersection_dim(zrows)
+        for urows, i_m, w in items:
+            i_s = intersection_dim(extend_rows(zrows, w, q))
+            yield urows, AdjacentProfile.from_dims(intersection_dim(urows),
+                                                   i_z, i_s, i_m)
+
+    def typed_adjacency(self, zrows):
+        """Yields (u_rows, AdjacentProfile) for every u adjacent to z, in
+        adjacency_sweep order."""
+        yield from self.adjacent_profiles(zrows, self.adjacency_sweep(zrows))
 
 
 def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:
@@ -283,9 +300,7 @@ def pair_profile(u: Subspace, z: Subspace,
     i_z = ctx.intersection_dim_with_y(z.rows)
     i_s = ctx.intersection_dim_with_y(srows)
     i_m = ctx.intersection_dim_with_y(mrows)
-    return AdjacentProfile(
-        i_s == i_u + 1, i_s == i_z + 1, i_u == i_m + 1, i_z == i_m + 1
-    )
+    return AdjacentProfile.from_dims(i_u, i_z, i_s, i_m)
 
 
 @dataclass

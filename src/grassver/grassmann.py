@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .gf import Subspace, canonical_rows, dim_intersect, qint, rank_rows
+from .gf import Subspace, canonical_rows, dim_intersect, qint
 from .geometry import AdjacentProfile, GeometryContext, pair_profile
 from .relations import column_evaluator
 
@@ -49,27 +49,38 @@ def graph_distance(u: Subspace, v: Subspace, ctx: GeometryContext) -> int:
 
 def vertex_neighbors_rows(zrows, ctx: GeometryContext):
     """Neighbors of a vertex, generated through its hyperplanes."""
-    for mrows in ctx.hyperplanes_rows(zrows):
-        for urows, _ in ctx.superspaces_rows(mrows):
-            if urows != zrows:
-                yield urows
+    for urows, _, _ in ctx.adjacency_sweep(zrows):
+        yield urows
 
 
 def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
     """Path-length distances from u to every vertex, as an independent
-    oracle for graph_distance.  Walks the actual edges; test-scale only."""
+    oracle for graph_distance (it never uses k - dim(u∩v)).
+
+    Breadth-first search on the incidence of k-spaces and their
+    (k-1)-dimensional hyperplanes: two k-spaces are adjacent exactly when
+    they cover a common hyperplane m.  A hyperplane of a frontier vertex is
+    expanded once, the first time it is met, and gives every cover of it
+    still without a distance the next one; a later meeting adds nothing,
+    since its covers all have distances by then.
+    """
     start = canonical_rows(u.rows, ctx.q)
     dist = {start: 0}
+    expanded = set()
     frontier = [start]
     d = 0
     while frontier:
         d += 1
         nxt = []
         for zrows in frontier:
-            for wrows in vertex_neighbors_rows(zrows, ctx):
-                if wrows not in dist:
-                    dist[wrows] = d
-                    nxt.append(wrows)
+            for mrows in ctx.hyperplanes_rows(zrows):
+                if mrows in expanded:
+                    continue
+                expanded.add(mrows)
+                for wrows, _ in ctx.superspaces_rows(mrows):
+                    if wrows not in dist:
+                        dist[wrows] = d
+                        nxt.append(wrows)
         frontier = nxt
     return dist
 
@@ -119,6 +130,7 @@ class GrassmannInstance:
             raise ValueError(f"need 1 < distance < k, got {self.i}")
         self._neighbors: list | None = None
         self._orbits: dict | None = None
+        self._counts: tuple | None = None
 
     def _default_x(self, i: int) -> Subspace:
         ctx = self.ctx
@@ -166,6 +178,48 @@ class GrassmannInstance:
 
     def orbit_sizes(self) -> dict[OrbitLabel, int]:
         return {l: len(v) for l, v in self.orbit_partition().items()}
+
+    def neighbor_counts(self) -> tuple[dict, dict]:
+        """Cell (O, N) -> the set of values over w in class O of the
+        number of neighbors of w in class N, and of the triple of typed
+        edges (0, +, -) from w to class N; two dicts, cached.
+
+        One adjacency sweep per w fills both tables: every z it yields that
+        lies in Γ(x) counts for the structure constants, and when z is also
+        equidistant from y the edge wz gets its type, the only case that
+        needs a cover profile.
+        """
+        if self._counts is None:
+            ctx = self.ctx
+            slot = {EdgeType.T0: 0, EdgeType.TPLUS: 1, EdgeType.TMINUS: 2}
+            label_and_dim = {
+                rows: (label.value, ctx.intersection_dim_with_y(rows))
+                for label, members in self.orbit_partition().items()
+                for rows in members
+            }
+            adjacency: dict[tuple, set] = {}
+            edge_types: dict[tuple, set] = {}
+            for wrows, (o, i_w) in label_and_dim.items():
+                adjacent = dict.fromkeys(ORBIT_ORDER, 0)
+                equidistant = []
+                for item in ctx.adjacency_sweep(wrows):
+                    hit = label_and_dim.get(item[0])
+                    if hit is None:  # z outside Γ(x)
+                        continue
+                    nn, i_z = hit
+                    adjacent[nn] += 1
+                    if i_z == i_w:
+                        equidistant.append(item)
+                typed = {nn: [0, 0, 0] for nn in ORBIT_ORDER}
+                for zrows, prof in ctx.adjacent_profiles(wrows, equidistant):
+                    nn = label_and_dim[zrows][0]
+                    typed[nn][slot[_type_from_profile(prof)]] += 1
+                for nn in ORBIT_ORDER:
+                    adjacency.setdefault((o, nn), set()).add(adjacent[nn])
+                    edge_types.setdefault((o, nn), set()).add(
+                        tuple(typed[nn]))
+            self._counts = adjacency, edge_types
+        return self._counts
 
 
 def classify_orbit(w: Subspace, inst: GrassmannInstance) -> OrbitLabel:
@@ -224,10 +278,6 @@ def closed_structure_constants(q, n, k, i) -> dict:
     }
 
 
-def _adjacent(urows, vrows, ctx) -> bool:
-    return rank_rows(tuple(urows) + tuple(vrows), ctx.q) == ctx.k + 1
-
-
 @dataclass
 class TableReport:
     """Brute-force table vs closed form, with the equitability check."""
@@ -281,26 +331,10 @@ class TableReport:
 
 def structure_constants(inst: GrassmannInstance) -> TableReport:
     """Count, for every w in every class O, its neighbors per class N."""
-    ctx = inst.ctx
-    orbits = inst.orbit_partition()
-    label_by_rows = {
-        rows: label.value
-        for label, members in orbits.items()
-        for rows in members
-    }
-    all_rows = list(label_by_rows)
-    per_cell: dict[tuple, set] = {}
-    for wrows in all_rows:
-        o = label_by_rows[wrows]
-        counts = {nn: 0 for nn in ORBIT_ORDER}
-        for zrows in all_rows:
-            if zrows != wrows and _adjacent(wrows, zrows, ctx):
-                counts[label_by_rows[zrows]] += 1
-        for nn, c in counts.items():
-            per_cell.setdefault((o, nn), set()).add(c)
     return TableReport.from_cells(
         "structure-constants", inst.instance,
-        closed_structure_constants(*inst.instance), sorted(per_cell.items()))
+        closed_structure_constants(*inst.instance),
+        sorted(inst.neighbor_counts()[0].items()))
 
 
 # ---------------------------------------------------------------------------
@@ -354,30 +388,9 @@ def closed_edge_type_table(q, n, k, i) -> dict:
 
 def count_edge_types(inst: GrassmannInstance) -> TableReport:
     """Per-source typed-edge counts over all ordered class pairs."""
-    ctx = inst.ctx
-    orbits = inst.orbit_partition()
-    label_by_rows = {
-        rows: label.value
-        for label, members in orbits.items()
-        for rows in members
-    }
-    per_cell: dict[tuple, set] = {}
-    slot = {EdgeType.T0: 0, EdgeType.TPLUS: 1, EdgeType.TMINUS: 2}
-    for wrows, o in label_by_rows.items():
-        counts = {nn: [0, 0, 0] for nn in ORBIT_ORDER}
-        i_w = ctx.intersection_dim_with_y(wrows)
-        for zrows, prof in ctx.typed_adjacency(wrows):
-            nn = label_by_rows.get(zrows)
-            if nn is None:  # z outside Γ(x)
-                continue
-            if ctx.intersection_dim_with_y(zrows) != i_w:
-                continue
-            counts[nn][slot[_type_from_profile(prof)]] += 1
-        for nn, triple in counts.items():
-            per_cell.setdefault((o, nn), set()).add(tuple(triple))
     return TableReport.from_cells(
         "edge-types", inst.instance, closed_edge_type_table(*inst.instance),
-        sorted(per_cell.items()))
+        sorted(inst.neighbor_counts()[1].items()))
 
 
 # ---------------------------------------------------------------------------

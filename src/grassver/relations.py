@@ -428,7 +428,8 @@ class ColumnEvaluator:
     """
 
     def __init__(self, ctx: GeometryContext):
-        self.ctx = ctx
+        # weakly, so that the context can key _EVALUATORS and still be freed
+        self.ctx = weakref.proxy(ctx)
         self.rows: list[tuple] = [u.rows for u in ctx.elements]  # id -> rows
         self._id: dict[tuple, int] = dict(ctx.id_by_rows)
         self._typed: dict[int, dict[str, list[int]]] = {}

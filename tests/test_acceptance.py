@@ -2,7 +2,7 @@
 
 Each test covers one acceptance criterion, enforces its time budget, and
 prints a single pass/fail line (bypassing capture) so a full run reads as
-a ten-line report.
+a one-line-per-criterion report.
 """
 
 import random
@@ -231,3 +231,18 @@ def test_criterion_10_banded_scale_out():
         return "banded (2,8,3,i=2) orbits and edge types exact"
 
     _run("criterion-10-banded-scale-out", 600, body)
+
+
+def test_criterion_11_graph_tables_at_q3_and_k4():
+    # the first q = 3 graph instance, and i = 2 at k = 4
+    def body():
+        for q, n, k, i in ((3, 7, 3, 2), (2, 9, 4, 2)):
+            inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+            assert inst.orbit_sizes() == expected_orbit_sizes(inst), (q, n, k)
+            for table in (structure_constants, count_edge_types,
+                          verify_entry_table):
+                rep = table(inst)
+                assert rep.holds and not rep.inequitable, (q, n, k, rep.kind)
+        return "(3,7,3,i=2) and (2,9,4,i=2): orbits and three tables exact"
+
+    _run("criterion-11-graph-tables-q3-k4", 120, body)

@@ -1,13 +1,17 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from grassver.gf import Subspace, enumerate_subspaces, qint
+from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
 from grassver.geometry import GeometryContext
 from grassver.grassmann import (
+    ORBIT_ORDER,
     EdgeType,
     GrassmannInstance,
     OrbitLabel,
+    TableReport,
     bfs_distances,
     brute_intersection_numbers,
     classify_orbit,
@@ -20,7 +24,10 @@ from grassver.grassmann import (
     intersection_numbers,
     structure_constants,
     verify_entry_table,
+    vertex_neighbors_rows,
 )
+
+DATA = Path(__file__).parent / "data" / "graph"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,39 @@ def test_distance_matches_bfs_all_pairs_262():
         assert len(dist) == len(verts)
         for v in verts:
             assert dist[v.rows] == graph_distance(src, v, ctx)
+
+
+def _vertex_bfs(src_rows, adjacency):
+    """Plain BFS over a vertex -> neighbors map."""
+    dist = {src_rows: 0}
+    frontier, d = [src_rows], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for z in frontier:
+            for w in adjacency[z]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("q,n,k,sources", [(2, 5, 2, None), (3, 5, 2, 3)])
+def test_incidence_bfs_matches_vertex_bfs(q, n, k, sources):
+    # bfs_distances expands each hyperplane once; a BFS over the edges
+    # vertex_neighbors_rows yields, hyperplanes seen again included, is
+    # the reference
+    ctx = GeometryContext(q, n, k, dims=())
+    verts = list(enumerate_subspaces(n, k, q))
+    adjacency = {v.rows: list(vertex_neighbors_rows(v.rows, ctx))
+                 for v in verts}
+    srcs = verts if sources is None else random.Random(5).sample(verts,
+                                                                 sources)
+    for src in srcs:
+        dist = bfs_distances(src, ctx)
+        assert len(dist) == len(verts)
+        assert dist == _vertex_bfs(src.rows, adjacency), src
 
 
 def test_distance_matches_bfs_sampled_273():
@@ -97,6 +137,36 @@ def test_classify_orbit_single_vertices(inst273):
             classify_orbit(far, inst273)
 
 
+def _pairwise_structure_constants(inst):
+    """The structure-constant table by a rank test on every ordered pair
+    of Γ(x): the reference for the one-sweep walk of neighbor_counts."""
+    q, k = inst.ctx.q, inst.ctx.k
+    label = {rows: l.value for l, members in inst.orbit_partition().items()
+             for rows in members}
+    per_cell = {}
+    for w, o in label.items():
+        counts = dict.fromkeys(ORBIT_ORDER, 0)
+        for z, nn in label.items():
+            if z != w and rank_rows(w + z, q) == k + 1:
+                counts[nn] += 1
+        for nn, c in counts.items():
+            per_cell.setdefault((o, nn), set()).add(c)
+    return TableReport.from_cells(
+        "structure-constants", inst.instance,
+        closed_structure_constants(*inst.instance), sorted(per_cell.items()))
+
+
+def test_structure_constants_equal_pairwise_count(inst273):
+    ctx = inst273.ctx
+    alternate = next(
+        u for u in enumerate_subspaces(7, 3, 2)
+        if ctx.intersection_dim_with_y(u.rows) == 1 and u != inst273.x)
+    for inst in (inst273, GrassmannInstance(ctx, x=alternate)):
+        want = _pairwise_structure_constants(inst)
+        assert want.holds
+        assert structure_constants(inst).to_record() == want.to_record()
+
+
 def test_structure_constants_table(inst273):
     report = structure_constants(inst273)
     assert report.holds
@@ -140,9 +210,11 @@ def test_edge_type_table(inst273):
 
 
 def test_edge_type_triples_sum_to_structure_constants(inst273):
-    # equidistant orbit pairs only: elsewhere no edge gets a type
+    # equidistant orbit pairs only: elsewhere no edge gets a type.  The
+    # structure constants come from the pairwise count: one walk fills
+    # both tables, so its own would not be an independent check
     et = count_edge_types(inst273).observed
-    sc = structure_constants(inst273).observed
+    sc = _pairwise_structure_constants(inst273).observed
     same_dist = {("B", "B"), ("C", "C")} | {
         (a, b) for a in ("A0", "A+", "A-") for b in ("A0", "A+", "A-")}
     for pair in same_dist:
@@ -185,14 +257,24 @@ def test_entry_table_proportionality(inst273):
             * rep.observed[("F0F-", "A-")])
 
 
+def _assert_tables_match_recorded(inst):
+    # to_record() of the three tables, recorded when the structure
+    # constants still came from the pairwise count
+    with open(DATA / "tables-{}-{}-{}-{}.ndjson".format(*inst.instance),
+              encoding="utf-8") as f:
+        want = [json.loads(line) for line in f]
+    reports = [table(inst) for table in
+               (structure_constants, count_edge_types, verify_entry_table)]
+    assert all(r.holds for r in reports)
+    assert [r.to_record() for r in reports] == want
+
+
 def test_banded_instance_283():
     ctx = GeometryContext(2, 8, 3, dims=())
     inst = GrassmannInstance(ctx, i=2)
     sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
     assert sizes == {"B": 224, "C": 9, "A0": 9, "A+": 168, "A-": 24}
-    assert structure_constants(inst).holds
-    assert count_edge_types(inst).holds
-    assert verify_entry_table(inst).holds
+    _assert_tables_match_recorded(inst)
 
 
 def test_distance_3_instance_294():
@@ -202,9 +284,7 @@ def test_distance_3_instance_294():
     sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
     assert sizes == {"B": 384, "C": 49, "A0": 49, "A+": 336, "A-": 112}
     assert inst.orbit_sizes() == expected_orbit_sizes(inst)
-    assert structure_constants(inst).holds
-    assert count_edge_types(inst).holds
-    assert verify_entry_table(inst).holds
+    _assert_tables_match_recorded(inst)
 
 
 def test_alternate_x_gives_same_tables(inst273):

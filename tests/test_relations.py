@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from grassver.geometry import GeometryContext
 from grassver.gf import Subspace, enumerate_subspaces
 from grassver.operators import operator_set
 from grassver.relations import (
+    _EVALUATORS,
     MAX_VIOLATIONS,
     column_evaluator,
     relation_components,
@@ -127,6 +130,21 @@ def test_banded_columns_mode_needs_no_enumeration():
     cols = [u.rows for u in enumerate_subspaces(5, 2, 2)][:20]
     for rid in ("REL-1", "REL-8"):
         assert verify_relation(rid, ctx, "columns", columns=cols).holds
+
+
+def test_evaluators_are_freed_with_their_contexts():
+    # the shared evaluator must not keep its context (the cache key) alive
+    gc.collect()
+    before = len(_EVALUATORS)
+    refs = []
+    for _ in range(5):
+        ctx = GeometryContext(2, 4, 2)
+        assert verify_relation("REL-1", ctx, "full").holds
+        refs.append(weakref.ref(ctx))
+    del ctx
+    gc.collect()
+    assert [r() for r in refs] == [None] * 5
+    assert len(_EVALUATORS) - before == 0
 
 
 def test_column_evaluator_band_application_matches_matrix(contexts):
