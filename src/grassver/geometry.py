@@ -250,22 +250,17 @@ class GeometryContext:
                 if urows != zrows:
                     yield urows, i_m, w
 
-    def adjacent_profiles(self, zrows, items):
-        """(u_rows, AdjacentProfile of (u, z)) for each item (u_rows, i_m, w)
-        of adjacency_sweep(z) in ``items``; u+z = z + <w> is the only basis
-        it builds."""
+    def typed_adjacency(self, zrows):
+        """Yields (u_rows, AdjacentProfile of (u, z)) for every u adjacent
+        to z, in adjacency_sweep order; u+z = z + <w> is the only basis it
+        builds."""
         intersection_dim = self.intersection_dim_with_y
         q = self.q
         i_z = intersection_dim(zrows)
-        for urows, i_m, w in items:
+        for urows, i_m, w in self.adjacency_sweep(zrows):
             i_s = intersection_dim(extend_rows(zrows, w, q))
             yield urows, AdjacentProfile.from_dims(intersection_dim(urows),
                                                    i_z, i_s, i_m)
-
-    def typed_adjacency(self, zrows):
-        """Yields (u_rows, AdjacentProfile) for every u adjacent to z, in
-        adjacency_sweep order."""
-        yield from self.adjacent_profiles(zrows, self.adjacency_sweep(zrows))
 
 
 def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:

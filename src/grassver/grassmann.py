@@ -18,9 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .gf import Subspace, canonical_rows, dim_intersect, qint
+from .gf import Subspace, canonical_rows, dim_intersect, extend_rows, qint
 from .geometry import AdjacentProfile, GeometryContext, pair_profile
-from .relations import column_evaluator
 
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
@@ -99,14 +98,16 @@ _A_CLASS = {"F0": OrbitLabel.A0, "F+": OrbitLabel.APLUS,
             "F-": OrbitLabel.AMINUS}
 _EDGE_TYPE = {"F0": EdgeType.T0, "F+": EdgeType.TPLUS,
               "F-": EdgeType.TMINUS}
+# place of each type in a (0, +, -) triple
+_SLOT = {EdgeType.T0: 0, EdgeType.TPLUS: 1, EdgeType.TMINUS: 2}
 
 
 class GrassmannInstance:
     """A fixed (ctx, x, y) with 1 < ∂(x,y) < k and n > 2k >= 6.
 
     x defaults to the first k-space at distance i from y in enumeration
-    order (or, on a lazy context, the canonical pivot pattern meeting y in
-    its first k-i coordinates).
+    order (or, on a lazy context, the span of the first k-i basis rows of
+    y and the first i unit vectors that extend a basis of y).
     """
 
     def __init__(self, ctx: GeometryContext, i: int | None = None,
@@ -140,9 +141,19 @@ class GrassmannInstance:
                 if ctx.intersection_dim_with_y(u.rows) == k - i:
                     return u
             raise ValueError(f"no k-space at distance {i}")
-        # spans e_0..e_{k-i-1} inside y plus e_k..e_{k+i-1} outside it
-        idx = list(range(k - i)) + list(range(k, k + i))
-        return Subspace.coordinate_span(idx, ctx.q, ctx.n)
+        # y need not be a coordinate span: extend its basis by unit vectors
+        q, n = ctx.q, ctx.n
+        span, outside = self.y.rows, []
+        for j in range(n):
+            if len(outside) == i:
+                break
+            e = Subspace.coordinate_span([j], q, n).rows[0]
+            grown = extend_rows(span, e, q)
+            if len(grown) > len(span):
+                span = grown
+                outside.append(e)
+        return Subspace(q, n, canonical_rows(self.y.rows[:k - i]
+                                             + tuple(outside), q))
 
     @property
     def instance(self) -> tuple[int, int, int, int]:
@@ -184,40 +195,60 @@ class GrassmannInstance:
         number of neighbors of w in class N, and of the triple of typed
         edges (0, +, -) from w to class N; two dicts, cached.
 
-        One adjacency sweep per w fills both tables: every z it yields that
-        lies in Γ(x) counts for the structure constants, and when z is also
-        equidistant from y the edge wz gets its type, the only case that
-        needs a cover profile.
+        Only the edges inside Γ(x) are visited.  Two distinct members of
+        Γ(x) are adjacent exactly when they share a hyperplane, and that
+        hyperplane m = w∩z is unique; so every member goes into the bucket
+        of each of its [k] hyperplanes, and each unordered pair in a bucket
+        is one edge, visited once and credited to both ends.  Only an edge
+        between members equidistant from y gets a cover profile: i_m =
+        dim(m∩y), and s = w+z is w extended by a row of z outside m.
         """
         if self._counts is None:
             ctx = self.ctx
-            slot = {EdgeType.T0: 0, EdgeType.TPLUS: 1, EdgeType.TMINUS: 2}
-            label_and_dim = {
-                rows: (label.value, ctx.intersection_dim_with_y(rows))
-                for label, members in self.orbit_partition().items()
-                for rows in members
-            }
+            q, k = ctx.q, ctx.k
+            intersection_dim = ctx.intersection_dim_with_y
+            orbits = self.orbit_partition()
+            members = [(o, rows)  # o indexes ORBIT_ORDER
+                       for o, name in enumerate(ORBIT_ORDER)
+                       for rows in orbits[OrbitLabel(name)]]
+            i_y = [intersection_dim(rows) for _, rows in members]
+            buckets: dict[tuple, list] = {}
+            for w, (_, wrows) in enumerate(members):
+                for mrows in ctx.hyperplanes_rows(wrows):
+                    buckets.setdefault(mrows, []).append(w)
+            adjacent = [[0] * 5 for _ in members]
+            typed = [[0] * 15 for _ in members]  # (0, +, -) per class
+            for mrows, bucket in buckets.items():
+                if len(bucket) < 2:
+                    continue
+                i_m = intersection_dim(mrows)
+                outside = [next(r for r in members[z][1]
+                                if len(extend_rows(mrows, r, q)) == k)
+                           for z in bucket]
+                for a, w in enumerate(bucket):
+                    o_w, wrows = members[w]
+                    i_w, adjacent_w, typed_w = i_y[w], adjacent[w], typed[w]
+                    for b in range(a + 1, len(bucket)):
+                        z = bucket[b]
+                        o_z = members[z][0]
+                        adjacent_w[o_z] += 1
+                        adjacent[z][o_w] += 1
+                        if i_y[z] != i_w:
+                            continue
+                        i_s = intersection_dim(
+                            extend_rows(wrows, outside[b], q))
+                        t = _SLOT[_type_from_profile(
+                            AdjacentProfile.from_dims(i_w, i_w, i_s, i_m))]
+                        typed_w[3 * o_z + t] += 1
+                        typed[z][3 * o_w + t] += 1
             adjacency: dict[tuple, set] = {}
             edge_types: dict[tuple, set] = {}
-            for wrows, (o, i_w) in label_and_dim.items():
-                adjacent = dict.fromkeys(ORBIT_ORDER, 0)
-                equidistant = []
-                for item in ctx.adjacency_sweep(wrows):
-                    hit = label_and_dim.get(item[0])
-                    if hit is None:  # z outside Γ(x)
-                        continue
-                    nn, i_z = hit
-                    adjacent[nn] += 1
-                    if i_z == i_w:
-                        equidistant.append(item)
-                typed = {nn: [0, 0, 0] for nn in ORBIT_ORDER}
-                for zrows, prof in ctx.adjacent_profiles(wrows, equidistant):
-                    nn = label_and_dim[zrows][0]
-                    typed[nn][slot[_type_from_profile(prof)]] += 1
-                for nn in ORBIT_ORDER:
-                    adjacency.setdefault((o, nn), set()).add(adjacent[nn])
-                    edge_types.setdefault((o, nn), set()).add(
-                        tuple(typed[nn]))
+            for w, (o, _) in enumerate(members):
+                for nn, name in enumerate(ORBIT_ORDER):
+                    cell = (ORBIT_ORDER[o], name)
+                    adjacency.setdefault(cell, set()).add(adjacent[w][nn])
+                    edge_types.setdefault(cell, set()).add(
+                        tuple(typed[w][3 * nn:3 * nn + 3]))
             self._counts = adjacency, edge_types
         return self._counts
 
@@ -428,29 +459,22 @@ def closed_entry_table(q, n, k, i) -> dict:
 def verify_entry_table(inst: GrassmannInstance) -> TableReport:
     """(w,x)-entries of the nine F-products over the three A-classes.
 
-    Each product is applied to e_x by lazy column evaluation; entries are
-    read off at every w, so constancy over each class is checked too.
+    (F_a F_b)(w,x) counts the z with F_a(w,z) = F_b(z,x) = 1: the z in
+    the A-class of b joined to w by an edge of type a.  So the entry at w
+    is w's type-a count into that class, read from neighbor_counts; every
+    w is read, so constancy over each class is checked too.
     """
-    ctx = inst.ctx
-    ev = column_evaluator(ctx)
-    orbits = inst.orbit_partition()
-    a_classes = {
-        o: [ev.intern(wrows) for wrows in orbits[label]]
-        for o, label in (("A0", OrbitLabel.A0), ("A+", OrbitLabel.APLUS),
-                         ("A-", OrbitLabel.AMINUS))
-    }
+    edge_types = inst.neighbor_counts()[1]
     expected_by_word = closed_entry_table(*inst.instance)
-    expected = {
-        (f"{a}{b}", o): expected_by_word[(a, b)][t]
-        for (a, b) in ENTRY_PRODUCTS
-        for t, o in enumerate(("A0", "A+", "A-"))
-    }
-    x = ev.intern(inst.x.rows)
     per_cell: dict[tuple, set] = {}
+    expected = {}
     for a, b in ENTRY_PRODUCTS:
-        vec = ev.apply_band_int(a, ev.apply_band_int(b, {x: 1}))
-        for o, members in a_classes.items():
-            per_cell[(f"{a}{b}", o)] = {vec.get(w, 0) for w in members}
+        t = _SLOT[_EDGE_TYPE[a]]
+        for o, ab in zip(("A0", "A+", "A-"), expected_by_word[(a, b)]):
+            cell = (f"{a}{b}", o)
+            expected[cell] = ab
+            per_cell[cell] = {
+                triple[t] for triple in edge_types[(o, _A_CLASS[b].value)]}
     return TableReport.from_cells("entry-table", inst.instance, expected,
                                   per_cell.items())
 

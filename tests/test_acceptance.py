@@ -176,7 +176,7 @@ def test_criterion_07_edge_type_tables():
 def test_criterion_08_entry_table():
     def body():
         inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
-        rep = verify_entry_table(inst)  # sparse mat-vec, no closed forms
+        rep = verify_entry_table(inst)  # typed edge counts, no closed forms
         assert rep.holds and not rep.inequitable
         assert len(rep.expected) == 27  # 9 products x 3 classes
         return "nine product rows constant on each A-class"

@@ -7,6 +7,7 @@ import pytest
 from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
 from grassver.geometry import GeometryContext
 from grassver.grassmann import (
+    ENTRY_PRODUCTS,
     ORBIT_ORDER,
     EdgeType,
     GrassmannInstance,
@@ -15,6 +16,7 @@ from grassver.grassmann import (
     bfs_distances,
     brute_intersection_numbers,
     classify_orbit,
+    closed_entry_table,
     closed_structure_constants,
     count_edge_types,
     edge_type,
@@ -26,6 +28,7 @@ from grassver.grassmann import (
     verify_entry_table,
     vertex_neighbors_rows,
 )
+from grassver.relations import column_evaluator
 
 DATA = Path(__file__).parent / "data" / "graph"
 
@@ -257,9 +260,49 @@ def test_entry_table_proportionality(inst273):
             * rep.observed[("F0F-", "A-")])
 
 
+def _evaluator_entry_table(inst):
+    """The entry table by applying F_b, then F_a, to e_x with the column
+    evaluator and reading the A-classes: the reference for the table
+    that verify_entry_table reads off the hyperplane buckets."""
+    ev = column_evaluator(inst.ctx)
+    orbits = inst.orbit_partition()
+    a_classes = {
+        o: [ev.intern(rows) for rows in orbits[OrbitLabel(o)]]
+        for o in ("A0", "A+", "A-")
+    }
+    expected_by_word = closed_entry_table(*inst.instance)
+    expected = {
+        (f"{a}{b}", o): expected_by_word[(a, b)][t]
+        for a, b in ENTRY_PRODUCTS
+        for t, o in enumerate(("A0", "A+", "A-"))
+    }
+    x = ev.intern(inst.x.rows)
+    per_cell = {}
+    for a, b in ENTRY_PRODUCTS:
+        vec = ev.apply_band_int(a, ev.apply_band_int(b, {x: 1}))
+        for o, members in a_classes.items():
+            per_cell[(f"{a}{b}", o)] = {vec.get(w, 0) for w in members}
+    return TableReport.from_cells("entry-table", inst.instance, expected,
+                                  per_cell.items())
+
+
+def test_entry_table_equals_evaluator_products(inst273):
+    ctx = inst273.ctx
+    alternate = next(
+        u for u in enumerate_subspaces(7, 3, 2)
+        if ctx.intersection_dim_with_y(u.rows) == 1 and u != inst273.x)
+    inst283 = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
+    for inst in (inst273, GrassmannInstance(ctx, x=alternate), inst283):
+        want = _evaluator_entry_table(inst)
+        assert want.holds
+        assert verify_entry_table(inst).to_record() == want.to_record()
+
+
 def _assert_tables_match_recorded(inst):
-    # to_record() of the three tables, recorded when the structure
-    # constants still came from the pairwise count
+    # to_record() of the three tables, recorded before the walk found the
+    # edges inside Γ(x) through shared hyperplanes: by the pairwise count
+    # (2,8,3,2 and 2,9,4,3) or by one adjacency sweep per w (3,7,3,2), the
+    # entry table by the column evaluator in both
     with open(DATA / "tables-{}-{}-{}-{}.ndjson".format(*inst.instance),
               encoding="utf-8") as f:
         want = [json.loads(line) for line in f]
@@ -285,6 +328,27 @@ def test_distance_3_instance_294():
     assert sizes == {"B": 384, "C": 49, "A0": 49, "A+": 336, "A-": 112}
     assert inst.orbit_sizes() == expected_orbit_sizes(inst)
     _assert_tables_match_recorded(inst)
+
+
+def test_q3_instance_373():
+    ctx = GeometryContext(3, 7, 3, dims=())
+    inst = GrassmannInstance(ctx, i=2)
+    sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
+    assert sizes == {"B": 972, "C": 16, "A0": 32, "A+": 432, "A-": 108}
+    assert inst.orbit_sizes() == expected_orbit_sizes(inst)
+    _assert_tables_match_recorded(inst)
+
+
+def test_default_x_for_a_non_coordinate_y(inst273):
+    # the coordinate x <e_0, e_3, e_4> that suits y = <e_0, e_1, e_2> lies
+    # at distance 3 from this y; an answer must not depend on y
+    ctx = GeometryContext(2, 7, 3, y=Subspace(2, 7, (0x43, 0x26, 0x1c)),
+                          dims=())
+    inst = GrassmannInstance(ctx, i=2)
+    assert inst.i == 2
+    assert inst.orbit_sizes() == inst273.orbit_sizes()
+    for table in (structure_constants, count_edge_types, verify_entry_table):
+        assert table(inst).to_record() == table(inst273).to_record()
 
 
 def test_alternate_x_gives_same_tables(inst273):
