@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 
 from .gf import (
     Subspace,
-    canonical_rows,
     enumerate_subspaces,
     extend_rows,
     format_rows,
@@ -107,8 +106,6 @@ class GeometryContext:
         self.k = k
         if y is None:
             y = Subspace.coordinate_span(range(k), q, n)
-        else:  # a caller's rows may not be canonical
-            y = Subspace(y.q, y.n, canonical_rows(y.rows, y.q))
         if y.n != n or y.q != q or y.dim != k:
             raise ValueError("reference subspace must be a k-space of F_q^n")
         self.y = y

@@ -3,14 +3,16 @@
 Subspaces of F_q^n are stored by their canonical reduced row-echelon basis,
 so two equal subspaces are structurally identical (and hashable).  GF(2)
 rows are bit-packed integers; rows over larger primes are tuples of
-residues.  Only prime q is supported.
+residues.  Only prime q is supported.  The row-reduction kernels, the
+one-row step ``extend_rows`` among them, live in ``kernels``; ``extend_rows``
+is re-exported here.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .kernels import rank2, rankp, rref2, rrefp
+from .kernels import extend_rows, rank2, rankp, rref2, rrefp
 
 
 def is_prime(q: int) -> bool:
@@ -84,50 +86,6 @@ def canonical_rows(rows, q: int):
     return rref_rows(rows, q)
 
 
-def extend_rows(rows, v, q: int):
-    """Canonical RREF of span(rows, v), for ``rows`` already canonical RREF.
-
-    Takes O(d) row operations instead of a full reduction: reduce v by
-    the rows whose pivot it hits, normalise it, clear its pivot column
-    from the rows and insert it in pivot order.  Returns ``rows`` as a
-    tuple when v already lies in their span.
-    """
-    out = []
-    placed = False
-    if q == 2:
-        for r in rows:
-            if v & r & -r:
-                v ^= r
-        if not v:
-            return tuple(rows)
-        low = v & -v
-        for r in rows:
-            if not placed and r & -r > low:
-                out.append(v)
-                placed = True
-            out.append(r ^ v if r & low else r)
-    else:
-        for r in rows:
-            c = v[r.index(1)]
-            if c:
-                v = [(a - c * b) % q for a, b in zip(v, r)]
-        pc = next((t for t, a in enumerate(v) if a), -1)
-        if pc < 0:
-            return tuple(rows)
-        inv = pow(v[pc], -1, q)
-        v = tuple((a * inv) % q for a in v) if inv != 1 else tuple(v)
-        for r in rows:
-            if not placed and r.index(1) > pc:
-                out.append(v)
-                placed = True
-            c = r[pc]
-            out.append(tuple((a - c * b) % q for a, b in zip(r, v))
-                       if c else r)
-    if not placed:
-        out.append(v)
-    return tuple(out)
-
-
 def format_rows(rows, q: int) -> list[str]:
     """Compact row rendering: hex bitmask for q=2, digit string else."""
     if q == 2:
@@ -152,10 +110,21 @@ class Subspace:
     __slots__ = ("q", "n", "rows", "_hash")
 
     def __init__(self, q: int, n: int, rows):
+        """The row space of ``rows``: packed rows, any residues, any order."""
         self.q = q
         self.n = n
-        self.rows = tuple(rows)
+        self.rows = canonical_rows(rows, q)
         self._hash = hash((q, n, self.rows))
+
+    @classmethod
+    def _canonical(cls, q: int, n: int, rows: tuple) -> "Subspace":
+        """A Subspace on rows that are already a canonical RREF tuple."""
+        u = object.__new__(cls)
+        u.q = q
+        u.n = n
+        u.rows = rows
+        u._hash = hash((q, n, rows))
+        return u
 
     @property
     def dim(self) -> int:
@@ -170,11 +139,11 @@ class Subspace:
                 raise ValueError("ambient dimension required for empty matrix")
             n = len(matrix[0])
         packed = [_pack_row(row, q) for row in matrix]
-        return cls(q, n, rref_rows(packed, q))
+        return cls._canonical(q, n, rref_rows(packed, q))
 
     @classmethod
     def zero(cls, q: int, n: int) -> "Subspace":
-        return cls(q, n, ())
+        return cls._canonical(q, n, ())
 
     @classmethod
     def full(cls, q: int, n: int) -> "Subspace":
@@ -187,7 +156,7 @@ class Subspace:
             e = [0] * n
             e[j] = 1
             rows.append(_pack_row(e, q))
-        return cls(q, n, rows)
+        return cls._canonical(q, n, tuple(rows))
 
     def basis_matrix(self) -> list[list[int]]:
         return [_unpack_row(r, self.n, self.q) for r in self.rows]
@@ -214,13 +183,7 @@ class Subspace:
 
     def contains_vector(self, vec) -> bool:
         """Membership test for a packed vector."""
-        if self.q == 2:
-            v = vec
-            for r in self.rows:
-                if v & (r & -r):
-                    v ^= r
-            return v == 0
-        return rank_rows(list(self.rows) + [tuple(vec)], self.q) == self.dim
+        return len(extend_rows(self.rows, vec, self.q)) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         _check_compatible(self, other)
@@ -254,7 +217,7 @@ def sum_rows(urows, vrows, q: int):
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_compatible(u, v)
-    return Subspace(u.q, u.n, sum_rows(u.rows, v.rows, u.q))
+    return Subspace._canonical(u.q, u.n, sum_rows(u.rows, v.rows, u.q))
 
 
 def intersect_rows(urows, vrows, n: int, q: int):
@@ -274,7 +237,8 @@ def intersect_rows(urows, vrows, n: int, q: int):
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     _check_compatible(u, v)
-    return Subspace(u.q, u.n, intersect_rows(u.rows, v.rows, u.n, u.q))
+    return Subspace._canonical(u.q, u.n,
+                               intersect_rows(u.rows, v.rows, u.n, u.q))
 
 
 def dim_sum(u: Subspace, v: Subspace) -> int:
@@ -314,11 +278,11 @@ def enumerate_subspaces(n: int, l: int, q: int):
                 for (t, c), v in zip(free, values):
                     if v:
                         rows[t] |= 1 << c
-                yield Subspace(q, n, tuple(rows))
+                yield Subspace._canonical(q, n, tuple(rows))
             else:
                 mat = [[0] * n for _ in range(l)]
                 for t, p in enumerate(pivots):
                     mat[t][p] = 1
                 for (t, c), v in zip(free, values):
                     mat[t][c] = v
-                yield Subspace(q, n, tuple(tuple(r) for r in mat))
+                yield Subspace._canonical(q, n, tuple(tuple(r) for r in mat))

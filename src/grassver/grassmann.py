@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .gf import Subspace, canonical_rows, dim_intersect, extend_rows, qint
+from .gf import Subspace, dim_intersect, extend_rows, qint
 from .geometry import AdjacentProfile, GeometryContext, pair_profile
 
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
@@ -63,7 +63,7 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
     still without a distance the next one; a later meeting adds nothing,
     since its covers all have distances by then.
     """
-    start = canonical_rows(u.rows, ctx.q)
+    start = u.rows
     dist = {start: 0}
     expanded = set()
     frontier = [start]
@@ -121,8 +121,6 @@ class GrassmannInstance:
             if i is None:
                 raise ValueError("either x or the distance i is required")
             x = self._default_x(i)
-        else:  # a caller's rows may not be canonical
-            x = Subspace(x.q, x.n, canonical_rows(x.rows, x.q))
         self.x = x
         self.i = graph_distance(x, self.y, ctx)
         if i is not None and self.i != i:
@@ -152,8 +150,7 @@ class GrassmannInstance:
             if len(grown) > len(span):
                 span = grown
                 outside.append(e)
-        return Subspace(q, n, canonical_rows(self.y.rows[:k - i]
-                                             + tuple(outside), q))
+        return Subspace(q, n, self.y.rows[:k - i] + tuple(outside))
 
     @property
     def instance(self) -> tuple[int, int, int, int]:
@@ -497,8 +494,8 @@ def edge_type_matches_orbits(inst: GrassmannInstance) -> bool:
     for members in by_dist.values():
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                w = Subspace(ctx.q, ctx.n, members[a])
-                z = Subspace(ctx.q, ctx.n, members[b])
+                w = Subspace._canonical(ctx.q, ctx.n, members[a])
+                z = Subspace._canonical(ctx.q, ctx.n, members[b])
                 if graph_distance(w, z, ctx) != 1:
                     continue
                 dist = ctx.k - ctx.intersection_dim_with_y(w.rows)

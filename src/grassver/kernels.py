@@ -2,15 +2,61 @@
 
 Rows over GF(2) are packed into integers (bit ``j`` holds the coordinate of
 column ``j``); rows over a general prime field are tuples of residues in
-[0, q).  These four functions do every full row reduction of the package
-(the geometry sweeps extend a basis by one row with ``gf.extend_rows``
-instead).  ``benchmarks/bench_kernels.py`` times them per call.
+[0, q).  ``extend_rows`` is the one row-reduction step of the package: it
+adds one row to a canonical basis.  ``rref2``/``rrefp`` fold it over their
+rows, and the geometry sweeps call it directly (``gf`` re-exports it).
+``rank2``/``rankp`` count pivots by forward elimination alone, which is
+cheaper than a canonical basis when only the dimension is needed.
 """
 
 from __future__ import annotations
 
 #: the kernel implementation, as named in benchmark run records
 BACKEND = "python"
+
+
+def extend_rows(rows, v, q: int):
+    """Canonical RREF of span(rows, v), for ``rows`` already canonical RREF.
+
+    Takes O(d) row operations instead of a full reduction: reduce v by
+    the rows whose pivot it hits, normalise it, clear its pivot column
+    from the rows and insert it in pivot order.  Returns ``rows`` as a
+    tuple when v already lies in their span.
+    """
+    out = []
+    placed = False
+    if q == 2:
+        for r in rows:
+            if v & r & -r:
+                v ^= r
+        if not v:
+            return tuple(rows)
+        low = v & -v
+        for r in rows:
+            if not placed and r & -r > low:
+                out.append(v)
+                placed = True
+            out.append(r ^ v if r & low else r)
+    else:
+        for r in rows:
+            c = v[r.index(1)]
+            if c:
+                v = [(a - c * b) % q for a, b in zip(v, r)]
+        pc = next((t for t, a in enumerate(v) if a), -1)
+        if pc < 0:
+            return tuple(rows)
+        inv = pow(v[pc], -1, q)
+        v = tuple((a * inv) % q for a in v) if inv != 1 else tuple(v)
+        for r in rows:
+            if not placed and r.index(1) > pc:
+                out.append(v)
+                placed = True
+            c = r[pc]
+            out.append(tuple((a - c * b) % q for a, b in zip(r, v))
+                       if c else r)
+    if not placed:
+        out.append(v)
+    return tuple(out)
 
 
 def rref2(rows):
@@ -22,19 +68,10 @@ def rref2(rows):
     Returns:
         Tuple of nonzero RREF rows ordered by increasing pivot column.
     """
-    piv = {}  # pivot bit -> row, kept mutually reduced
+    basis = ()
     for r in rows:
-        # each row is zero at the other pivots, so any order reduces fully
-        for p, b in piv.items():
-            if r & p:
-                r ^= b
-        if r:
-            low = r & -r
-            for p, b in piv.items():
-                if b & low:
-                    piv[p] = b ^ r
-            piv[low] = r
-    return tuple(piv[p] for p in sorted(piv))
+        basis = extend_rows(basis, r, 2)
+    return basis
 
 
 def rank2(rows):
@@ -62,29 +99,10 @@ def rrefp(rows, q):
         Tuple of nonzero RREF rows (tuples), ordered by increasing pivot
         column, pivot entries 1, pivot columns zero elsewhere.
     """
-    basis = []  # (pivot_col, row-list), kept mutually reduced
+    basis = ()
     for r in rows:
-        r = list(r)
-        for pc, b in basis:
-            c = r[pc]
-            if c:
-                for t in range(len(r)):
-                    r[t] = (r[t] - c * b[t]) % q
-        pc = next((t for t, v in enumerate(r) if v), -1)
-        if pc < 0:
-            continue
-        inv = pow(r[pc], -1, q)
-        if inv != 1:
-            for t in range(len(r)):
-                r[t] = (r[t] * inv) % q
-        for _, b in basis:
-            c = b[pc]
-            if c:
-                for t in range(len(b)):
-                    b[t] = (b[t] - c * r[t]) % q
-        basis.append((pc, r))
-    basis.sort(key=lambda e: e[0])
-    return tuple(tuple(b) for _, b in basis)
+        basis = extend_rows(basis, r, q)
+    return basis
 
 
 def rankp(rows, q):

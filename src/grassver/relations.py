@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import GeometryContext
-from .gf import Subspace, canonical_rows, format_rows
+from .gf import Subspace, format_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
 
@@ -534,9 +534,9 @@ def _column_rows(ctx: GeometryContext, col) -> tuple:
     the canonical basis rows."""
     if isinstance(col, int):
         return ctx.elements[col].rows
-    if isinstance(col, Subspace):
-        col = col.rows
-    return canonical_rows(col, ctx.q)
+    if not isinstance(col, Subspace):
+        col = Subspace(ctx.q, ctx.n, col)
+    return col.rows
 
 
 def verify_relation(relation_id: str, ctx: GeometryContext,

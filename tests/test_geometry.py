@@ -200,6 +200,12 @@ def test_reference_subspace_rows_are_made_canonical():
     assert verify_cover_counts(ctx).holds
 
 
+def test_ref_finds_the_id_of_non_canonical_rows():
+    # rows (3, 1) are element #16 of the (2,4,2) context, as (1, 2) are
+    ctx = GeometryContext(2, 4, 2)
+    assert ctx.ref(Subspace(2, 4, (3, 1))) == "(dim=2, #16, rows=1:2)"
+
+
 def test_reference_subspace_residues_are_reduced_mod_q():
     # (3,1,0,0) is (0,1,0,0) mod 3, and (4,1,0,0) is (1,1,0,0)
     ctx = GeometryContext(3, 4, 2, y=Subspace(3, 4, ((3, 1, 0, 0),

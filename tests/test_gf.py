@@ -117,6 +117,18 @@ def test_structural_equality_and_hash():
     assert a != Subspace.coordinate_span([0, 1], 2, 3)
 
 
+def test_constructor_makes_rows_canonical():
+    # (3, 1) spans e0, e1 as (1, 2) does; kept as given, the two compared
+    # unequal
+    a = Subspace(2, 4, (3, 1))
+    assert a == Subspace(2, 4, (1, 2))
+    assert hash(a) == hash(Subspace(2, 4, (1, 2)))
+    # (4, 1, 0) is (1, 1, 0) mod 3; it used to print as 410
+    u = Subspace(3, 3, ((4, 1, 0),))
+    assert u.rows == ((1, 1, 0),)
+    assert repr(u) == "Subspace(q=3, n=3, rows=['110'])"
+
+
 def test_zero_and_full():
     z = Subspace.zero(3, 4)
     f = Subspace.full(3, 4)

@@ -1,18 +1,53 @@
-from functools import reduce
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grassver.gf
 import grassver.kernels
-from grassver.gf import extend_rows
 
 # one kernel module; the test ids carry its BACKEND name, as run records do
 pytestmark = pytest.mark.parametrize(
     "kernels", [grassver.kernels], ids=[grassver.kernels.BACKEND]
 )
 
-gf2_rows = st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),
-                    max_size=12)
+gf2_row = st.integers(min_value=0, max_value=(1 << 20) - 1)
+gf2_rows = st.lists(gf2_row, max_size=12)
+
+
+def test_benchmark_reads_these_names(kernels):
+    # perfbench/worker.py records BACKEND on every run, and
+    # perfbench/layertrace.py traces the four kernels by name
+    assert kernels.BACKEND == "python"
+    for name in ("rref2", "rank2", "rrefp", "rankp"):
+        assert callable(getattr(kernels, name))
+    assert grassver.gf.extend_rows is kernels.extend_rows
+
+
+def assert_canonical2(out):
+    """Nonzero rows, pivots increasing, each pivot column zero elsewhere."""
+    pivots = []
+    for r in out:
+        assert r != 0
+        pivots.append((r & -r).bit_length() - 1)
+    assert pivots == sorted(pivots)
+    for t, r in enumerate(out):
+        for s, other in enumerate(out):
+            if s != t:
+                assert not (other >> pivots[t]) & 1
+
+
+def assert_canonicalp(out):
+    """As assert_canonical2, and every pivot entry is 1."""
+    pivots = []
+    for r in out:
+        nz = [c for c, v in enumerate(r) if v]
+        assert nz, "zero row stored"
+        assert r[nz[0]] == 1
+        pivots.append(nz[0])
+    assert pivots == sorted(pivots)
+    for t, p in enumerate(pivots):
+        for s, other in enumerate(out):
+            if s != t:
+                assert other[p] == 0
 
 
 @given(rows=gf2_rows)
@@ -24,17 +59,7 @@ def test_rref2_is_idempotent(kernels, rows):
 
 @given(rows=gf2_rows)
 def test_rref2_canonicity(kernels, rows):
-    out = kernels.rref2(rows)
-    pivots = []
-    for r in out:
-        assert r != 0
-        pivots.append((r & -r).bit_length() - 1)
-    assert pivots == sorted(pivots)
-    # pivot columns are zero in every other row
-    for t, r in enumerate(out):
-        for s, other in enumerate(out):
-            if s != t:
-                assert not (other >> pivots[t]) & 1
+    assert_canonical2(kernels.rref2(rows))
 
 
 @given(rows=gf2_rows)
@@ -67,18 +92,7 @@ def gfp_matrix(draw):
 @settings(max_examples=200)
 def test_rrefp_canonicity(kernels, m):
     q, rows = m
-    out = kernels.rrefp(rows, q)
-    pivots = []
-    for r in out:
-        nz = [c for c, v in enumerate(r) if v]
-        assert nz, "zero row stored"
-        assert r[nz[0]] == 1
-        pivots.append(nz[0])
-    assert pivots == sorted(pivots)
-    for t, p in enumerate(pivots):
-        for s, other in enumerate(out):
-            if s != t:
-                assert other[p] == 0
+    assert_canonicalp(kernels.rrefp(rows, q))
 
 
 @given(m=gfp_matrix())
@@ -98,25 +112,45 @@ def test_rrefp_fixed_case(kernels):
         (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 2))
 
 
-def fold_extend(rows, q, zero):
-    """Oracle: the RREF built one row at a time by gf.extend_rows, which
-    shares no code with the kernels."""
-    return reduce(lambda acc, r: extend_rows(acc, r, q),
-                  (r for r in rows if r != zero), ())
+# A canonical basis of the row space is unique, so canonicity (above) and
+# span equality pin the output down.  The span is checked with rank2/rankp,
+# forward elimination that shares no code with extend_rows: out spans the
+# rows exactly when rank(rows + out) == len(out) == rank(rows).
 
 
 @given(rows=gf2_rows)
-def test_rref2_and_rank2_match_extend_rows_oracle(kernels, rows):
-    want = fold_extend(rows, 2, 0)
-    assert kernels.rref2(rows) == want
-    assert kernels.rank2(rows) == len(want)
+def test_rref2_spans_its_input(kernels, rows):
+    out = kernels.rref2(rows)
+    assert kernels.rank2(rows + list(out)) == len(out) == kernels.rank2(rows)
 
 
 @given(m=gfp_matrix())
 @settings(max_examples=200)
-def test_rrefp_and_rankp_match_extend_rows_oracle(kernels, m):
+def test_rrefp_spans_its_input(kernels, m):
     q, rows = m
-    n = len(rows[0]) if rows else 0
-    want = fold_extend(rows, q, (0,) * n)
-    assert kernels.rrefp(rows, q) == want
-    assert kernels.rankp(rows, q) == len(want)
+    out = kernels.rrefp(rows, q)
+    assert (kernels.rankp(rows + list(out), q) == len(out)
+            == kernels.rankp(rows, q))
+
+
+@given(rows=gf2_rows, v=gf2_row)
+def test_extend_rows_gf2_is_canonical_and_spans(kernels, rows, v):
+    basis = kernels.rref2(rows)
+    out = kernels.extend_rows(basis, v, 2)
+    assert_canonical2(out)
+    grown = list(basis) + [v]
+    assert kernels.rank2(grown + list(out)) == len(out) == kernels.rank2(grown)
+
+
+@given(m=gfp_matrix())
+@settings(max_examples=200)
+def test_extend_rows_gfp_is_canonical_and_spans(kernels, m):
+    q, rows = m
+    if not rows:
+        return
+    basis = kernels.rrefp(rows[:-1], q)
+    out = kernels.extend_rows(basis, rows[-1], q)
+    assert_canonicalp(out)
+    grown = list(basis) + [rows[-1]]
+    assert (kernels.rankp(grown + list(out), q) == len(out)
+            == kernels.rankp(grown, q))
