@@ -6,7 +6,10 @@ covering u does so in exactly one of two ways: raising i (a slash cover) or
 raising j (a backslash cover).  The context also enumerates covers above and
 below a subspace and sweeps the same-dimension adjacency of a subspace with
 the cover kinds of (u+v over u, u+v over v, u over u∩v, v over u∩v), which
-is the geometric data everything downstream consumes.
+is the geometric data everything downstream consumes.  The sweep builds no
+basis of u+v and looks up no stratum per neighbour: all four kinds follow
+from where the coset vector of u over the hyperplane m = u∩v falls modulo
+m + y.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import NamedTuple, Optional
 
 from .gf import (
     Subspace,
+    _pack_row,
     enumerate_subspaces,
     extend_rows,
     format_rows,
@@ -28,7 +32,7 @@ from .gf import (
     sum_rows,
     validate_field_order,
 )
-from .kernels import rank2, rankp
+from .kernels import rank2, rankp, reduce_row
 
 
 class Stratum(NamedTuple):
@@ -76,6 +80,18 @@ class AdjacentProfile(NamedTuple):
         if self.bot_u and self.bot_z:
             return "F-"
         return None
+
+
+# The profile of a swept pair (u, z) with hyperplane m = u∩z and u = m + <w>,
+# by δ = i_z - i_m and where w falls: in m+y, in z+y only, or outside z+y.
+# Adding w raises dim(·∩y) exactly when w lies in the space plus y, so
+# i_u = i_m + [w ∈ m+y] and i_s = i_z + [w ∈ z+y] for s = u+z = z + <w>.
+# When δ = 1, z+y = m+y, so "in z+y only" cannot happen.
+_SWEPT_PROFILES = {
+    delta: tuple(AdjacentProfile.from_dims(in_m, delta, delta + in_z, 0)
+                 for in_m, in_z in ((1, 1), (0, 1), (0, 0)))
+    for delta in (0, 1)
+}
 
 
 def _projective_points(f: int, q: int):
@@ -127,6 +143,7 @@ class GeometryContext:
             self.ids_by_dim[d] = range(start, len(self.elements))
 
         self._strat_cache: dict[tuple, int] = {}
+        self._zero_row = _pack_row((0,) * n, q)
 
     # -- strata ----------------------------------------------------------
 
@@ -176,11 +193,14 @@ class GeometryContext:
 
     # -- covers ----------------------------------------------------------
 
-    def superspaces_rows(self, rows):
+    def superspaces_rows(self, rows, modulo=()):
         """All covers above: canonical bases of the (d+1)-spaces over rows.
 
-        Enumerates one coset representative per cover (representatives are
-        supported on the non-pivot columns), so each cover appears once.
+        Enumerates one coset representative w per cover (representatives
+        are supported on the non-pivot columns), so each cover appears
+        once, and yields (cover rows, w).  Given canonical rows ``modulo``,
+        it yields the point of w modulo their span (``reduce_row``) in
+        place of w.
         """
         n, q = self.n, self.q
         if q == 2:
@@ -188,11 +208,16 @@ class GeometryContext:
             for r in rows:
                 pivmask |= r & -r
             free_bit = [1 << j for j in range(n) if not (pivmask >> j) & 1]
+            # the point is linear in w at q = 2, so it follows the walk
+            point = ([reduce_row(modulo, b, q) for b in free_bit]
+                     if modulo else free_bit)
             # Gray-code order: mask m differs from m-1 in bit ctz(m)
-            w = 0
+            w = p = 0
             for m in range(1, 1 << len(free_bit)):
-                w ^= free_bit[(m & -m).bit_length() - 1]
-                yield extend_rows(rows, w, q), w
+                t = (m & -m).bit_length() - 1
+                w ^= free_bit[t]
+                p ^= point[t]
+                yield extend_rows(rows, w, q), p
         else:
             pivots = {next(t for t, v in enumerate(r) if v) for r in rows}
             free = [j for j in range(n) if j not in pivots]
@@ -201,7 +226,8 @@ class GeometryContext:
                 for j, v in zip(free, values):
                     w[j] = v
                 w = tuple(w)
-                yield extend_rows(rows, w, q), w
+                yield (extend_rows(rows, w, q),
+                       reduce_row(modulo, w, q) if modulo else w)
 
     def hyperplanes_rows(self, rows):
         """All covers below: canonical bases of the (d-1)-spaces under rows.
@@ -233,31 +259,39 @@ class GeometryContext:
                     new.append(row)
                 yield rref_rows(new, q)
 
-    def adjacency_sweep(self, zrows):
-        """Sweep the same-dimension adjacency of z through its hyperplanes.
-
-        Yields (u_rows, i_m, w) for every u of the same dimension with
-        dim(u ∩ z) = dim(z) - 1: i_m = dim(m ∩ y) for the hyperplane
-        m = u ∩ z, and w the coset vector with u = m + <w>.  Each u appears
-        exactly once (it is found under the unique hyperplane m = u ∩ z).
-        """
-        for mrows in self.hyperplanes_rows(zrows):
-            i_m = self.intersection_dim_with_y(mrows)
-            for urows, w in self.superspaces_rows(mrows):
-                if urows != zrows:
-                    yield urows, i_m, w
+    def sum_with_y(self, rows):
+        """Canonical basis of span(rows) + y."""
+        base = self.y.rows
+        for r in rows:
+            base = extend_rows(base, r, self.q)
+        return base
 
     def typed_adjacency(self, zrows):
-        """Yields (u_rows, AdjacentProfile of (u, z)) for every u adjacent
-        to z, in adjacency_sweep order; u+z = z + <w> is the only basis it
-        builds."""
-        intersection_dim = self.intersection_dim_with_y
-        q = self.q
-        i_z = intersection_dim(zrows)
-        for urows, i_m, w in self.adjacency_sweep(zrows):
-            i_s = intersection_dim(extend_rows(zrows, w, q))
-            yield urows, AdjacentProfile.from_dims(intersection_dim(urows),
-                                                   i_z, i_s, i_m)
+        """Yields (u_rows, AdjacentProfile of (u, z)) for every u of the
+        same dimension with dim(u∩z) = dim(z) - 1.
+
+        Each u is found once, as a cover u = m + <w> of the hyperplane
+        m = u∩z other than z.  Per hyperplane it builds V = m + y, reads
+        δ = i_z - i_m off dim V, and takes the point of a row z0 of z
+        outside m modulo V; z+y is V when δ = 1 and V + <z0> when δ = 0.
+        So the profile of (u, z) is fixed by the point of w modulo V
+        (``_SWEPT_PROFILES``): zero, the point of z0, or another.  The
+        cover bases are the only bases built per neighbour.
+        """
+        q, k = self.q, self.k
+        zero = self._zero_row
+        i_z = self.intersection_dim_with_y(zrows)
+        for mrows in self.hyperplanes_rows(zrows):
+            mod = self.sum_with_y(mrows)
+            delta = i_z - (len(mrows) + k - len(mod))
+            in_m, in_z, outside = _SWEPT_PROFILES[delta]
+            profile = {zero: in_m}
+            if not delta:
+                # z's rows reduce to zero or to the point of z0, the larger
+                profile[max(reduce_row(mod, r, q) for r in zrows)] = in_z
+            for urows, p in self.superspaces_rows(mrows, mod):
+                if urows != zrows:
+                    yield urows, profile.get(p, outside)
 
 
 def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:

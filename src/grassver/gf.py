@@ -167,19 +167,10 @@ class Subspace:
 
     def vectors(self):
         """Iterate every vector of the subspace (packed). Test-scale only."""
+        matrix = self.basis_matrix()
         for coeffs in product(range(self.q), repeat=self.dim):
-            if self.q == 2:
-                v = 0
-                for c, r in zip(coeffs, self.rows):
-                    if c:
-                        v ^= r
-                yield v
-            else:
-                v = [0] * self.n
-                for c, r in zip(coeffs, self.rows):
-                    for t in range(self.n):
-                        v[t] = (v[t] + c * r[t]) % self.q
-                yield tuple(v)
+            yield _pack_row([sum(c * r[t] for c, r in zip(coeffs, matrix))
+                             for t in range(self.n)], self.q)
 
     def contains_vector(self, vec) -> bool:
         """Membership test for a packed vector."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .gf import Subspace, dim_intersect, extend_rows, qint
 from .geometry import AdjacentProfile, GeometryContext, pair_profile
+from .kernels import reduce_row
 
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
@@ -47,9 +48,12 @@ def graph_distance(u: Subspace, v: Subspace, ctx: GeometryContext) -> int:
 
 
 def vertex_neighbors_rows(zrows, ctx: GeometryContext):
-    """Neighbors of a vertex, generated through its hyperplanes."""
-    for urows, _, _ in ctx.adjacency_sweep(zrows):
-        yield urows
+    """Neighbors of a vertex, generated through its hyperplanes: each
+    appears once, as a cover of the unique hyperplane it shares."""
+    for mrows in ctx.hyperplanes_rows(zrows):
+        for urows, _ in ctx.superspaces_rows(mrows):
+            if urows != zrows:
+                yield urows
 
 
 def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
@@ -197,8 +201,13 @@ class GrassmannInstance:
         hyperplane m = w∩z is unique; so every member goes into the bucket
         of each of its [k] hyperplanes, and each unordered pair in a bucket
         is one edge, visited once and credited to both ends.  Only an edge
-        between members equidistant from y gets a cover profile: i_m =
-        dim(m∩y), and s = w+z is w extended by a row of z outside m.
+        between members equidistant from y gets a type, and no basis of
+        w+z is built for it.  With V = m + y built once per bucket and ρ
+        the point modulo V, w+z+y = V + <ρ(o_w), ρ(o_z)> for rows o_w, o_z
+        outside m, so i_s = i_m + 2 - rank(ρ(o_w), ρ(o_z)).  Both points
+        are zero when i_w > i_m, and both nonzero otherwise, so the rank
+        is 0, or 1 or 2 as the points are equal or not; with i_w and i_m
+        it gives the profile and so the type (``_EDGE_SLOT``).
         """
         if self._counts is None:
             ctx = self.ctx
@@ -218,12 +227,14 @@ class GrassmannInstance:
             for mrows, bucket in buckets.items():
                 if len(bucket) < 2:
                     continue
-                i_m = intersection_dim(mrows)
-                outside = [next(r for r in members[z][1]
-                                if len(extend_rows(mrows, r, q)) == k)
-                           for z in bucket]
+                mod = ctx.sum_with_y(mrows)
+                i_m = 2 * k - 1 - len(mod)
+                # a member with i_z = i_m meets V in m, so its rows reduce
+                # to zero or to the point of a row outside m, the larger
+                point = [max(reduce_row(mod, r, q) for r in members[z][1])
+                         if i_y[z] == i_m else None for z in bucket]
                 for a, w in enumerate(bucket):
-                    o_w, wrows = members[w]
+                    o_w = members[w][0]
                     i_w, adjacent_w, typed_w = i_y[w], adjacent[w], typed[w]
                     for b in range(a + 1, len(bucket)):
                         z = bucket[b]
@@ -232,10 +243,9 @@ class GrassmannInstance:
                         adjacent[z][o_w] += 1
                         if i_y[z] != i_w:
                             continue
-                        i_s = intersection_dim(
-                            extend_rows(wrows, outside[b], q))
-                        t = _SLOT[_type_from_profile(
-                            AdjacentProfile.from_dims(i_w, i_w, i_s, i_m))]
+                        rank = (0 if i_w != i_m
+                                else 1 if point[a] == point[b] else 2)
+                        t = _EDGE_SLOT[i_w - i_m, rank]
                         typed_w[3 * o_z + t] += 1
                         typed[z][3 * o_w + t] += 1
             adjacency: dict[tuple, set] = {}
@@ -374,6 +384,16 @@ def _type_from_profile(prof: AdjacentProfile) -> EdgeType:
     if edge is None:
         raise ValueError("equidistant edge fits no type")
     return edge
+
+
+# slot in a (0, +, -) triple of an edge wz between members equidistant from
+# y, by i_w - i_m and the rank r of the points of w and z modulo m + y
+# (i_s = i_m + 2 - r); see neighbor_counts
+_EDGE_SLOT = {
+    (dw, r): _SLOT[_type_from_profile(
+        AdjacentProfile.from_dims(dw, dw, 2 - r, 0))]
+    for dw, r in ((1, 0), (0, 1), (0, 2))
+}
 
 
 def edge_type(w: Subspace, z: Subspace, inst: GrassmannInstance) -> EdgeType:

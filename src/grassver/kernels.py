@@ -5,6 +5,8 @@ column ``j``); rows over a general prime field are tuples of residues in
 [0, q).  ``extend_rows`` is the one row-reduction step of the package: it
 adds one row to a canonical basis.  ``rref2``/``rrefp`` fold it over their
 rows, and the geometry sweeps call it directly (``gf`` re-exports it).
+``reduce_row`` is its reducing half alone: the point of a vector modulo a
+canonical basis, which the typed sweeps compare instead of building sums.
 ``rank2``/``rankp`` count pivots by forward elimination alone, which is
 cheaper than a canonical basis when only the dimension is needed.
 """
@@ -57,6 +59,30 @@ def extend_rows(rows, v, q: int):
     if not placed:
         out.append(v)
     return tuple(out)
+
+
+def reduce_row(rows, v, q: int):
+    """The point of v modulo span(rows), for ``rows`` canonical RREF.
+
+    Reduces v by the rows whose pivot it hits and scales the result so
+    that its first nonzero entry is 1.  Two vectors give the same point
+    exactly when each is a nonzero multiple of the other modulo the span;
+    every vector of the span gives the zero row.
+    """
+    if q == 2:
+        for r in rows:
+            if v & r & -r:
+                v ^= r
+        return v
+    for r in rows:
+        c = v[r.index(1)]
+        if c:
+            v = [(a - c * b) % q for a, b in zip(v, r)]
+    lead = next((a for a in v if a), 1)
+    if lead != 1:
+        inv = pow(lead, -1, q)
+        return tuple((a * inv) % q for a in v)
+    return tuple(v)
 
 
 def rref2(rows):

@@ -20,7 +20,8 @@ import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import GeometryContext
+from .geometry import GeometryContext, pair_profile
+from .gf import rank_rows
 from .scalars import QSqrtScalar, q_pow_half
 
 GENERATOR_NAMES = ("K1", "K2", "K1inv", "K2inv", "L1", "L2", "R1", "R2")
@@ -251,21 +252,21 @@ class OperatorSet:
         self._ops["R2"] = self._ops["L2"].transpose()
 
     def _build_f_matrices(self):
+        """F0, F+, F- from the pairs of equal dimension found by rank
+        alone, each classified by ``pair_profile`` and ``f_class``: the
+        reference for the typed sweep, so it shares none of its code."""
         ctx = self.ctx
         mats = {"F0": {}, "F+": {}, "F-": {}}
         one = QSqrtScalar.from_int(1, ctx.q)
-        for zid, z in enumerate(ctx.elements):
-            if z.dim == 0:
-                continue
-            for urows, prof in ctx.typed_adjacency(z.rows):
-                uid = ctx.id_by_rows[urows]
-                if prof.top_u and prof.top_z:
-                    if not prof.bot_u and not prof.bot_z:
-                        mats["F0"].setdefault(uid, {})[zid] = one
-                elif not prof.top_u and not prof.top_z:
-                    mats["F+"].setdefault(uid, {})[zid] = one
-                if prof.bot_u and prof.bot_z:
-                    mats["F-"].setdefault(uid, {})[zid] = one
+        for d, ids in ctx.ids_by_dim.items():
+            members = [(t, ctx.elements[t]) for t in ids]
+            for uid, u in members:
+                for zid, z in members:
+                    if rank_rows(u.rows + z.rows, ctx.q) != d + 1:
+                        continue  # equal, or dim(u∩z) < d - 1
+                    f = pair_profile(u, z, ctx).f_class()
+                    if f is not None:
+                        mats[f].setdefault(uid, {})[zid] = one
         for name, rows in mats.items():
             self._ops[name] = SparseOperator(ctx, rows)
 

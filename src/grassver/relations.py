@@ -29,7 +29,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import GeometryContext
+from .geometry import AdjacentProfile, GeometryContext
 from .gf import Subspace, format_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
@@ -416,6 +416,17 @@ def _residual(coeffs: dict, memo: dict, apply) -> list:
     return [(r, a, b) for r, (a, b) in acc.items() if a or b]
 
 
+def _letter(prof: AdjacentProfile) -> str:
+    """The same-dimension letter whose column holds a pair of this profile:
+    its F-class; else R when u+z slash-covers u but not z; else L (u
+    slash-covers u∩z but z does not).  Every adjacent pair has exactly one
+    of the five (``GeometryContext.typed_adjacency``)."""
+    f = prof.f_class()
+    if f is not None:
+        return f
+    return "R" if prof.top_u and not prof.top_z else "L"
+
+
 class ColumnEvaluator:
     """Applies incidence letters to integer vectors of one context.
 
@@ -449,15 +460,12 @@ class ColumnEvaluator:
         if cols is not None:
             return cols
         cols = {"F0": [], "F+": [], "F-": [], "R": [], "L": []}
+        col_of = {}  # profile -> the list it goes to
         for urows, prof in self.ctx.typed_adjacency(self.rows[z]):
-            u = self.intern(urows)
-            f = prof.f_class()
-            if f is not None:
-                cols[f].append(u)
-            if prof.top_u and not prof.top_z:
-                cols["R"].append(u)
-            if prof.bot_u and not prof.bot_z:
-                cols["L"].append(u)
+            col = col_of.get(prof)
+            if col is None:
+                col = col_of[prof] = cols[_letter(prof)]
+            col.append(self.intern(urows))
         self._typed[z] = cols
         return cols
 

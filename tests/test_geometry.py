@@ -1,6 +1,6 @@
 import pytest
 
-from grassver.gf import Subspace, enumerate_subspaces, qint
+from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
 from grassver.geometry import (
     CoverKind,
     GeometryContext,
@@ -140,20 +140,35 @@ def test_hyperplanes_rows_yields_each_hyperplane_once_q3():
             assert set(yielded) == expected
 
 
-def test_typed_adjacency_matches_pair_profile(ctx242):
-    from grassver.gf import dim_intersect
+# a reference space that is not a coordinate span, per instance
+OTHER_Y = {(2, 5, 2): [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]],
+           (3, 4, 2): [[1, 2, 0, 1], [0, 1, 1, 2]]}
 
-    z = Subspace.coordinate_span([0, 2], 2, 4)
-    swept = dict(ctx242.typed_adjacency(z.rows))
-    count = 0
-    for u in enumerate_subspaces(4, 2, 2):
-        if u == z or dim_intersect(u, z) != 1:
-            continue
-        count += 1
-        assert u.rows in swept
-        assert swept[u.rows] == pair_profile(u, z, ctx242)
-    assert count == len(swept)
 
+def contexts_with_two_ys():
+    """(2,5,2) and (3,4,2), each with the coordinate y and with OTHER_Y."""
+    for (q, n, k), rows in OTHER_Y.items():
+        yield GeometryContext(q, n, k)
+        ctx = GeometryContext(q, n, k, y=Subspace.from_matrix(rows, q))
+        assert not ctx._canonical_y
+        yield ctx
+
+
+def test_typed_adjacency_matches_pair_profile():
+    # oracle: the pairs of equal dimension whose sum has rank d+1, each with
+    # the profile pair_profile reads off u∩z and u+z; every z of every
+    # dimension
+    for ctx in [GeometryContext(2, 4, 2), *contexts_with_two_ys()]:
+        by_dim = {}
+        for u in ctx.elements:
+            by_dim.setdefault(u.dim, []).append(u)
+        for d, same in by_dim.items():
+            for z in same:
+                swept = list(ctx.typed_adjacency(z.rows))
+                expected = {u.rows: pair_profile(u, z, ctx) for u in same
+                            if rank_rows(u.rows + z.rows, ctx.q) == d + 1}
+                assert len(swept) == len(expected)
+                assert dict(swept) == expected
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])

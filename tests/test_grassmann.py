@@ -411,3 +411,16 @@ def test_table_record_serialization(inst273):
     assert rec["holds"] is True
     assert rec["instance"] == [2, 7, 3, 2]
     assert rec["observed"]["B|B"] == rec["expected"]["B|B"]
+
+
+def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
+    # the typed sweep and the bucket walk read each pair off points modulo
+    # m + y, so no stratum of a (dim z + 1)-space u+z is ever cached
+    for q, n, k in [(2, 7, 3), (3, 5, 2)]:
+        ctx = GeometryContext(q, n, k, dims=())
+        z = Subspace.coordinate_span([0] + list(range(k, 2 * k - 1)), q, n)
+        assert list(ctx.typed_adjacency(z.rows))
+        assert k + 1 not in {len(rows) for rows in ctx._strat_cache}
+    inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
+    inst.neighbor_counts()
+    assert 4 not in {len(rows) for rows in inst.ctx._strat_cache}

@@ -154,3 +154,41 @@ def test_extend_rows_gfp_is_canonical_and_spans(kernels, m):
     grown = list(basis) + [rows[-1]]
     assert (kernels.rankp(grown + list(out), q) == len(out)
             == kernels.rankp(grown, q))
+
+
+# The vectors of span(basis, v) that vanish on the pivot columns of the
+# basis form a line when v is outside the span, and {0} when it is inside;
+# scaled to first nonzero entry 1, that pins the point of v down.
+
+
+@given(rows=gf2_rows, v=gf2_row)
+def test_reduce_row_gf2_is_the_point_modulo_the_span(kernels, rows, v):
+    basis = kernels.rref2(rows)
+    r = kernels.reduce_row(basis, v, 2)
+    for b in basis:
+        assert not r & b & -b
+    grown = kernels.rank2(list(basis) + [v])
+    assert (r == 0) == (grown == len(basis))
+    assert kernels.rank2(list(basis) + [v, r]) == grown
+    assert kernels.rank2(list(basis) + [r]) == grown
+
+
+@given(m=gfp_matrix(), c=st.integers(1, 6))
+@settings(max_examples=200)
+def test_reduce_row_gfp_is_the_point_modulo_the_span(kernels, m, c):
+    q, rows = m
+    if not rows:
+        return
+    basis = kernels.rrefp(rows[:-1], q)
+    v = rows[-1]
+    r = kernels.reduce_row(basis, v, q)
+    for b in basis:
+        assert r[b.index(1)] == 0
+    grown = kernels.rankp(list(basis) + [v], q)
+    assert (not any(r)) == (grown == len(basis))
+    assert next((a for a in r if a), 1) == 1
+    assert kernels.rankp(list(basis) + [v, r], q) == grown
+    assert kernels.rankp(list(basis) + [r], q) == grown
+    # a nonzero multiple of v has the same point
+    c = c % q or 1
+    assert kernels.reduce_row(basis, tuple(c * a % q for a in v), q) == r

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from grassver.geometry import GeometryContext
-from grassver.gf import Subspace, enumerate_subspaces
+from grassver.geometry import GeometryContext, pair_profile
+from grassver.gf import Subspace, enumerate_subspaces, rank_rows
 from grassver.operators import operator_set
 from grassver.relations import (
     _EVALUATORS,
     MAX_VIOLATIONS,
+    ColumnEvaluator,
     column_evaluator,
     relation_components,
     relation_ids,
@@ -157,6 +158,39 @@ def test_column_evaluator_band_application_matches_matrix(contexts):
             vec = ev.apply_band_int(sym, {zid: 1})
             expected = {r: 1 for r, row in mat.rows.items() if zid in row}
             assert vec == expected
+
+
+@pytest.mark.parametrize("q,n,k,y", [
+    (2, 5, 2, None), (3, 4, 2, None),
+    (2, 5, 2, [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]]),
+    (3, 4, 2, [[1, 2, 0, 1], [0, 1, 1, 2]]),
+], ids=["2-5-2", "3-4-2", "2-5-2-other-y", "3-4-2-other-y"])
+def test_typed_columns_partition_the_adjacency(q, n, k, y):
+    # every u of z's dimension with dim(u∩z) = dim(z) - 1 (found by rank)
+    # is in exactly one of the five lists, the one its pair_profile names
+    if y is not None:
+        y = Subspace.from_matrix(y, q)
+    ctx = GeometryContext(q, n, k, y=y)
+    ev = ColumnEvaluator(ctx)
+    rules = {
+        "F0": lambda p: p.f_class() == "F0",
+        "F+": lambda p: p.f_class() == "F+",
+        "F-": lambda p: p.f_class() == "F-",
+        "R": lambda p: p.top_u and not p.top_z,
+        "L": lambda p: p.bot_u and not p.bot_z,
+    }
+    for zid, z in enumerate(ctx.elements):
+        cols = ev.typed_columns(zid)
+        assert sorted(cols) == sorted(rules)
+        listed = [u for col in cols.values() for u in col]
+        adjacent = [(uid, pair_profile(u, z, ctx))
+                    for uid, u in enumerate(ctx.elements)
+                    if u.dim == z.dim
+                    and rank_rows(u.rows + z.rows, q) == z.dim + 1]
+        assert sorted(listed) == sorted(uid for uid, _ in adjacent)
+        for name, holds in rules.items():
+            assert sorted(cols[name]) == [uid for uid, p in adjacent
+                                          if holds(p)]
 
 
 def test_report_serialization(contexts):
