@@ -1,0 +1,8 @@
+"""``python -m grassver``: the same command line as ``grassver``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

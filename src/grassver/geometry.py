@@ -4,12 +4,15 @@ A GeometryContext fixes (q, n, k, y) and classifies every subspace u into
 its stratum (i, j) with i = dim(u ∩ y) and j = dim(u) - i.  A subspace v
 covering u does so in exactly one of two ways: raising i (a slash cover) or
 raising j (a backslash cover).  The context also enumerates covers above and
-below a subspace and sweeps the same-dimension adjacency of a subspace with
-the cover kinds of (u+v over u, u+v over v, u over u∩v, v over u∩v), which
-is the geometric data everything downstream consumes.  The sweep builds no
-basis of u+v and looks up no stratum per neighbour: all four kinds follow
-from where the coset vector of u over the hyperplane m = u∩v falls modulo
-m + y.
+below a subspace, each written down as its canonical basis with no row
+reduction: a cover above adds a coset vector that is already a point
+modulo the rows (``kernels.insert_row``), and a hyperplane takes a
+functional scaled so that its last nonzero entry is 1.  It sweeps the
+same-dimension adjacency of a subspace with the cover kinds of (u+v over
+u, u+v over v, u over u∩v, v over u∩v), which is the geometric data
+everything downstream consumes.  The sweep builds no basis of u+v and
+looks up no stratum per neighbour: all four kinds follow from where the
+coset vector of u over the hyperplane m = u∩v falls modulo m + y.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from .gf import (
     gaussian_binomial,
     qint,
     rank_rows,
-    rref_rows,
     sum_rows,
     validate_field_order,
 )
-from .kernels import rank2, rankp, reduce_row
+from .kernels import insert_row, rank2, rankp, reduce_row
 
 
 class Stratum(NamedTuple):
@@ -196,11 +198,12 @@ class GeometryContext:
     def superspaces_rows(self, rows, modulo=()):
         """All covers above: canonical bases of the (d+1)-spaces over rows.
 
-        Enumerates one coset representative w per cover (representatives
-        are supported on the non-pivot columns), so each cover appears
-        once, and yields (cover rows, w).  Given canonical rows ``modulo``,
-        it yields the point of w modulo their span (``reduce_row``) in
-        place of w.
+        Enumerates one coset representative w per cover and yields (cover
+        rows, w).  Each w is supported on the non-pivot columns of ``rows``
+        and its first nonzero entry is 1, so it is already its own point
+        modulo them: ``insert_row`` adds it with no reduction, and each
+        cover appears once.  Given canonical rows ``modulo``, it yields the
+        point of w modulo their span (``reduce_row``) in place of w.
         """
         n, q = self.n, self.q
         if q == 2:
@@ -217,7 +220,7 @@ class GeometryContext:
                 t = (m & -m).bit_length() - 1
                 w ^= free_bit[t]
                 p ^= point[t]
-                yield extend_rows(rows, w, q), p
+                yield insert_row(rows, w, q), p
         else:
             pivots = {next(t for t, v in enumerate(r) if v) for r in rows}
             free = [j for j in range(n) if j not in pivots]
@@ -226,38 +229,36 @@ class GeometryContext:
                 for j, v in zip(free, values):
                     w[j] = v
                 w = tuple(w)
-                yield (extend_rows(rows, w, q),
+                yield (insert_row(rows, w, q),
                        reduce_row(modulo, w, q) if modulo else w)
 
     def hyperplanes_rows(self, rows):
         """All covers below: canonical bases of the (d-1)-spaces under rows.
 
-        One hyperplane per normalized functional on the coefficient space.
+        One hyperplane per functional a on the coefficient space whose
+        last nonzero entry a_t is 1: the rows r_s - a_s r_t (s < t) and
+        r_s (s > t).  These are canonical as built, with no reduction.
+        Each keeps its pivot, because r_t is zero before its own pivot,
+        which lies right of every p_s with s < t.  Every pivot column
+        stays clear, because r_t is zero on every pivot column but its own.
+        The functionals are enumerated in this form directly: the rows
+        above t, and the rows with a_s = 0, are reused as they are.
         """
-        d = len(rows)
         q = self.q
-        if q == 2:
-            for a in range(1, 1 << d):
-                t = (a & -a).bit_length() - 1
-                new = [
-                    rows[s] ^ (rows[t] if (a >> s) & 1 else 0)
-                    for s in range(d)
-                    if s != t
+        for t, rt in enumerate(rows):
+            # the choices for row s < t: r_s - c r_t for c = a_s in 0..q-1
+            if q == 2:
+                choices = [(r, r ^ rt) for r in rows[:t]]
+            else:
+                choices = [
+                    (r,) + tuple(tuple((a - c * b) % q
+                                       for a, b in zip(r, rt))
+                                 for c in range(1, q))
+                    for r in rows[:t]
                 ]
-                yield rref_rows(new, q)
-        else:
-            n = self.n
-            for a in _projective_points(d, q):
-                t = a.index(1)  # the leading entry
-                new = []
-                for s in range(d):
-                    if s == t:
-                        continue
-                    row = tuple(
-                        (rows[s][c] - a[s] * rows[t][c]) % q for c in range(n)
-                    )
-                    new.append(row)
-                yield rref_rows(new, q)
+            tail = rows[t + 1:]
+            for head in product(*choices):
+                yield head + tail
 
     def sum_with_y(self, rows):
         """Canonical basis of span(rows) + y."""

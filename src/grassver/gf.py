@@ -69,21 +69,14 @@ def _unpack_row(row, n: int, q: int) -> list[int]:
 
 
 def rref_rows(rows, q: int):
-    """Canonical RREF of packed rows (dispatch on field order)."""
+    """Canonical RREF of packed rows (dispatch on field order).
+
+    Rows may hold any integers (a caller may pass 4 or -1 at q=3):
+    ``rrefp`` reduces them mod q where they enter.
+    """
     if q == 2:
         return rref2(rows)
     return rrefp(rows, q)
-
-
-def canonical_rows(rows, q: int):
-    """Canonical RREF of rows handed in by a caller.
-
-    Reduces every residue mod q first (a caller may pass 4 or -1 at q=3);
-    the kernels expect residues in [0, q).
-    """
-    if q != 2:
-        rows = [tuple(v % q for v in r) for r in rows]
-    return rref_rows(rows, q)
 
 
 def format_rows(rows, q: int) -> list[str]:
@@ -113,7 +106,7 @@ class Subspace:
         """The row space of ``rows``: packed rows, any residues, any order."""
         self.q = q
         self.n = n
-        self.rows = canonical_rows(rows, q)
+        self.rows = rref_rows(rows, q)
         self._hash = hash((q, n, self.rows))
 
     @classmethod

@@ -1,14 +1,21 @@
 """Row-reduction kernels, in plain Python.
 
 Rows over GF(2) are packed into integers (bit ``j`` holds the coordinate of
-column ``j``); rows over a general prime field are tuples of residues in
-[0, q).  ``extend_rows`` is the one row-reduction step of the package: it
-adds one row to a canonical basis.  ``rref2``/``rrefp`` fold it over their
-rows, and the geometry sweeps call it directly (``gf`` re-exports it).
-``reduce_row`` is its reducing half alone: the point of a vector modulo a
-canonical basis, which the typed sweeps compare instead of building sums.
-``rank2``/``rankp`` count pivots by forward elimination alone, which is
-cheaper than a canonical basis when only the dimension is needed.
+column ``j``); rows over a general prime field are tuples of residues.
+``rrefp`` and ``rankp`` take rows of any integers and reduce them mod q
+where the rows enter; every other kernel over GF(q > 2) expects residues
+in [0, q).
+
+There is one row-reduction algorithm.  ``reduce_row`` gives the point of
+a vector modulo a canonical basis (reduced by the rows whose pivot it
+hits, first nonzero entry 1), which the typed sweeps compare instead of
+building sums.  ``insert_row`` adds such a point to the basis: it clears
+the point's pivot column from the rows and puts it in pivot order, with no
+reduction, so the cover sweeps call it directly on coset vectors that are
+points already.  ``extend_rows`` is the two in turn, and ``rref2``/
+``rrefp`` fold it over their rows (``gf`` re-exports it).  ``rank2``/
+``rankp`` count pivots by forward elimination alone, which is cheaper than
+a canonical basis when only the dimension is needed.
 """
 
 from __future__ import annotations
@@ -20,45 +27,11 @@ BACKEND = "python"
 def extend_rows(rows, v, q: int):
     """Canonical RREF of span(rows, v), for ``rows`` already canonical RREF.
 
-    Takes O(d) row operations instead of a full reduction: reduce v by
-    the rows whose pivot it hits, normalise it, clear its pivot column
-    from the rows and insert it in pivot order.  Returns ``rows`` as a
-    tuple when v already lies in their span.
+    ``reduce_row`` followed by ``insert_row``: O(d) row operations instead
+    of a full reduction.  Residues of v are in [0, q).  Returns ``rows`` as
+    a tuple when v already lies in their span.
     """
-    out = []
-    placed = False
-    if q == 2:
-        for r in rows:
-            if v & r & -r:
-                v ^= r
-        if not v:
-            return tuple(rows)
-        low = v & -v
-        for r in rows:
-            if not placed and r & -r > low:
-                out.append(v)
-                placed = True
-            out.append(r ^ v if r & low else r)
-    else:
-        for r in rows:
-            c = v[r.index(1)]
-            if c:
-                v = [(a - c * b) % q for a, b in zip(v, r)]
-        pc = next((t for t, a in enumerate(v) if a), -1)
-        if pc < 0:
-            return tuple(rows)
-        inv = pow(v[pc], -1, q)
-        v = tuple((a * inv) % q for a in v) if inv != 1 else tuple(v)
-        for r in rows:
-            if not placed and r.index(1) > pc:
-                out.append(v)
-                placed = True
-            c = r[pc]
-            out.append(tuple((a - c * b) % q for a, b in zip(r, v))
-                       if c else r)
-    if not placed:
-        out.append(v)
-    return tuple(out)
+    return insert_row(rows, reduce_row(rows, v, q), q)
 
 
 def reduce_row(rows, v, q: int):
@@ -67,7 +40,8 @@ def reduce_row(rows, v, q: int):
     Reduces v by the rows whose pivot it hits and scales the result so
     that its first nonzero entry is 1.  Two vectors give the same point
     exactly when each is a nonzero multiple of the other modulo the span;
-    every vector of the span gives the zero row.
+    every vector of the span gives the zero row.  Residues of v are in
+    [0, q).
     """
     if q == 2:
         for r in rows:
@@ -83,6 +57,41 @@ def reduce_row(rows, v, q: int):
         inv = pow(lead, -1, q)
         return tuple((a * inv) % q for a in v)
     return tuple(v)
+
+
+def insert_row(rows, w, q: int):
+    """Canonical RREF of span(rows, w), for ``rows`` canonical RREF and w
+    a point modulo them, as ``reduce_row`` gives it: residues in [0, q),
+    zero on every pivot column of ``rows``, first nonzero entry 1.
+
+    Clears w's pivot column from the rows and puts w in pivot order; no
+    reduction.  Returns ``rows`` as a tuple when w is zero.
+    """
+    out = []
+    placed = False
+    if q == 2:
+        if not w:
+            return tuple(rows)
+        low = w & -w
+        for r in rows:
+            if not placed and r & -r > low:
+                out.append(w)
+                placed = True
+            out.append(r ^ w if r & low else r)
+    else:
+        if 1 not in w:  # the zero row
+            return tuple(rows)
+        pc = w.index(1)  # the first nonzero entry is 1
+        for r in rows:
+            if not placed and r.index(1) > pc:
+                out.append(w)
+                placed = True
+            c = r[pc]
+            out.append(tuple((a - c * b) % q for a, b in zip(r, w))
+                       if c else r)
+    if not placed:
+        out.append(w)
+    return tuple(out)
 
 
 def rref2(rows):
@@ -118,7 +127,8 @@ def rrefp(rows, q):
     """Canonical reduced row-echelon form over GF(q), q prime.
 
     Args:
-        rows: iterable of rows, each a sequence of residues in [0, q).
+        rows: iterable of rows, each a sequence of integers; they are
+            reduced mod q here.
         q: prime field order.
 
     Returns:
@@ -127,15 +137,15 @@ def rrefp(rows, q):
     """
     basis = ()
     for r in rows:
-        basis = extend_rows(basis, r, q)
+        basis = extend_rows(basis, tuple(v % q for v in r), q)
     return basis
 
 
 def rankp(rows, q):
-    """Rank over GF(q), q prime."""
+    """Rank over GF(q), q prime, of rows of integers (reduced mod q here)."""
     basis = []  # (pivot_col, row-list), forward-reduced only
     for r in rows:
-        r = list(r)
+        r = [v % q for v in r]
         for pc, b in basis:
             c = r[pc]
             if c:

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,3 +298,17 @@ def test_bad_env_value_exit_2(capsys, monkeypatch):
     assert code == 2
     assert "invalid int value: 'two'" in err
     assert "Traceback" not in err
+
+
+def test_python_m_grassver_runs_the_cli(capsys):
+    argv = ["verify", "--suite", "geometry", "--q", "2", "--n", "4",
+            "--k", "2"]
+    code, out, err = run(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "grassver", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, mask_seconds(proc.stdout), proc.stderr) == (
+        code, mask_seconds(out), err)

@@ -1,6 +1,13 @@
 import pytest
 
-from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
+from grassver import geometry, gf, kernels
+from grassver.gf import (
+    Subspace,
+    enumerate_subspaces,
+    qint,
+    rank_rows,
+    rref_rows,
+)
 from grassver.geometry import (
     CoverKind,
     GeometryContext,
@@ -100,7 +107,7 @@ def test_superspace_and_hyperplane_counts(ctx242):
                     == qint(d, 2))
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3)])
 def test_superspaces_rows_yields_each_cover_once(q, n):
     # oracle: containment of vector sets over a filtered enumeration
     ctx = GeometryContext(q, n, 1, dims=())
@@ -124,9 +131,10 @@ def test_superspaces_rows_yields_each_cover_once(q, n):
             assert set(yielded) == expected
 
 
-def test_hyperplanes_rows_yields_each_hyperplane_once_q3():
-    # oracle: containment of vector sets over a filtered enumeration
-    q, n = 3, 4
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3)])
+def test_hyperplanes_rows_yields_each_hyperplane_once(q, n):
+    # oracle: containment of vector sets over a filtered enumeration; each
+    # basis is built canonical, so it is its own full reduction
     ctx = GeometryContext(q, n, 1, dims=())
     spaces = {d: [(u, frozenset(u.vectors()))
                   for u in enumerate_subspaces(n, d, q)]
@@ -138,6 +146,34 @@ def test_hyperplanes_rows_yields_each_hyperplane_once_q3():
                         if mvecs <= uvecs}
             assert len(yielded) == len(set(yielded)) == qint(d, q)
             assert set(yielded) == expected
+            assert all(rref_rows(m, q) == m for m in yielded)
+
+
+def test_cover_sweeps_run_no_row_reduction(monkeypatch):
+    # every cover and hyperplane is written down canonical: neither sweep
+    # calls a full reduction or the reducing half of extend_rows
+    calls = []
+    for name in ("rref2", "rrefp", "reduce_row"):
+        real = getattr(kernels, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in (kernels, gf, geometry):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    for q, n in [(2, 6), (3, 4)]:
+        ctx = GeometryContext(q, n, 1, dims=())
+        for d in range(n + 1):
+            for u in enumerate_subspaces(n, d, q):
+                list(ctx.hyperplanes_rows(u.rows))
+                list(ctx.superspaces_rows(u.rows))
+        assert calls == []
+        # the counters see a reduction wherever one runs
+        ctx.sum_with_y(u.rows[:1])
+        assert calls
+        calls.clear()
 
 
 # a reference space that is not a coordinate span, per instance

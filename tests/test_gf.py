@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from grassver.gf import (
     Subspace,
-    canonical_rows,
     dim_intersect,
     dim_sum,
     enumerate_subspaces,
@@ -150,9 +149,7 @@ def test_extend_rows_matches_full_reduction(q, n):
                     u.rows + (v,), q), (u, v)
 
 
-def test_canonical_rows_reduces_residues_mod_q():
-    assert canonical_rows([(-1, 1, 0), (0, 2, 1)], 3) == ((1, 0, 2),
-                                                         (0, 1, 2))
-    assert canonical_rows([(3, 1, 0), (4, 1, 7)], 3) == ((1, 0, 1),
-                                                        (0, 1, 0))
-    assert canonical_rows([3, 2], 2) == (1, 2)
+def test_rref_rows_reduces_residues_mod_q():
+    assert rref_rows([(-1, 1, 0), (0, 2, 1)], 3) == ((1, 0, 2), (0, 1, 2))
+    assert rref_rows([(3, 1, 0), (4, 1, 7)], 3) == ((1, 0, 1), (0, 1, 0))
+    assert rref_rows([3, 2], 2) == (1, 2)

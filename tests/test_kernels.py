@@ -112,6 +112,13 @@ def test_rrefp_fixed_case(kernels):
         (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 2))
 
 
+
+def test_rrefp_and_rankp_reduce_residues_mod_q(kernels):
+    # regression: residues outside [0, q) used to reach the elimination
+    assert kernels.rankp([(3, 0, 0)], 3) == 0  # raised: not invertible
+    assert kernels.rrefp([(3, 1, 0)], 3) == ((0, 1, 0),)  # raised
+    assert kernels.rrefp([(4, 1, 0)], 3) == ((1, 1, 0),)  # came back as is
+
 # A canonical basis of the row space is unique, so canonicity (above) and
 # span equality pin the output down.  The span is checked with rank2/rankp,
 # forward elimination that shares no code with extend_rows: out spans the
