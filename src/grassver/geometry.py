@@ -13,6 +13,10 @@ u, u+v over v, u over u∩v, v over u∩v), which is the geometric data
 everything downstream consumes.  The sweep builds no basis of u+v and
 looks up no stratum per neighbour: all four kinds follow from where the
 coset vector of u over the hyperplane m = u∩v falls modulo m + y.
+
+Rows are the packed ints of ``kernels`` at every q, so the stratum cache
+is keyed by tuples of ints, and for the coordinate y, dim(u ∩ y) is read
+off the rank of u's rows with y's k lanes shifted out.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import NamedTuple, Optional
 
 from .gf import (
     Subspace,
-    _pack_row,
     enumerate_subspaces,
     extend_rows,
     format_rows,
@@ -34,7 +37,8 @@ from .gf import (
     sum_rows,
     validate_field_order,
 )
-from .kernels import insert_row, rank2, rankp, reduce_row
+from .kernels import (
+    MAX_COLUMNS, insert_row, lanes, reduce_lanes, reduce_row)
 
 
 class Stratum(NamedTuple):
@@ -96,15 +100,6 @@ _SWEPT_PROFILES = {
 }
 
 
-def _projective_points(f: int, q: int):
-    """The vectors of GF(q)^f whose first nonzero entry is 1, one per line
-    through 0, in lexicographic order."""
-    for lead in range(f - 1, -1, -1):
-        head = (0,) * lead + (1,)
-        for rest in product(range(q), repeat=f - lead - 1):
-            yield head + rest
-
-
 class GeometryContext:
     """Fixed (q, n, k, y) with optional enumeration of dimension bands.
 
@@ -119,6 +114,8 @@ class GeometryContext:
         validate_field_order(q)
         if not (n > k >= 1):
             raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+        if n > MAX_COLUMNS:
+            raise ValueError(f"rows are limited to {MAX_COLUMNS} columns")
         self.q = q
         self.n = n
         self.k = k
@@ -145,7 +142,9 @@ class GeometryContext:
             self.ids_by_dim[d] = range(start, len(self.elements))
 
         self._strat_cache: dict[tuple, int] = {}
-        self._zero_row = _pack_row((0,) * n, q)
+        # for y the span of the first k columns, dim(u ∩ y) is dim(u)
+        # minus the rank of u's rows with those k lanes shifted out
+        self._past_y = k * lanes(q).bits
 
     # -- strata ----------------------------------------------------------
 
@@ -156,11 +155,8 @@ class GeometryContext:
             return i
         d = len(rows)
         if self._canonical_y:
-            k = self.k
-            if self.q == 2:
-                i = d - rank2([r >> k for r in rows])
-            else:
-                i = d - rankp([r[k:] for r in rows], self.q)
+            shift = self._past_y
+            i = d - rank_rows([r >> shift for r in rows], self.q)
         else:
             i = d + self.k - rank_rows(tuple(rows) + self.y.rows, self.q)
         self._strat_cache[rows] = i
@@ -190,7 +186,7 @@ class GeometryContext:
         """Stable textual reference for a subspace in reports."""
         idx = self.id_of.get(u)
         loc = f"#{idx}" if idx is not None else "-"
-        rows = ":".join(format_rows(u.rows, self.q))
+        rows = ":".join(format_rows(u.rows, self.n, self.q))
         return f"(dim={u.dim}, {loc}, rows={rows})"
 
     # -- covers ----------------------------------------------------------
@@ -222,15 +218,21 @@ class GeometryContext:
                 p ^= point[t]
                 yield insert_row(rows, w, q), p
         else:
-            pivots = {next(t for t, v in enumerate(r) if v) for r in rows}
-            free = [j for j in range(n) if j not in pivots]
-            for values in _projective_points(len(free), q):
-                w = [0] * n
-                for j, v in zip(free, values):
-                    w[j] = v
-                w = tuple(w)
-                yield (insert_row(rows, w, q),
-                       reduce_row(modulo, w, q) if modulo else w)
+            bits = lanes(q).bits
+            pivots = {(r & -r).bit_length() - 1 for r in rows}
+            free = [j * bits for j in range(n) if j * bits not in pivots]
+            # the points with first nonzero entry at free[lead], the lead
+            # taken from the last free column back, each in lexicographic
+            # order of its entries right of the lead (``tails``)
+            tails = [0]
+            for lead in range(len(free) - 1, -1, -1):
+                at = free[lead]
+                for t in tails:
+                    w = (1 << at) + t
+                    yield (insert_row(rows, w, q),
+                           reduce_row(modulo, w, q) if modulo else w)
+                if lead:
+                    tails = [(a << at) + t for a in range(q) for t in tails]
 
     def hyperplanes_rows(self, rows):
         """All covers below: canonical bases of the (d-1)-spaces under rows.
@@ -250,12 +252,10 @@ class GeometryContext:
             if q == 2:
                 choices = [(r, r ^ rt) for r in rows[:t]]
             else:
-                choices = [
-                    (r,) + tuple(tuple((a - c * b) % q
-                                       for a, b in zip(r, rt))
-                                 for c in range(1, q))
-                    for r in rows[:t]
-                ]
+                # r - c rt, as r + (q - c) rt with every lane reduced
+                choices = [(r,) + tuple(reduce_lanes(r + (q - c) * rt, q)
+                                        for c in range(1, q))
+                           for r in rows[:t]]
             tail = rows[t + 1:]
             for head in product(*choices):
                 yield head + tail
@@ -280,13 +280,12 @@ class GeometryContext:
         cover bases are the only bases built per neighbour.
         """
         q, k = self.q, self.k
-        zero = self._zero_row
         i_z = self.intersection_dim_with_y(zrows)
         for mrows in self.hyperplanes_rows(zrows):
             mod = self.sum_with_y(mrows)
             delta = i_z - (len(mrows) + k - len(mod))
             in_m, in_z, outside = _SWEPT_PROFILES[delta]
-            profile = {zero: in_m}
+            profile = {0: in_m}
             if not delta:
                 # z's rows reduce to zero or to the point of z0, the larger
                 profile[max(reduce_row(mod, r, q) for r in zrows)] = in_z

@@ -1,18 +1,21 @@
 """Exact linear algebra over prime fields GF(q).
 
 Subspaces of F_q^n are stored by their canonical reduced row-echelon basis,
-so two equal subspaces are structurally identical (and hashable).  GF(2)
-rows are bit-packed integers; rows over larger primes are tuples of
-residues.  Only prime q is supported.  The row-reduction kernels, the
-one-row step ``extend_rows`` among them, live in ``kernels``; ``extend_rows``
-is re-exported here.
+so two equal subspaces are structurally identical (and hashable).  A row
+is one packed int at every q: lane ``j`` holds the residue of column ``j``
+in ``kernels.lanes(q).bits`` bits (one bit at q = 2, so GF(2) rows are
+bitmasks).  ``_pack_row`` is the one place residues are reduced mod q.
+Only prime q is supported.  The row-reduction kernels, the one-row step
+``extend_rows`` among them, live in ``kernels``; ``extend_rows`` is
+re-exported here.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .kernels import extend_rows, rank2, rankp, rref2, rrefp
+from .kernels import (
+    MAX_COLUMNS, extend_rows, lanes, rank2, rankp, rref2, rrefp)
 
 
 def is_prime(q: int) -> bool:
@@ -52,38 +55,35 @@ def gaussian_binomial(n: int, l: int, q: int) -> int:
     return num // den
 
 
-def _pack_row(row, q: int):
-    if q == 2:
-        acc = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                acc |= 1 << j
-        return acc
-    return tuple(v % q for v in row)
+def _pack_row(row, q: int) -> int:
+    """The packed row of a sequence of integers, each reduced mod q."""
+    if len(row) > MAX_COLUMNS:
+        raise ValueError(f"rows are limited to {MAX_COLUMNS} columns")
+    bits = lanes(q).bits
+    acc = 0
+    for j, v in enumerate(row):
+        acc |= (v % q) << (j * bits)
+    return acc
 
 
-def _unpack_row(row, n: int, q: int) -> list[int]:
-    if q == 2:
-        return [(row >> j) & 1 for j in range(n)]
-    return list(row)
+def _unpack_row(row: int, n: int, q: int) -> list[int]:
+    """The residues of a packed row, one per column."""
+    bits, mask = lanes(q)[:2]
+    return [(row >> (j * bits)) & mask for j in range(n)]
 
 
 def rref_rows(rows, q: int):
-    """Canonical RREF of packed rows (dispatch on field order).
-
-    Rows may hold any integers (a caller may pass 4 or -1 at q=3):
-    ``rrefp`` reduces them mod q where they enter.
-    """
+    """Canonical RREF of packed rows (dispatch on field order)."""
     if q == 2:
         return rref2(rows)
     return rrefp(rows, q)
 
 
-def format_rows(rows, q: int) -> list[str]:
+def format_rows(rows, n: int, q: int) -> list[str]:
     """Compact row rendering: hex bitmask for q=2, digit string else."""
     if q == 2:
         return [format(r, "x") for r in rows]
-    return ["".join(str(v) for v in r) for r in rows]
+    return ["".join(map(str, _unpack_row(r, n, q))) for r in rows]
 
 
 def rank_rows(rows, q: int) -> int:
@@ -103,7 +103,14 @@ class Subspace:
     __slots__ = ("q", "n", "rows", "_hash")
 
     def __init__(self, q: int, n: int, rows):
-        """The row space of ``rows``: packed rows, any residues, any order."""
+        """The row space of ``rows``: packed rows (lanes in [0, q)), in any
+        order; ``from_matrix`` takes rows of any integers."""
+        rows = tuple(rows)
+        if not all(isinstance(r, int) and _pack_row(_unpack_row(r, n, q), q)
+                   == r for r in rows):
+            raise ValueError(f"Subspace takes packed rows of {n} lanes in "
+                             f"[0, {q}); Subspace.from_matrix takes rows of "
+                             "any integers")
         self.q = q
         self.n = n
         self.rows = rref_rows(rows, q)
@@ -125,7 +132,7 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, matrix, q: int, n: int | None = None) -> "Subspace":
-        """Row space of an arbitrary residue matrix, in canonical form."""
+        """Row space of a matrix of any integers, in canonical form."""
         matrix = [list(row) for row in matrix]
         if n is None:
             if not matrix:
@@ -144,19 +151,16 @@ class Subspace:
 
     @classmethod
     def coordinate_span(cls, indices, q: int, n: int) -> "Subspace":
-        rows = []
-        for j in sorted(indices):
-            e = [0] * n
-            e[j] = 1
-            rows.append(_pack_row(e, q))
-        return cls._canonical(q, n, tuple(rows))
+        bits = lanes(q).bits
+        return cls._canonical(q, n, tuple(1 << (j * bits)
+                                          for j in sorted(indices)))
 
     def basis_matrix(self) -> list[list[int]]:
         return [_unpack_row(r, self.n, self.q) for r in self.rows]
 
     def row_strings(self) -> list[str]:
         """The basis rows as ``format_rows`` renders them."""
-        return format_rows(self.rows, self.q)
+        return format_rows(self.rows, self.n, self.q)
 
     def vectors(self):
         """Iterate every vector of the subspace (packed). Test-scale only."""
@@ -205,18 +209,13 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def intersect_rows(urows, vrows, n: int, q: int):
-    """Basis of the intersection via the Zassenhaus stacked-basis trick."""
-    if q == 2:
-        mask = (1 << n) - 1
-        stacked = [r | (r << n) for r in urows] + list(vrows)
-        return tuple(r >> n for r in rref2(stacked) if not (r & mask))
-    stacked = [tuple(r) + tuple(r) for r in urows]
-    stacked += [tuple(r) + (0,) * n for r in vrows]
-    out = []
-    for row in rrefp(stacked, q):
-        if not any(row[:n]):
-            out.append(row[n:])
-    return tuple(out)
+    """Basis of the intersection via the Zassenhaus stacked-basis trick:
+    the rows (u, u) and (v, 0) in 2n columns, reduced; the rows that are
+    zero on the first n columns span (0, u∩v)."""
+    shift = n * lanes(q).bits
+    low = (1 << shift) - 1
+    stacked = [r | (r << shift) for r in urows] + list(vrows)
+    return tuple(r >> shift for r in rref_rows(stacked, q) if not r & low)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -248,25 +247,16 @@ def enumerate_subspaces(n: int, l: int, q: int):
     if l == 0:
         yield Subspace.zero(q, n)
         return
+    bits = lanes(q).bits
     for pivots in combinations(range(n), l):
-        pivset = set(pivots)
-        free = [
-            (t, c)
-            for t, p in enumerate(pivots)
-            for c in range(p + 1, n)
-            if c not in pivset
-        ]
-        for values in product(range(q), repeat=len(free)):
-            if q == 2:
-                rows = [1 << p for p in pivots]
-                for (t, c), v in zip(free, values):
-                    if v:
-                        rows[t] |= 1 << c
-                yield Subspace._canonical(q, n, tuple(rows))
-            else:
-                mat = [[0] * n for _ in range(l)]
-                for t, p in enumerate(pivots):
-                    mat[t][p] = 1
-                for (t, c), v in zip(free, values):
-                    mat[t][c] = v
-                yield Subspace._canonical(q, n, tuple(tuple(r) for r in mat))
+        # the options of row t: 1 at its pivot, any value at each column
+        # right of it that is no pivot, in lexicographic order
+        choices = []
+        for p in pivots:
+            free = [c for c in range(p + 1, n) if c not in pivots]
+            choices.append([sum((v << (c * bits)
+                                 for c, v in zip(free, values)),
+                                1 << (p * bits))
+                            for values in product(range(q), repeat=len(free))])
+        for rows in product(*choices):
+            yield Subspace._canonical(q, n, rows)

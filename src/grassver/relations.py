@@ -574,7 +574,7 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
         report.checked_columns = len(ids)
 
         def ref(u):
-            return ":".join(format_rows(ev.rows[u], q))
+            return ":".join(format_rows(ev.rows[u], n, q))
 
         def order(v):  # column, component, row, as reported
             return ref(v[2]), names[v[0]], ref(v[1])

@@ -283,6 +283,12 @@ def mask_seconds(text: str) -> str:
        fmt) for fmt in FORMAT_SUFFIX],
     ("tables-2-7-3-2", ["tables", "--q", "2", "--n", "7", "--k", "3",
                         "--i", "2"], "records"),
+    # odd primes: the rows are packed in lanes wider than one bit
+    *[("verify-geometry-3-5-2", ["verify", "--suite", "geometry", "--q", "3",
+                                 "--n", "5", "--k", "2"], fmt)
+      for fmt in FORMAT_SUFFIX],
+    *[("enumerate-5-4-2", ["enumerate", "--q", "5", "--n", "4", "--k", "2"],
+       fmt) for fmt in FORMAT_SUFFIX],
 ])
 def test_whole_output_matches_expected(name, argv, fmt, tmp_path, capsys):
     path = tmp_path / "out"

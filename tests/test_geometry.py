@@ -116,14 +116,12 @@ def test_superspaces_rows_yields_each_cover_once(q, n):
               for d in range(n + 1)}
     for d in range(n):
         for u, uvecs in spaces[d]:
-            pivots = [r & -r for r in u.rows] if q == 2 else [
-                1 << r.index(1) for r in u.rows]
+            pivots = [gf._unpack_row(r, n, q).index(1) for r in u.rows]
             yielded = []
             for vrows, w in ctx.superspaces_rows(u.rows):
                 yielded.append(vrows)
-                wbits = w if q == 2 else sum(
-                    1 << j for j, a in enumerate(w) if a)
-                assert wbits and not any(wbits & p for p in pivots)
+                entries = gf._unpack_row(w, n, q)
+                assert any(entries) and not any(entries[p] for p in pivots)
                 assert Subspace(q, n, vrows).contains_vector(w)
             expected = {v.rows for v, vvecs in spaces[d + 1]
                         if uvecs <= vvecs}
@@ -259,12 +257,12 @@ def test_ref_finds_the_id_of_non_canonical_rows():
 
 def test_reference_subspace_residues_are_reduced_mod_q():
     # (3,1,0,0) is (0,1,0,0) mod 3, and (4,1,0,0) is (1,1,0,0)
-    ctx = GeometryContext(3, 4, 2, y=Subspace(3, 4, ((3, 1, 0, 0),
-                                                    (0, 0, 1, 0))))
+    ctx = GeometryContext(3, 4, 2, y=Subspace.from_matrix(
+        ((3, 1, 0, 0), (0, 0, 1, 0)), 3, 4))
     assert ctx.y == Subspace.coordinate_span([1, 2], 3, 4)
-    ctx = GeometryContext(3, 4, 2, y=Subspace(3, 4, ((4, 1, 0, 0),
-                                                    (0, 0, 1, 0))))
-    assert ctx.y == Subspace(3, 4, ((1, 1, 0, 0), (0, 0, 1, 0)))
+    ctx = GeometryContext(3, 4, 2, y=Subspace.from_matrix(
+        ((4, 1, 0, 0), (0, 0, 1, 0)), 3, 4))
+    assert ctx.y == Subspace.from_matrix(((1, 1, 0, 0), (0, 0, 1, 0)), 3, 4)
     assert verify_cover_counts(ctx).holds
 
 
@@ -273,5 +271,7 @@ def test_invalid_parameters():
         GeometryContext(4, 4, 2)  # q not prime
     with pytest.raises(ValueError):
         GeometryContext(2, 2, 2)  # n == k
+    with pytest.raises(ValueError):
+        GeometryContext(3, kernels.MAX_COLUMNS + 1, 2, dims=())  # too wide
     with pytest.raises(ValueError):
         GeometryContext(2, 4, 2, y=Subspace.coordinate_span([0], 2, 4))

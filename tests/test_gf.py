@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from grassver.gf import (
     Subspace,
+    _pack_row,
+    _unpack_row,
     dim_intersect,
     dim_sum,
     enumerate_subspaces,
@@ -123,9 +125,25 @@ def test_constructor_makes_rows_canonical():
     assert a == Subspace(2, 4, (1, 2))
     assert hash(a) == hash(Subspace(2, 4, (1, 2)))
     # (4, 1, 0) is (1, 1, 0) mod 3; it used to print as 410
-    u = Subspace(3, 3, ((4, 1, 0),))
-    assert u.rows == ((1, 1, 0),)
+    u = Subspace.from_matrix(((4, 1, 0),), 3, 3)
+    assert u.basis_matrix() == [[1, 1, 0]]
     assert repr(u) == "Subspace(q=3, n=3, rows=['110'])"
+    # the constructor takes packed rows; residue rows go through from_matrix
+    for q, n, rows in [(3, 3, ((4, 1, 0),)),  # not packed
+                       (3, 3, (3,)),  # a lane holding q
+                       (3, 3, (-1,)),
+                       (2, 2, (4,))]:  # a column past n
+        with pytest.raises(ValueError):
+            Subspace(q, n, rows)
+
+
+def test_rows_wider_than_the_lane_masks_are_refused():
+    from grassver.kernels import MAX_COLUMNS
+
+    assert _unpack_row(_pack_row([2] * MAX_COLUMNS, 3), MAX_COLUMNS, 3) == [
+        2] * MAX_COLUMNS
+    with pytest.raises(ValueError):
+        _pack_row([0] * (MAX_COLUMNS + 1), 3)
 
 
 def test_zero_and_full():
@@ -135,21 +153,45 @@ def test_zero_and_full():
     assert f.contains(z)
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4)])
+def _oracle_rref(matrix, q):
+    """Canonical RREF of a residue matrix, on plain lists: Gauss-Jordan
+    column by column, one entry at a time."""
+    rows = [[a % q for a in r] for r in matrix]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[col], q - 2, q)
+        pivot = [a * inv % q for a in pivot]
+        rows = [[(a - r[col] * b) % q for a, b in zip(r, pivot)]
+                if r[col] else r for r in rows]
+        out = [[(a - r[col] * b) % q for a, b in zip(r, pivot)]
+               if r[col] else r for r in out]
+        out.append(pivot)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3), (7, 3)])
 def test_extend_rows_matches_full_reduction(q, n):
-    # every subspace times every vector, v = 0 and v in the span included
-    if q == 2:
-        vectors = range(1 << n)
-    else:
-        vectors = list(product(range(q), repeat=n))
+    # every subspace times every vector, v = 0 and v in the span included;
+    # the oracle reduces the residue lists, sharing no code with the lanes
+    vectors = [list(v) for v in product(range(q), repeat=n)]
     for d in range(n + 1):
         for u in enumerate_subspaces(n, d, q):
+            basis = u.basis_matrix()
             for v in vectors:
-                assert extend_rows(u.rows, v, q) == rref_rows(
-                    u.rows + (v,), q), (u, v)
+                got = extend_rows(u.rows, _pack_row(v, q), q)
+                assert [_unpack_row(r, n, q) for r in got] == _oracle_rref(
+                    basis + [v], q), (u, v)
 
 
 def test_rref_rows_reduces_residues_mod_q():
-    assert rref_rows([(-1, 1, 0), (0, 2, 1)], 3) == ((1, 0, 2), (0, 1, 2))
-    assert rref_rows([(3, 1, 0), (4, 1, 7)], 3) == ((1, 0, 1), (0, 1, 0))
+    # residues are reduced where rows are packed, at from_matrix
+    def rref(matrix, q):
+        return Subspace.from_matrix(matrix, q).basis_matrix()
+
+    assert rref([(-1, 1, 0), (0, 2, 1)], 3) == [[1, 0, 2], [0, 1, 2]]
+    assert rref([(3, 1, 0), (4, 1, 7)], 3) == [[1, 0, 1], [0, 1, 0]]
     assert rref_rows([3, 2], 2) == (1, 2)

@@ -383,14 +383,15 @@ def test_non_canonical_x_and_bfs_source_are_made_canonical():
 def test_x_and_bfs_source_residues_are_reduced_mod_q():
     # mod 3 these rows are (1,0,...), (0,0,0,1,0,0,0), (0,0,0,1,1,0,0)
     ctx = GeometryContext(3, 7, 3, dims=())
-    x = Subspace(3, 7, ((4, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0),
-                        (0, 0, 0, -2, 1, 0, 0)))
+    x = Subspace.from_matrix(((4, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0),
+                              (0, 0, 0, -2, 1, 0, 0)), 3, 7)
     inst = GrassmannInstance(ctx, x=x)
     assert inst.x == Subspace.coordinate_span([0, 3, 4], 3, 7)
     assert inst.i == 2
     ctx341 = GeometryContext(3, 4, 1, dims=())
-    dist = bfs_distances(Subspace(3, 4, ((5, 3, 0, 1),)), ctx341)
-    assert dist == bfs_distances(Subspace(3, 4, ((1, 0, 0, 2),)), ctx341)
+    dist = bfs_distances(Subspace.from_matrix(((5, 3, 0, 1),), 3, 4), ctx341)
+    assert dist == bfs_distances(
+        Subspace.from_matrix(((1, 0, 0, 2),), 3, 4), ctx341)
 
 
 def test_instance_validation():

@@ -119,10 +119,10 @@ def test_column_residues_are_reduced_mod_q():
     # mod 3 the rows (4,0,0,0), (0,0,-2,0) are (1,0,0,0), (0,0,1,0)
     ctx = GeometryContext(3, 4, 2, dims=())
     for rid in ("REL-8P", "REL-1"):
-        got = verify_relation(rid, ctx, "columns",
-                              columns=[((4, 0, 0, 0), (0, 0, -2, 0))])
-        want = verify_relation(rid, ctx, "columns",
-                               columns=[((1, 0, 0, 0), (0, 0, 1, 0))])
+        got = verify_relation(rid, ctx, "columns", columns=[
+            Subspace.from_matrix(((4, 0, 0, 0), (0, 0, -2, 0)), 3, 4)])
+        want = verify_relation(rid, ctx, "columns", columns=[
+            Subspace.from_matrix(((1, 0, 0, 0), (0, 0, 1, 0)), 3, 4)])
         assert got.to_record() == want.to_record()
 
 
