@@ -308,14 +308,9 @@ def cmd_enumerate(out: _Output, q, n, k) -> None:
     sizes = stratum_sizes(ctx)
     slash = back = 0
     for u in ctx.elements:
-        if u.dim == ctx.n:
-            continue
-        i_u = ctx.intersection_dim_with_y(u.rows)
-        for vrows, _ in ctx.superspaces_rows(u.rows):
-            if ctx.intersection_dim_with_y(vrows) == i_u + 1:
-                slash += 1
-            else:
-                back += 1
+        above = ctx.covers_above(u.rows)
+        slash += len(above[0])
+        back += len(above[1])
     rows = [
         {"record": "stratum", "version": 1, "i": s.i, "j": s.j,
          "size": m, "closed_form": expected_stratum_size(s.i, s.j, ctx)}

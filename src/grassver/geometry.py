@@ -7,12 +7,16 @@ raising j (a backslash cover).  The context also enumerates covers above and
 below a subspace, each written down as its canonical basis with no row
 reduction: a cover above adds a coset vector that is already a point
 modulo the rows (``kernels.insert_row``), and a hyperplane takes a
-functional scaled so that its last nonzero entry is 1.  It sweeps the
-same-dimension adjacency of a subspace with the cover kinds of (u+v over
-u, u+v over v, u over u∩v, v over u∩v), which is the geometric data
-everything downstream consumes.  The sweep builds no basis of u+v and
-looks up no stratum per neighbour: all four kinds follow from where the
-coset vector of u over the hyperplane m = u∩v falls modulo m + y.
+functional scaled so that its last nonzero entry is 1.  ``covers_above``
+and ``covers_below`` split them into slash and backslash covers.
+
+Every classification against y lives here.  Besides the cover split, an
+adjacent pair (u, z) of equal dimension gets the cover kinds of (u+z over
+u, u+z over z, u over u∩z, z over u∩z), which fix its F-class.  The
+pair's profile is read from one table, ``PAIR_PROFILES``, keyed by where
+rows of u and z outside the hyperplane m = u∩z fall modulo m + y
+(``hyperplane_frame``); so the typed sweep builds no basis of u+z and looks
+up no stratum per neighbour, and ``grassmann`` reads the same table.
 
 Rows are the packed ints of ``kernels`` at every q, so the stratum cache
 is keyed by tuples of ints, and for the coordinate y, dim(u ∩ y) is read
@@ -88,15 +92,19 @@ class AdjacentProfile(NamedTuple):
         return None
 
 
-# The profile of a swept pair (u, z) with hyperplane m = u∩z and u = m + <w>,
-# by δ = i_z - i_m and where w falls: in m+y, in z+y only, or outside z+y.
-# Adding w raises dim(·∩y) exactly when w lies in the space plus y, so
-# i_u = i_m + [w ∈ m+y] and i_s = i_z + [w ∈ z+y] for s = u+z = z + <w>.
-# When δ = 1, z+y = m+y, so "in z+y only" cannot happen.
-_SWEPT_PROFILES = {
-    delta: tuple(AdjacentProfile.from_dims(in_m, delta, delta + in_z, 0)
-                 for in_m, in_z in ((1, 1), (0, 1), (0, 0)))
-    for delta in (0, 1)
+# The profile of an adjacent pair (u, z) over m = u∩z, by the points p_u,
+# p_z of rows of u and z outside m modulo V = m + y, keyed by (p_u = 0,
+# p_z = 0, p_u = p_z).  A point is zero when its row lies in V, and two
+# nonzero points are equal when the rows span the same line modulo V.  So
+# i_u = i_m + [p_u = 0], likewise i_z, and i_s = i_m + 2 - rank(p_u, p_z)
+# for s = u+z, since s + y = V + <p_u, p_z>.
+PAIR_PROFILES = {
+    (zero_u, zero_z, same): AdjacentProfile.from_dims(
+        zero_u, zero_z, 2 - rank, 0)
+    for zero_u, zero_z, same, rank in (
+        (True, True, True, 0), (True, False, False, 1),
+        (False, True, False, 1), (False, False, True, 1),
+        (False, False, False, 2))
 }
 
 
@@ -260,6 +268,29 @@ class GeometryContext:
             for head in product(*choices):
                 yield head + tail
 
+    def covers_above(self, rows):
+        """The covers above rows, split into (slash, backslash): two lists
+        of canonical bases, each in ``superspaces_rows`` order."""
+        return self._split(self.intersection_dim_with_y(rows) + 1,
+                           (v for v, _ in self.superspaces_rows(rows)))
+
+    def covers_below(self, rows):
+        """The hyperplanes of rows, split into (slash, backslash): rows
+        slash-covers those in the first list.  Each list is in
+        ``hyperplanes_rows`` order."""
+        return self._split(self.intersection_dim_with_y(rows) - 1,
+                           self.hyperplanes_rows(rows))
+
+    def _split(self, i_slash, covers):
+        # a cover pair is slash exactly when dim(·∩y) steps with dim
+        slash, back = [], []
+        for c in covers:
+            if self.intersection_dim_with_y(c) == i_slash:
+                slash.append(c)
+            else:
+                back.append(c)
+        return slash, back
+
     def sum_with_y(self, rows):
         """Canonical basis of span(rows) + y."""
         base = self.y.rows
@@ -267,31 +298,41 @@ class GeometryContext:
             base = extend_rows(base, r, self.q)
         return base
 
+    def hyperplane_frame(self, mrows):
+        """(V, i_m) for a hyperplane m: the canonical basis of V = m + y
+        and dim(m ∩ y)."""
+        mod = self.sum_with_y(mrows)
+        return mod, len(mrows) + self.k - len(mod)
+
+    def point(self, mod, rows):
+        """The point modulo V = ``mod`` of a row outside m, for the rows of
+        a subspace over the hyperplane m of that frame: the rows of m
+        reduce to zero, and every other row to that point, the larger."""
+        q = self.q
+        return max(reduce_row(mod, r, q) for r in rows)
+
     def typed_adjacency(self, zrows):
         """Yields (u_rows, AdjacentProfile of (u, z)) for every u of the
         same dimension with dim(u∩z) = dim(z) - 1.
 
         Each u is found once, as a cover u = m + <w> of the hyperplane
-        m = u∩z other than z.  Per hyperplane it builds V = m + y, reads
-        δ = i_z - i_m off dim V, and takes the point of a row z0 of z
-        outside m modulo V; z+y is V when δ = 1 and V + <z0> when δ = 0.
-        So the profile of (u, z) is fixed by the point of w modulo V
-        (``_SWEPT_PROFILES``): zero, the point of z0, or another.  The
-        cover bases are the only bases built per neighbour.
+        m = u∩z other than z.  Per hyperplane it takes the frame V = m + y
+        and the point p_z of z, zero unless i_z = i_m; the cover sweep
+        gives the point p_u of w modulo V, and the profile of (u, z) is
+        read from ``PAIR_PROFILES``: p_u is zero, p_z, or another point.
+        The cover bases are the only bases built per neighbour.
         """
-        q, k = self.q, self.k
         i_z = self.intersection_dim_with_y(zrows)
         for mrows in self.hyperplanes_rows(zrows):
-            mod = self.sum_with_y(mrows)
-            delta = i_z - (len(mrows) + k - len(mod))
-            in_m, in_z, outside = _SWEPT_PROFILES[delta]
-            profile = {0: in_m}
-            if not delta:
-                # z's rows reduce to zero or to the point of z0, the larger
-                profile[max(reduce_row(mod, r, q) for r in zrows)] = in_z
+            mod, i_m = self.hyperplane_frame(mrows)
+            p_z = self.point(mod, zrows) if i_z == i_m else 0
+            zero_z = not p_z
+            profile = {p_z: PAIR_PROFILES[zero_z, zero_z, True],
+                       0: PAIR_PROFILES[True, zero_z, zero_z]}
+            other = PAIR_PROFILES[False, zero_z, False]
             for urows, p in self.superspaces_rows(mrows, mod):
                 if urows != zrows:
-                    yield urows, profile.get(p, outside)
+                    yield urows, profile.get(p, other)
 
 
 def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:
@@ -360,33 +401,22 @@ def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
     if set(ctx.dims) != set(range(ctx.n + 1)):
         raise ValueError("cover-count verification needs the full poset")
     q, k, n = ctx.q, ctx.k, ctx.n
+    expected = {
+        Stratum(i, j): (q**j * qint(i, q), qint(j, q), qint(k - i, q),
+                        q ** (k - i) * qint(n - k - j, q))
+        for i in range(k + 1) for j in range(n - k + 1)
+    }
     report = CoverCountReport(instance=(q, n, k))
     for u in ctx.elements:
-        i, j = ctx.stratum(u)
-        slash_below = back_below = 0
-        for mrows in ctx.hyperplanes_rows(u.rows):
-            if i == ctx.intersection_dim_with_y(mrows) + 1:
-                slash_below += 1
-            else:
-                back_below += 1
-        slash_above = back_above = 0
-        for vrows, _ in ctx.superspaces_rows(u.rows):
-            if ctx.intersection_dim_with_y(vrows) == i + 1:
-                slash_above += 1
-            else:
-                back_above += 1
-        observed = (slash_below, back_below, slash_above, back_above)
-        expected = (
-            q**j * qint(i, q),
-            qint(j, q),
-            qint(k - i, q),
-            q ** (k - i) * qint(n - k - j, q),
-        )
+        slash_below, back_below = ctx.covers_below(u.rows)
+        slash_above, back_above = ctx.covers_above(u.rows)
+        observed = (len(slash_below), len(back_below),
+                    len(slash_above), len(back_above))
+        s = ctx.stratum(u)
         report.checked += 1
-        if observed != expected:
+        if observed != expected[s]:
             report.violations.append(
-                CoverCountViolation(u, Stratum(i, j), observed, expected)
-            )
+                CoverCountViolation(u, s, observed, expected[s]))
     return report
 
 

@@ -6,7 +6,9 @@ dimension k-1, and the distance is k - dim(u∩v).  Relative to a fixed pair
 (B, C, A0, A+, A-); this module counts everything about them by direct
 enumeration and compares against the closed-form tables: orbit sizes,
 structure constants, typed-edge counts, and the (w,x)-entries of the nine
-products of F0, F+, F-.
+products of F0, F+, F-.  Every class is read, not computed: the profile
+of a pair and the F-class that names the A-classes, the edge types and the
+letters F0, F+, F- come from ``geometry``.
 
 Every brute-force count also checks constancy across the class (the
 equitable-partition property), so a single aggregate could not mask a
@@ -19,8 +21,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .gf import Subspace, dim_intersect, extend_rows, qint
-from .geometry import AdjacentProfile, GeometryContext, pair_profile
-from .kernels import reduce_row
+from .geometry import (
+    PAIR_PROFILES, AdjacentProfile, GeometryContext, pair_profile)
 
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
@@ -97,21 +99,20 @@ def intersection_numbers(i: int, ctx: GeometryContext) -> tuple[int, int]:
     return b, qint(i, q) ** 2
 
 
-# F-class of the pair (z, x) relative to y -> A-class of z, and edge type
-_A_CLASS = {"F0": OrbitLabel.A0, "F+": OrbitLabel.APLUS,
-            "F-": OrbitLabel.AMINUS}
-_EDGE_TYPE = {"F0": EdgeType.T0, "F+": EdgeType.TPLUS,
-              "F-": EdgeType.TMINUS}
-# place of each type in a (0, +, -) triple
-_SLOT = {EdgeType.T0: 0, EdgeType.TPLUS: 1, EdgeType.TMINUS: 2}
+# An F-class "F" + t names the A-class "A" + t and the edge type t, whose
+# place in a (0, +, -) triple is its place in _TRIPLE
+_TRIPLE = "0+-"
+# that place for an edge between members equidistant from y, by the key of
+# PAIR_PROFILES (see neighbor_counts)
+_TYPE_SLOT = {key: _TRIPLE.index(prof.f_class()[1])
+              for key, prof in PAIR_PROFILES.items() if key[0] == key[1]}
 
 
 class GrassmannInstance:
     """A fixed (ctx, x, y) with 1 < ∂(x,y) < k and n > 2k >= 6.
 
-    x defaults to the first k-space at distance i from y in enumeration
-    order (or, on a lazy context, the span of the first k-i basis rows of
-    y and the first i unit vectors that extend a basis of y).
+    x defaults to the span of the first k-i basis rows of y and the first
+    i unit vectors that extend a basis of y.
     """
 
     def __init__(self, ctx: GeometryContext, i: int | None = None,
@@ -136,15 +137,8 @@ class GrassmannInstance:
         self._counts: tuple | None = None
 
     def _default_x(self, i: int) -> Subspace:
-        ctx = self.ctx
-        k = ctx.k
-        if ctx.has_dim(k):
-            for u in ctx.subspaces_of_dim(k):
-                if ctx.intersection_dim_with_y(u.rows) == k - i:
-                    return u
-            raise ValueError(f"no k-space at distance {i}")
         # y need not be a coordinate span: extend its basis by unit vectors
-        q, n = ctx.q, ctx.n
+        q, n, k = self.ctx.q, self.ctx.n, self.ctx.k
         span, outside = self.y.rows, []
         for j in range(n):
             if len(outside) == i:
@@ -166,25 +160,26 @@ class GrassmannInstance:
             self._neighbors = list(self.ctx.typed_adjacency(self.x.rows))
         return self._neighbors
 
-    def label_of(self, wrows, prof: AdjacentProfile) -> OrbitLabel:
-        dist = self.ctx.k - self.ctx.intersection_dim_with_y(wrows)
-        if dist == self.i + 1:
+    @staticmethod
+    def label_of(prof: AdjacentProfile) -> OrbitLabel:
+        """The class of a neighbor w of x from the profile of (w, x): B
+        when only x slash-covers w∩x (w is one step farther from y), C
+        when only w does, else the A-class of its F-class."""
+        if prof.bot_z and not prof.bot_u:
             return OrbitLabel.B
-        if dist == self.i - 1:
+        if prof.bot_u and not prof.bot_z:
             return OrbitLabel.C
-        if dist != self.i:
-            raise ValueError("neighbor at impossible distance")
-        label = _A_CLASS.get(prof.f_class())
-        if label is None:
+        f = prof.f_class()
+        if f is None:
             raise ValueError("equidistant neighbor fits no A-class")
-        return label
+        return OrbitLabel("A" + f[1])
 
     def orbit_partition(self) -> dict[OrbitLabel, list]:
         """Γ(x) split into the five classes (basis rows per class)."""
         if self._orbits is None:
             orbits: dict[OrbitLabel, list] = {l: [] for l in OrbitLabel}
             for wrows, prof in self.neighbors():
-                orbits[self.label_of(wrows, prof)].append(wrows)
+                orbits[self.label_of(prof)].append(wrows)
             self._orbits = orbits
         return self._orbits
 
@@ -202,16 +197,13 @@ class GrassmannInstance:
         of each of its [k] hyperplanes, and each unordered pair in a bucket
         is one edge, visited once and credited to both ends.  Only an edge
         between members equidistant from y gets a type, and no basis of
-        w+z is built for it.  With V = m + y built once per bucket and ρ
-        the point modulo V, w+z+y = V + <ρ(o_w), ρ(o_z)> for rows o_w, o_z
-        outside m, so i_s = i_m + 2 - rank(ρ(o_w), ρ(o_z)).  Both points
-        are zero when i_w > i_m, and both nonzero otherwise, so the rank
-        is 0, or 1 or 2 as the points are equal or not; with i_w and i_m
-        it gives the profile and so the type (``_EDGE_SLOT``).
+        w+z is built for it: with the frame V = m + y taken once per
+        bucket, the points of w and z modulo V key its profile in
+        ``geometry.PAIR_PROFILES``, and so its type (``_TYPE_SLOT``).  A
+        point is zero exactly when i_w > i_m, and is then not computed.
         """
         if self._counts is None:
             ctx = self.ctx
-            q, k = ctx.q, ctx.k
             intersection_dim = ctx.intersection_dim_with_y
             orbits = self.orbit_partition()
             members = [(o, rows)  # o indexes ORBIT_ORDER
@@ -227,14 +219,11 @@ class GrassmannInstance:
             for mrows, bucket in buckets.items():
                 if len(bucket) < 2:
                     continue
-                mod = ctx.sum_with_y(mrows)
-                i_m = 2 * k - 1 - len(mod)
-                # a member with i_z = i_m meets V in m, so its rows reduce
-                # to zero or to the point of a row outside m, the larger
-                point = [max(reduce_row(mod, r, q) for r in members[z][1])
-                         if i_y[z] == i_m else None for z in bucket]
+                mod, i_m = ctx.hyperplane_frame(mrows)
+                point = [ctx.point(mod, members[z][1]) if i_y[z] == i_m
+                         else 0 for z in bucket]
                 for a, w in enumerate(bucket):
-                    o_w = members[w][0]
+                    o_w, p_w = members[w][0], point[a]
                     i_w, adjacent_w, typed_w = i_y[w], adjacent[w], typed[w]
                     for b in range(a + 1, len(bucket)):
                         z = bucket[b]
@@ -243,9 +232,8 @@ class GrassmannInstance:
                         adjacent[z][o_w] += 1
                         if i_y[z] != i_w:
                             continue
-                        rank = (0 if i_w != i_m
-                                else 1 if point[a] == point[b] else 2)
-                        t = _EDGE_SLOT[i_w - i_m, rank]
+                        p_z = point[b]
+                        t = _TYPE_SLOT[not p_w, not p_z, p_w == p_z]
                         typed_w[3 * o_z + t] += 1
                         typed[z][3 * o_w + t] += 1
             adjacency: dict[tuple, set] = {}
@@ -264,8 +252,7 @@ def classify_orbit(w: Subspace, inst: GrassmannInstance) -> OrbitLabel:
     """Class of a single neighbor of x (B/C by distance, else A-subclass)."""
     if graph_distance(w, inst.x, inst.ctx) != 1:
         raise ValueError("w must be adjacent to x")
-    prof = pair_profile(w, inst.x, inst.ctx)
-    return inst.label_of(w.rows, prof)
+    return inst.label_of(pair_profile(w, inst.x, inst.ctx))
 
 
 def expected_orbit_sizes(inst: GrassmannInstance) -> dict[OrbitLabel, int]:
@@ -379,23 +366,6 @@ def structure_constants(inst: GrassmannInstance) -> TableReport:
 # edge types
 
 
-def _type_from_profile(prof: AdjacentProfile) -> EdgeType:
-    edge = _EDGE_TYPE.get(prof.f_class())
-    if edge is None:
-        raise ValueError("equidistant edge fits no type")
-    return edge
-
-
-# slot in a (0, +, -) triple of an edge wz between members equidistant from
-# y, by i_w - i_m and the rank r of the points of w and z modulo m + y
-# (i_s = i_m + 2 - r); see neighbor_counts
-_EDGE_SLOT = {
-    (dw, r): _SLOT[_type_from_profile(
-        AdjacentProfile.from_dims(dw, dw, 2 - r, 0))]
-    for dw, r in ((1, 0), (0, 1), (0, 2))
-}
-
-
 def edge_type(w: Subspace, z: Subspace, inst: GrassmannInstance) -> EdgeType:
     """Type of the edge wz (w, z adjacent and equidistant from y).
 
@@ -408,7 +378,10 @@ def edge_type(w: Subspace, z: Subspace, inst: GrassmannInstance) -> EdgeType:
     if (ctx.intersection_dim_with_y(w.rows)
             != ctx.intersection_dim_with_y(z.rows)):
         return EdgeType.NOT_EQUIDISTANT
-    return _type_from_profile(pair_profile(w, z, ctx))
+    f = pair_profile(w, z, ctx).f_class()
+    if f is None:
+        raise ValueError("equidistant edge fits no type")
+    return EdgeType(f[1])
 
 
 def closed_edge_type_table(q, n, k, i) -> dict:
@@ -486,12 +459,12 @@ def verify_entry_table(inst: GrassmannInstance) -> TableReport:
     per_cell: dict[tuple, set] = {}
     expected = {}
     for a, b in ENTRY_PRODUCTS:
-        t = _SLOT[_EDGE_TYPE[a]]
+        t = _TRIPLE.index(a[1])
         for o, ab in zip(("A0", "A+", "A-"), expected_by_word[(a, b)]):
             cell = (f"{a}{b}", o)
             expected[cell] = ab
             per_cell[cell] = {
-                triple[t] for triple in edge_types[(o, _A_CLASS[b].value)]}
+                triple[t] for triple in edge_types[(o, "A" + b[1])]}
     return TableReport.from_cells("entry-table", inst.instance, expected,
                                   per_cell.items())
 
@@ -524,6 +497,6 @@ def edge_type_matches_orbits(inst: GrassmannInstance) -> bool:
                 t = edge_type(w, z, inst)
                 if t != edge_type(z, w, inst):
                     return False
-                if _EDGE_TYPE[pair_profile(w, z, ctx).f_class()] != t:
+                if pair_profile(w, z, ctx).f_class() != "F" + t.value:
                     return False
     return True

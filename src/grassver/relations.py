@@ -435,7 +435,8 @@ class ColumnEvaluator:
     keep their element ids.  Each letter's column at a visited subspace is
     built once, as a list of row ids: the same-dimension letters (R, L, F0,
     F+, F-, F) read the typed adjacency of the subspace, swept once and
-    cached; the cover letters sweep its hyperplanes or superspaces.
+    cached; the cover letters read its slash or backslash covers below or
+    above (``GeometryContext.covers_below``/``covers_above``).
     """
 
     def __init__(self, ctx: GeometryContext):
@@ -472,18 +473,11 @@ class ColumnEvaluator:
     def _column(self, sym: str, z: int) -> list[int]:
         """Row ids of the nonzero (all 1) entries of column z of a letter."""
         if sym in ("L1", "L2", "R1", "R2"):
-            ctx = self.ctx
-            zrows = self.rows[z]
-            i_z = ctx.intersection_dim_with_y(zrows)
-            if sym[0] == "L":  # w below z; L1 when z slash-covers w
-                found = [w for w in ctx.hyperplanes_rows(zrows)
-                         if (ctx.intersection_dim_with_y(w) < i_z)
-                         == (sym == "L1")]
-            else:
-                found = [w for w, _ in ctx.superspaces_rows(zrows)
-                         if (ctx.intersection_dim_with_y(w) > i_z)
-                         == (sym == "R1")]
-            return [self.intern(w) for w in found]
+            # L: the covers below z, R: above; 1 the slash ones, 2 the rest
+            split = (self.ctx.covers_below if sym[0] == "L"
+                     else self.ctx.covers_above)
+            slash, back = split(self.rows[z])
+            return [self.intern(w) for w in (slash if sym[1] == "1" else back)]
         cols = self.typed_columns(z)
         if sym == "F":
             return cols["F0"] + cols["F+"] + cols["F-"]

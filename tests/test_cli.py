@@ -289,6 +289,10 @@ def mask_seconds(text: str) -> str:
       for fmt in FORMAT_SUFFIX],
     *[("enumerate-5-4-2", ["enumerate", "--q", "5", "--n", "4", "--k", "2"],
        fmt) for fmt in FORMAT_SUFFIX],
+    *[("tables-3-7-3-2", ["tables", "--q", "3", "--n", "7", "--k", "3",
+                          "--i", "2"], fmt) for fmt in FORMAT_SUFFIX],
+    *[("enumerate-3-4-2", ["enumerate", "--q", "3", "--n", "4", "--k", "2"],
+       fmt) for fmt in FORMAT_SUFFIX],
 ])
 def test_whole_output_matches_expected(name, argv, fmt, tmp_path, capsys):
     path = tmp_path / "out"

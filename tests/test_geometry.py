@@ -205,6 +205,24 @@ def test_typed_adjacency_matches_pair_profile():
                 assert dict(swept) == expected
 
 
+def test_cover_split_matches_cover_kind():
+    # oracle: cover_kind on every cover the sweeps yield; each cover goes
+    # to the one list its kind names, and each list keeps the sweep order
+    for ctx in contexts_with_two_ys():
+        q, n = ctx.q, ctx.n
+        for u in ctx.elements:
+            above = [(v, cover_kind(u, Subspace(q, n, v), ctx))
+                     for v, _ in ctx.superspaces_rows(u.rows)]
+            below = [(w, cover_kind(Subspace(q, n, w), u, ctx))
+                     for w in ctx.hyperplanes_rows(u.rows)]
+            for split, covers in ((ctx.covers_above, above),
+                                  (ctx.covers_below, below)):
+                assert all(kind is not None for _, kind in covers)
+                assert split(u.rows) == tuple(
+                    [c for c, kind in covers if kind is want]
+                    for want in (CoverKind.SLASH, CoverKind.BACKSLASH))
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
 def test_f_class_is_the_only_class_that_holds(q, n, k):
     # f_class returns one class, so the three conditions must exclude each

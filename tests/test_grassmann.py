@@ -351,6 +351,12 @@ def test_default_x_for_a_non_coordinate_y(inst273):
         assert table(inst).to_record() == table(inst273).to_record()
 
 
+def test_default_x_does_not_depend_on_enumeration(inst273):
+    # a context that enumerates every subspace picks the x a lazy one does
+    inst = GrassmannInstance(GeometryContext(2, 7, 3), i=2)
+    assert inst.x == inst273.x
+
+
 def test_alternate_x_gives_same_tables(inst273):
     # orbit data must not depend on the representative x
     ctx = inst273.ctx
