@@ -17,6 +17,9 @@ pair's profile is read from one table, ``PAIR_PROFILES``, keyed by where
 rows of u and z outside the hyperplane m = u∩z fall modulo m + y
 (``hyperplane_frame``); so the typed sweep builds no basis of u+z and looks
 up no stratum per neighbour, and ``grassmann`` reads the same table.
+Every cover u of m other than z is typed by the group of its point alone
+(``group_profiles``), so ``cover_groups`` groups m's covers by point once
+for every z over m: the evaluator in ``relations`` keeps those groups.
 
 Rows are the packed ints of ``kernels`` at every q, so the stratum cache
 is keyed by tuples of ints, and for the coordinate y, dim(u ∩ y) is read
@@ -185,11 +188,6 @@ class GeometryContext:
     def has_dim(self, d: int) -> bool:
         return d in self.ids_by_dim
 
-    def subspaces_of_dim(self, d: int):
-        if not self.has_dim(d):
-            raise ValueError(f"dimension {d} not enumerated in this context")
-        return (self.elements[t] for t in self.ids_by_dim[d])
-
     def ref(self, u: Subspace) -> str:
         """Stable textual reference for a subspace in reports."""
         idx = self.id_of.get(u)
@@ -311,6 +309,23 @@ class GeometryContext:
         q = self.q
         return max(reduce_row(mod, r, q) for r in rows)
 
+    def cover_groups(self, mrows):
+        """The covers of a hyperplane m, grouped by the point modulo
+        V = m + y of the row they add: a list of groups, each a list of
+        canonical bases in ``superspaces_rows`` order.  The first group is
+        the zero point's, empty when y lies in m.  A group's index can
+        stand for its point in ``group_profiles``, which only tells points
+        apart and zero from the rest."""
+        mod = self.sum_with_y(mrows)
+        groups: dict[int, list] = {0: []}
+        for urows, p in self.superspaces_rows(mrows, mod):
+            group = groups.get(p)
+            if group is None:
+                groups[p] = [urows]
+            else:
+                group.append(urows)
+        return list(groups.values())
+
     def typed_adjacency(self, zrows):
         """Yields (u_rows, AdjacentProfile of (u, z)) for every u of the
         same dimension with dim(u∩z) = dim(z) - 1.
@@ -318,21 +333,33 @@ class GeometryContext:
         Each u is found once, as a cover u = m + <w> of the hyperplane
         m = u∩z other than z.  Per hyperplane it takes the frame V = m + y
         and the point p_z of z, zero unless i_z = i_m; the cover sweep
-        gives the point p_u of w modulo V, and the profile of (u, z) is
-        read from ``PAIR_PROFILES``: p_u is zero, p_z, or another point.
-        The cover bases are the only bases built per neighbour.
+        gives the point p_u of w modulo V, and ``group_profiles`` reads
+        the profile of (u, z) off p_u.  The cover bases are the only bases
+        built per neighbour.
         """
         i_z = self.intersection_dim_with_y(zrows)
         for mrows in self.hyperplanes_rows(zrows):
             mod, i_m = self.hyperplane_frame(mrows)
-            p_z = self.point(mod, zrows) if i_z == i_m else 0
-            zero_z = not p_z
-            profile = {p_z: PAIR_PROFILES[zero_z, zero_z, True],
-                       0: PAIR_PROFILES[True, zero_z, zero_z]}
-            other = PAIR_PROFILES[False, zero_z, False]
+            profile, other = group_profiles(
+                self.point(mod, zrows) if i_z == i_m else 0)
             for urows, p in self.superspaces_rows(mrows, mod):
                 if urows != zrows:
                     yield urows, profile.get(p, other)
+
+
+def group_profiles(p_z):
+    """The profile of (u, z) for the covers u of a hyperplane m of z, by
+    the point p of u's row outside m modulo V = m + y, given z's point p_z
+    (zero when z lies in V): returns (profile, other), where ``profile``
+    maps p_z and 0 to the profiles of their groups and every other point
+    gets ``other``.  Read from ``PAIR_PROFILES``: the group of p_z (z
+    itself excluded) is keyed (zero_z, zero_z, True), the zero group
+    (True, zero_z, zero_z), and every other group (False, zero_z, False).
+    """
+    zero_z = not p_z
+    return ({p_z: PAIR_PROFILES[zero_z, zero_z, True],
+             0: PAIR_PROFILES[True, zero_z, zero_z]},
+            PAIR_PROFILES[False, zero_z, False])
 
 
 def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:

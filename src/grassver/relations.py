@@ -14,7 +14,10 @@ so suffixes shared by its words are applied once.  Vectors are keyed by
 the ids the evaluator gives the subspaces it visits, one apply path for
 both modes: full mode checks every element of a fully enumerated context
 (whose element ids the evaluator keeps), columns mode the given columns,
-sweeping their neighbourhoods lazily.
+sweeping their neighbourhoods lazily.  The same-dimension letters at a
+subspace are read from the covers of its hyperplanes, which the evaluator
+sweeps and groups by point once per hyperplane and shares among every
+subspace over it.
 
 Relation ids: REL-1 .. REL-8 (plus REL-8P, the literally-printed variant
 of REL-8 whose F- coefficient lacks a K2 factor), REL-F0A/F0B/F+/F-,
@@ -26,10 +29,12 @@ from __future__ import annotations
 
 import heapq
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import AdjacentProfile, GeometryContext
+from .geometry import (
+    PAIR_PROFILES, AdjacentProfile, GeometryContext, group_profiles)
 from .gf import Subspace, format_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
@@ -420,11 +425,14 @@ def _letter(prof: AdjacentProfile) -> str:
     """The same-dimension letter whose column holds a pair of this profile:
     its F-class; else R when u+z slash-covers u but not z; else L (u
     slash-covers u∩z but z does not).  Every adjacent pair has exactly one
-    of the five (``GeometryContext.typed_adjacency``)."""
+    of the five (``geometry.PAIR_PROFILES``)."""
     f = prof.f_class()
     if f is not None:
         return f
     return "R" if prof.top_u and not prof.top_z else "L"
+
+
+_LETTERS = {prof: _letter(prof) for prof in PAIR_PROFILES.values()}
 
 
 class ColumnEvaluator:
@@ -433,10 +441,13 @@ class ColumnEvaluator:
     Every subspace the evaluator visits is interned as a small int id, and
     vectors are dicts keyed by id; the elements of an enumerated context
     keep their element ids.  Each letter's column at a visited subspace is
-    built once, as a list of row ids: the same-dimension letters (R, L, F0,
-    F+, F-, F) read the typed adjacency of the subspace, swept once and
-    cached; the cover letters read its slash or backslash covers below or
-    above (``GeometryContext.covers_below``/``covers_above``).
+    built once, as a tuple of row ids.  The same-dimension letters (R, L,
+    F0, F+, F-, F) read the hyperplanes of the subspace: each hyperplane's
+    covers are swept, interned and grouped by their point modulo m + y
+    once per evaluator (``GeometryContext.cover_groups``), and a column
+    joins whole groups, each under the letter ``group_profiles`` gives it.
+    The cover letters read the slash or backslash covers below or above
+    (``GeometryContext.covers_below``/``covers_above``).
     """
 
     def __init__(self, ctx: GeometryContext):
@@ -444,8 +455,10 @@ class ColumnEvaluator:
         self.ctx = weakref.proxy(ctx)
         self.rows: list[tuple] = [u.rows for u in ctx.elements]  # id -> rows
         self._id: dict[tuple, int] = dict(ctx.id_by_rows)
-        self._typed: dict[int, dict[str, list[int]]] = {}
-        self._cols: dict[str, dict[int, list[int]]] = {s: {} for s in _STEPS}
+        self._typed: dict[int, dict[str, tuple[int, ...]]] = {}
+        # hyperplane rows -> its cover ids grouped by point (_cover_groups)
+        self._groups: dict[tuple, tuple] = {}
+        self._cols: dict[str, dict[int, tuple]] = {s: {} for s in _STEPS}
 
     def intern(self, rows) -> int:
         """The id of the subspace with canonical basis rows ``rows``."""
@@ -455,29 +468,54 @@ class ColumnEvaluator:
             self.rows.append(rows)
         return z
 
-    def typed_columns(self, z: int) -> dict[str, list[int]]:
+    def _cover_groups(self, mrows) -> tuple:
+        """(ids, ends) of a hyperplane, swept once: the ids of its covers,
+        group after group as ``GeometryContext.cover_groups`` gives them,
+        and the end of each group in ids."""
+        entry = self._groups.get(mrows)
+        if entry is None:
+            ids: list[int] = []
+            ends: list[int] = []
+            for group in self.ctx.cover_groups(mrows):
+                ids += map(self.intern, group)
+                ends.append(len(ids))
+            entry = self._groups[mrows] = tuple(ids), tuple(ends)
+        return entry
+
+    def typed_columns(self, z: int) -> dict[str, tuple[int, ...]]:
         """Row ids of the columns at z of F0, F+, F-, R and L."""
         cols = self._typed.get(z)
         if cols is not None:
             return cols
-        cols = {"F0": [], "F+": [], "F-": [], "R": [], "L": []}
-        col_of = {}  # profile -> the list it goes to
-        for urows, prof in self.ctx.typed_adjacency(self.rows[z]):
-            col = col_of.get(prof)
-            if col is None:
-                col = col_of[prof] = cols[_letter(prof)]
-            col.append(self.intern(urows))
-        self._typed[z] = cols
+        lists: dict[str, list[int]] = {
+            "F0": [], "F+": [], "F-": [], "R": [], "L": []}
+        for mrows in self.ctx.hyperplanes_rows(self.rows[z]):
+            ids, ends = self._cover_groups(mrows)
+            # z is a cover of m too, and its group's index stands for p_z
+            at = ids.index(z)
+            own = bisect_right(ends, at)
+            profile, other = group_profiles(own)
+            start = 0
+            for t, end in enumerate(ends):
+                col = lists[_LETTERS[profile.get(t, other)]]
+                if t == own:  # every cover of z's group but z
+                    col += ids[start:at]
+                    col += ids[at + 1:end]
+                else:
+                    col += ids[start:end]
+                start = end
+        cols = self._typed[z] = {s: tuple(c) for s, c in lists.items()}
         return cols
 
-    def _column(self, sym: str, z: int) -> list[int]:
+    def _column(self, sym: str, z: int) -> tuple[int, ...]:
         """Row ids of the nonzero (all 1) entries of column z of a letter."""
         if sym in ("L1", "L2", "R1", "R2"):
             # L: the covers below z, R: above; 1 the slash ones, 2 the rest
             split = (self.ctx.covers_below if sym[0] == "L"
                      else self.ctx.covers_above)
             slash, back = split(self.rows[z])
-            return [self.intern(w) for w in (slash if sym[1] == "1" else back)]
+            return tuple(self.intern(w)
+                         for w in (slash if sym[1] == "1" else back))
         cols = self.typed_columns(z)
         if sym == "F":
             return cols["F0"] + cols["F+"] + cols["F-"]

@@ -248,8 +248,8 @@ def test_banded_context_skips_enumeration():
     assert ctx.elements == []
     u = Subspace.coordinate_span([0, 4, 5], 2, 7)
     assert ctx.stratum(u) == Stratum(1, 2)
-    with pytest.raises(ValueError):
-        list(ctx.subspaces_of_dim(3))
+    assert ctx.ids_by_dim == {}
+    assert not any(ctx.has_dim(d) for d in range(ctx.n + 1))
 
 
 def test_non_canonical_reference_subspace():

@@ -160,6 +160,32 @@ def test_column_evaluator_band_application_matches_matrix(contexts):
             assert vec == expected
 
 
+# the letter whose column holds an adjacent pair, by its pair_profile
+_LETTER_RULES = {
+    "F0": lambda p: p.f_class() == "F0",
+    "F+": lambda p: p.f_class() == "F+",
+    "F-": lambda p: p.f_class() == "F-",
+    "R": lambda p: p.top_u and not p.top_z,
+    "L": lambda p: p.bot_u and not p.bot_z,
+}
+
+
+def _assert_columns_match_pair_profile(ctx, ev, zid, candidates):
+    """The typed columns at z hold exactly the candidates adjacent to z
+    (found by rank), each in the list its pair_profile names."""
+    z = Subspace(ctx.q, ctx.n, ev.rows[zid])
+    cols = ev.typed_columns(zid)
+    assert sorted(cols) == sorted(_LETTER_RULES)
+    adjacent = [(u.rows, pair_profile(u, z, ctx)) for u in candidates
+                if u.dim == z.dim
+                and rank_rows(u.rows + z.rows, ctx.q) == z.dim + 1]
+    listed = [ev.rows[u] for col in cols.values() for u in col]
+    assert sorted(listed) == sorted(rows for rows, _ in adjacent)
+    for name, holds in _LETTER_RULES.items():
+        assert (sorted(ev.rows[u] for u in cols[name])
+                == sorted(rows for rows, p in adjacent if holds(p)))
+
+
 @pytest.mark.parametrize("q,n,k,y", [
     (2, 5, 2, None), (3, 4, 2, None),
     (2, 5, 2, [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]]),
@@ -172,25 +198,69 @@ def test_typed_columns_partition_the_adjacency(q, n, k, y):
         y = Subspace.from_matrix(y, q)
     ctx = GeometryContext(q, n, k, y=y)
     ev = ColumnEvaluator(ctx)
-    rules = {
-        "F0": lambda p: p.f_class() == "F0",
-        "F+": lambda p: p.f_class() == "F+",
-        "F-": lambda p: p.f_class() == "F-",
-        "R": lambda p: p.top_u and not p.top_z,
-        "L": lambda p: p.bot_u and not p.bot_z,
-    }
-    for zid, z in enumerate(ctx.elements):
-        cols = ev.typed_columns(zid)
-        assert sorted(cols) == sorted(rules)
-        listed = [u for col in cols.values() for u in col]
-        adjacent = [(uid, pair_profile(u, z, ctx))
-                    for uid, u in enumerate(ctx.elements)
-                    if u.dim == z.dim
-                    and rank_rows(u.rows + z.rows, q) == z.dim + 1]
-        assert sorted(listed) == sorted(uid for uid, _ in adjacent)
-        for name, holds in rules.items():
-            assert sorted(cols[name]) == [uid for uid, p in adjacent
-                                          if holds(p)]
+    for zid in range(len(ctx.elements)):
+        _assert_columns_match_pair_profile(ctx, ev, zid, ctx.elements)
+
+
+@pytest.mark.parametrize("q,n,k,y", [
+    (2, 7, 3, None), (3, 5, 2, None),
+    (2, 7, 3, [[1, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 1, 0, 0],
+               [0, 0, 0, 1, 1, 1, 0]]),
+    (3, 5, 2, [[1, 2, 0, 1, 0], [0, 1, 1, 2, 1]]),
+], ids=["2-7-3", "3-5-2", "2-7-3-other-y", "3-5-2-other-y"])
+def test_typed_columns_do_not_depend_on_visit_order(q, n, k, y):
+    # the hyperplane groups are filled by whichever z meets them first;
+    # filling the same z forward on one evaluator and backward on another
+    # must give the same columns
+    if y is not None:
+        y = Subspace.from_matrix(y, q)
+    ctx = GeometryContext(q, n, k, y=y, dims=())
+    rng = random.Random(0)
+    spaces = {d: list(enumerate_subspaces(n, d, q)) for d in (2, 3)}
+    sample = [u.rows for d in (2, 3) for u in rng.sample(spaces[d], 12)]
+    forward, backward = ColumnEvaluator(ctx), ColumnEvaluator(ctx)
+    for ev, order in ((forward, sample), (backward, sample[::-1])):
+        for rows in order:
+            ev.typed_columns(ev.intern(rows))
+
+    def columns(ev, rows):
+        cols = ev.typed_columns(ev.intern(rows))
+        return {name: sorted(ev.rows[u] for u in col)
+                for name, col in cols.items()}
+
+    for rows in sample:
+        assert columns(forward, rows) == columns(backward, rows)
+    for rows in sample[::6]:
+        z = Subspace(q, n, rows)
+        _assert_columns_match_pair_profile(ctx, forward, forward.intern(rows),
+                                           spaces[z.dim])
+
+
+@pytest.mark.parametrize("instance", [(2, 5, 2), (3, 4, 2)])
+def test_typed_columns_sweep_each_hyperplane_once(instance):
+    # one cover sweep per distinct hyperplane met, not one per visit of a
+    # (z, hyperplane) pair, and no typed_adjacency sweep at all
+    ctx = GeometryContext(*instance)
+    calls = {"superspaces_rows": 0, "typed_adjacency": 0}
+
+    def counted(name):
+        method = getattr(ctx, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in calls:
+        setattr(ctx, name, counted(name))
+    ev = ColumnEvaluator(ctx)
+    visits = []
+    for zid in ctx.ids_by_dim[2]:
+        ev.typed_columns(zid)
+        visits += ctx.hyperplanes_rows(ctx.elements[zid].rows)
+    assert len(set(visits)) < len(visits)
+    assert calls == {"superspaces_rows": len(set(visits)),
+                     "typed_adjacency": 0}
 
 
 def test_report_serialization(contexts):
@@ -376,3 +446,15 @@ def test_q3_columns_mode_reports_match_the_recorded_ones():
     got = [verify_relation(rid, ctx, "columns", columns=cols).to_record()
            for rid in ("REL-8", "REL-8P")]
     assert got == _records("columns-3-5-2-1.ndjson")
+
+
+def test_q2_columns_mode_reports_match_the_recorded_ones():
+    # REL-1 .. REL-8 and REL-8P on the 210 k-spaces of (2,7,3) at distance
+    # 1 from y, as `--mode columns --i 1` runs them
+    ctx = GeometryContext(2, 7, 3, dims=())
+    cols = [u.rows for u in enumerate_subspaces(7, 3, 2)
+            if ctx.intersection_dim_with_y(u.rows) == 2]
+    rids = [f"REL-{t}" for t in range(1, 9)] + ["REL-8P"]
+    got = [verify_relation(rid, ctx, "columns", columns=cols).to_record()
+           for rid in rids]
+    assert got == _records("columns-2-7-3-1.ndjson")
