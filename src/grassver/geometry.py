@@ -21,9 +21,11 @@ Every cover u of m other than z is typed by the group of its point alone
 (``group_profiles``), so ``cover_groups`` groups m's covers by point once
 for every z over m: the evaluator in ``relations`` keeps those groups.
 
-Rows are the packed ints of ``kernels`` at every q, so the stratum cache
-is keyed by tuples of ints, and for the coordinate y, dim(u ∩ y) is read
-off the rank of u's rows with y's k lanes shifted out.
+Rows are the packed ints of ``kernels`` at every q.  dim(u ∩ y) is
+tabled once for each enumerated subspace, keyed by its canonical rows; any
+other basis gets it computed and kept nowhere, so a lazy context holds no
+per-subspace strata.  For the coordinate y it is read off the rank of u's
+rows with y's k lanes shifted out.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class GeometryContext:
     ``dims`` selects which dimensions are enumerated into ``elements`` /
     ``id_of`` (None means all of 0..n; an empty tuple builds a lazy context
     with no enumeration, enough for local/banded computations).  Immutable
-    after construction apart from internal caches; safe to share.
+    after construction, the stratum table included; safe to share.
     """
 
     def __init__(self, q: int, n: int, k: int,
@@ -140,38 +142,40 @@ class GeometryContext:
         if any(d < 0 or d > n for d in self.dims):
             raise ValueError("enumerated dimensions outside [0, n]")
 
+        # for y the span of the first k columns, dim(u ∩ y) is dim(u)
+        # minus the rank of u's rows with those k lanes shifted out
+        self._past_y = k * lanes(q).bits
+
         self.elements: list[Subspace] = []
         self.id_of: dict[Subspace, int] = {}
         self.id_by_rows: dict[tuple, int] = {}
         self.ids_by_dim: dict[int, range] = {}
+        # dim(u ∩ y) by canonical rows, for the enumerated u only
+        self._strat_cache: dict[tuple, int] = {}
         for d in self.dims:
             start = len(self.elements)
             for u in enumerate_subspaces(n, d, q):
                 self.id_of[u] = len(self.elements)
                 self.id_by_rows[u.rows] = self.id_of[u]
+                self._strat_cache[u.rows] = self._meet_y(u.rows)
                 self.elements.append(u)
             self.ids_by_dim[d] = range(start, len(self.elements))
-
-        self._strat_cache: dict[tuple, int] = {}
-        # for y the span of the first k columns, dim(u ∩ y) is dim(u)
-        # minus the rank of u's rows with those k lanes shifted out
-        self._past_y = k * lanes(q).bits
 
     # -- strata ----------------------------------------------------------
 
     def intersection_dim_with_y(self, rows) -> int:
-        """dim(u ∩ y) for packed basis rows (cached)."""
+        """dim(u ∩ y) for packed basis rows: read from the table when u is
+        enumerated and rows are its canonical basis, computed otherwise."""
         i = self._strat_cache.get(rows)
-        if i is not None:
-            return i
-        d = len(rows)
+        return self._meet_y(rows) if i is None else i
+
+    def _meet_y(self, rows) -> int:
+        # d + k - dim(u + y), for any basis of u
         if self._canonical_y:
             shift = self._past_y
-            i = d - rank_rows([r >> shift for r in rows], self.q)
-        else:
-            i = d + self.k - rank_rows(tuple(rows) + self.y.rows, self.q)
-        self._strat_cache[rows] = i
-        return i
+            return len(rows) - rank_rows([r >> shift for r in rows], self.q)
+        return len(rows) + self.k - rank_rows(tuple(rows) + self.y.rows,
+                                              self.q)
 
     def stratum_rows(self, rows) -> Stratum:
         i = self.intersection_dim_with_y(rows)

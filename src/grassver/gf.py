@@ -114,7 +114,6 @@ class Subspace:
         self.q = q
         self.n = n
         self.rows = rref_rows(rows, q)
-        self._hash = hash((q, n, self.rows))
 
     @classmethod
     def _canonical(cls, q: int, n: int, rows: tuple) -> "Subspace":
@@ -123,7 +122,6 @@ class Subspace:
         u.q = q
         u.n = n
         u.rows = rows
-        u._hash = hash((q, n, rows))
         return u
 
     @property
@@ -186,7 +184,12 @@ class Subspace:
         )
 
     def __hash__(self):
-        return self._hash
+        # computed on first use: a sweep that reads only rows hashes nothing
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.q, self.n, self.rows))
+            return h
 
     def __repr__(self):
         return f"Subspace(q={self.q}, n={self.n}, rows={self.row_strings()})"
@@ -248,6 +251,7 @@ def enumerate_subspaces(n: int, l: int, q: int):
         yield Subspace.zero(q, n)
         return
     bits = lanes(q).bits
+    new = object.__new__
     for pivots in combinations(range(n), l):
         # the options of row t: 1 at its pivot, any value at each column
         # right of it that is no pivot, in lexicographic order
@@ -259,4 +263,9 @@ def enumerate_subspaces(n: int, l: int, q: int):
                                 1 << (p * bits))
                             for values in product(range(q), repeat=len(free))])
         for rows in product(*choices):
-            yield Subspace._canonical(q, n, rows)
+            # Subspace._canonical inline: one call less per subspace
+            u = new(Subspace)
+            u.q = q
+            u.n = n
+            u.rows = rows
+            yield u

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from grassver import geometry, gf, kernels
@@ -19,6 +24,8 @@ from grassver.geometry import (
     stratum_sizes,
     verify_cover_counts,
 )
+from grassver.grassmann import GrassmannInstance
+from grassver.relations import verify_relation
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +249,96 @@ def test_f_class_is_the_only_class_that_holds(q, n, k):
                          if any(held) else None)
             seen.add(f)
     assert seen == {"F0", "F+", "F-", None}
+
+
+def mixed_basis(u):
+    """Another basis of u: the first row added to each later one, every
+    row scaled by q - 1, in reverse order.  Not in RREF when dim u > 1,
+    nor at q > 2 when dim u = 1."""
+    q, m = u.q, u.basis_matrix()
+    mixed = m[:1] + [[a + b for a, b in zip(r, m[0])] for r in m[1:]]
+    return tuple(gf._pack_row([(q - 1) * v for v in r], q)
+                 for r in reversed(mixed))
+
+
+def test_intersection_dim_with_y_matches_the_rank_formula():
+    # oracle: dim(u∩y) = d + k - rank(u + y), on the canonical rows (a
+    # table hit on a full context) and on another basis (never a hit)
+    for (q, n, k), rows in OTHER_Y.items():
+        for y in (None, Subspace.from_matrix(rows, q)):
+            for dims in (None, ()):
+                ctx = GeometryContext(q, n, k, y=y, dims=dims)
+                for d in range(n + 1):
+                    for u in enumerate_subspaces(n, d, q):
+                        want = d + k - rank_rows(u.rows + ctx.y.rows, q)
+                        assert ctx.intersection_dim_with_y(u.rows) == want
+                        basis = mixed_basis(u)
+                        assert Subspace(q, n, basis) == u
+                        if d > 1 or (d == 1 and q > 2):
+                            assert basis != u.rows
+                            assert basis not in ctx._strat_cache
+                        assert ctx.intersection_dim_with_y(basis) == want
+
+
+def test_stratum_table_holds_the_enumerated_subspaces_only():
+    # a lazy context tables no stratum, whatever sweeps it runs
+    ctx = GeometryContext(2, 7, 3, dims=())
+    by_stratum = {}
+    for u in enumerate_subspaces(7, 3, 2):
+        i = ctx.intersection_dim_with_y(u.rows)
+        by_stratum[i] = by_stratum.get(i, 0) + 1
+    assert by_stratum == {i: expected_stratum_size(i, 3 - i, ctx)
+                          for i in range(4)}
+    assert ctx._strat_cache == {}
+    z = Subspace.coordinate_span([0, 3, 4], 2, 7)
+    assert list(ctx.typed_adjacency(z.rows))
+    assert ctx._strat_cache == {}
+    inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
+    inst.neighbor_counts()
+    assert inst.ctx._strat_cache == {}
+    ctx = GeometryContext(2, 5, 2, dims=())
+    columns = [u.rows for u in enumerate_subspaces(5, 2, 2)][:4]
+    assert verify_relation("REL-1", ctx, "columns", columns=columns).holds
+    assert ctx._strat_cache == {}
+    # a full context tables each element once, and nothing more
+    for ctx in contexts_with_two_ys():
+        table = dict(ctx._strat_cache)
+        assert len(table) == len(ctx.elements)
+        assert set(table) == {u.rows for u in ctx.elements}
+        assert verify_cover_counts(ctx).holds
+        assert verify_relation("REL-1", ctx, "full").holds
+        assert ctx._strat_cache == table
+
+
+# counts the 3-spaces of F_2^7 meeting y in a line on a lazy context, and
+# prints the count and how many bytes of Python memory the sweep left behind
+_SWEEP_MEMORY = """
+import tracemalloc
+from grassver.geometry import GeometryContext
+from grassver.gf import enumerate_subspaces
+
+ctx = GeometryContext(2, 7, 3, dims=())
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+count = sum(1 for u in enumerate_subspaces(7, 3, 2)
+            if ctx.intersection_dim_with_y(u.rows) == 1)
+print(count, tracemalloc.get_traced_memory()[0] - before)
+"""
+
+
+def test_lazy_sweep_by_stratum_keeps_no_memory():
+    # in a process of its own, so no other test's objects are traced
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_MEMORY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, grown = map(int, proc.stdout.split())
+    lazy = GeometryContext(2, 7, 3, dims=())
+    assert count == expected_stratum_size(1, 2, lazy)
+    assert grown < 64 * 1024
+
 
 def test_banded_context_skips_enumeration():
     ctx = GeometryContext(2, 7, 3, dims=())

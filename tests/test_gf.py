@@ -116,6 +116,24 @@ def test_structural_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Subspace.coordinate_span([0, 1], 2, 3)
+    # an enumerated subspace, its hash computed on first use, against the
+    # same space from the constructor (rows mixed and reordered) and from
+    # from_matrix (residues off by q), each found in a dict or set of the
+    # other
+    for q, n in [(2, 4), (3, 3)]:
+        for d in range(n + 1):
+            ids = {u: t for t, u in enumerate(enumerate_subspaces(n, d, q))}
+            for t, u in enumerate(enumerate_subspaces(n, d, q)):
+                m = u.basis_matrix()
+                mixed = [[s + t for s, t in zip(r, m[0])] for r in m[1:]]
+                for v in (Subspace(q, n, [_pack_row(r, q)
+                                          for r in mixed[::-1] + m[:1]]),
+                          Subspace.from_matrix([[e + q for e in r] for r in m],
+                                               q, n)):
+                    assert v == u and u == v
+                    assert hash(v) == hash(u)
+                    assert ids[v] == t
+                    assert u in {v}
 
 
 def test_constructor_makes_rows_canonical():

@@ -420,14 +420,29 @@ def test_table_record_serialization(inst273):
     assert rec["observed"]["B|B"] == rec["expected"]["B|B"]
 
 
+def recorded_strata(ctx):
+    """The rows of every stratum asked of ctx from now on."""
+    asked = []
+    lookup = ctx.intersection_dim_with_y
+
+    def recorded(rows):
+        asked.append(rows)
+        return lookup(rows)
+
+    ctx.intersection_dim_with_y = recorded
+    return asked
+
+
 def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
     # the typed sweep and the bucket walk read each pair off points modulo
-    # m + y, so no stratum of a (dim z + 1)-space u+z is ever cached
+    # m + y, so no stratum of a (dim z + 1)-space u+z is ever asked for
     for q, n, k in [(2, 7, 3), (3, 5, 2)]:
         ctx = GeometryContext(q, n, k, dims=())
+        asked = recorded_strata(ctx)
         z = Subspace.coordinate_span([0] + list(range(k, 2 * k - 1)), q, n)
         assert list(ctx.typed_adjacency(z.rows))
-        assert k + 1 not in {len(rows) for rows in ctx._strat_cache}
+        assert asked and k + 1 not in {len(rows) for rows in asked}
     inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
+    asked = recorded_strata(inst.ctx)
     inst.neighbor_counts()
-    assert 4 not in {len(rows) for rows in inst.ctx._strat_cache}
+    assert asked and 4 not in {len(rows) for rows in asked}
