@@ -293,6 +293,12 @@ def mask_seconds(text: str) -> str:
                           "--i", "2"], fmt) for fmt in FORMAT_SUFFIX],
     *[("enumerate-3-4-2", ["enumerate", "--q", "3", "--n", "4", "--k", "2"],
        fmt) for fmt in FORMAT_SUFFIX],
+    # the orbit sizes are in the graph suite's detail
+    *[(f"verify-{suite}-{q}-7-3-2",
+       ["verify", "--suite", suite, "--q", str(q), "--n", "7", "--k", "3",
+        "--i", "2"], fmt)
+      for suite in ("graph", "entries") for q in (2, 3)
+      for fmt in FORMAT_SUFFIX],
 ])
 def test_whole_output_matches_expected(name, argv, fmt, tmp_path, capsys):
     path = tmp_path / "out"
