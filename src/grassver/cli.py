@@ -72,28 +72,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "operator-algebra identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "tables", "enumerate"):
+    # each subcommand takes only the flags it reads
+    for name, numbers in (("verify", "qnki"), ("tables", "qnki"),
+                          ("enumerate", "qnk")):
         p = sub.add_parser(name)
-        p.add_argument("--q", type=int, default=_env("Q"))
-        p.add_argument("--n", type=int, default=_env("N"))
-        p.add_argument("--k", type=int, default=_env("K"))
-        p.add_argument("--i", type=int, default=_env("I"))
-        p.add_argument("--suite", choices=SUITES,
-                       default=_env("SUITE") or "all")
-        p.add_argument("--mode", choices=("full", "columns"),
-                       default=_env("MODE") or "full",
-                       help="full enumerates every subspace of F_q^n "
-                            "(29,212 at q=2, n=7) and checks every column; "
-                            "columns checks only the k-spaces at distance i "
-                            "from y, walking covers lazily, and is the way "
-                            "to run instances of that size")
+        for flag in numbers:
+            p.add_argument(f"--{flag}", type=int, default=_env(flag.upper()))
+        if name == "verify":
+            p.add_argument("--suite", choices=SUITES,
+                           default=_env("SUITE") or "all")
+            p.add_argument(
+                "--mode", choices=("full", "columns"),
+                default=_env("MODE") or "full",
+                help="full enumerates every subspace of F_q^n (29,212 at "
+                     "q=2, n=7) and checks every column; columns checks only "
+                     "the k-spaces at distance i from y, walking covers "
+                     "lazily, and is the way to run instances of that size")
         p.add_argument("--format", choices=("text", "csv", "records"),
                        dest="output_format",
                        default=_env("FORMAT") or "text")
         p.add_argument("--out", dest="output_path",
                        default=_env("OUT"))
-        p.add_argument("--sweep-x", action="store_true",
-                       default=bool(_env("SWEEP_X")))
     return parser
 
 
@@ -214,35 +213,24 @@ def _run_algebra_columns(out: _Output, q, n, k, i):
             c.detail = {"columns": rep.checked_columns, "i": i}
 
 
-def _graph_instances(ctx, i, sweep_x):
-    if not sweep_x:
-        yield GrassmannInstance(ctx, i=i)
-        return
-    for u in enumerate_subspaces(ctx.n, ctx.k, ctx.q):
-        if ctx.intersection_dim_with_y(u.rows) == ctx.k - i:
-            yield GrassmannInstance(ctx, i=i, x=u)
+def _run_graph(out: _Output, q, n, k, i):
+    inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+    with out.check("graph", "orbit-sizes", inst.instance) as c:
+        sizes = inst.orbit_sizes()
+        expected = expected_orbit_sizes(inst)
+        c.passed = sizes == expected and sum(
+            sizes.values()) == sum(expected.values())
+        c.detail = {"sizes": {l.value: sizes[l] for l in OrbitLabel}}
+    with out.check("graph", "structure-constants", inst.instance) as c:
+        c.passed = structure_constants(inst).holds
+    with out.check("graph", "edge-types", inst.instance) as c:
+        c.passed = count_edge_types(inst).holds
 
 
-def _run_graph(out: _Output, q, n, k, i, sweep_x):
-    ctx = GeometryContext(q, n, k, dims=())
-    for inst in _graph_instances(ctx, i, sweep_x):
-        with out.check("graph", "orbit-sizes", inst.instance) as c:
-            sizes = inst.orbit_sizes()
-            expected = expected_orbit_sizes(inst)
-            c.passed = sizes == expected and sum(
-                sizes.values()) == sum(expected.values())
-            c.detail = {"sizes": {l.value: sizes[l] for l in OrbitLabel}}
-        with out.check("graph", "structure-constants", inst.instance) as c:
-            c.passed = structure_constants(inst).holds
-        with out.check("graph", "edge-types", inst.instance) as c:
-            c.passed = count_edge_types(inst).holds
-
-
-def _run_entries(out: _Output, q, n, k, i, sweep_x):
-    ctx = GeometryContext(q, n, k, dims=())
-    for inst in _graph_instances(ctx, i, sweep_x):
-        with out.check("entries", "entry-table", inst.instance) as c:
-            c.passed = verify_entry_table(inst).holds
+def _run_entries(out: _Output, q, n, k, i):
+    inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+    with out.check("entries", "entry-table", inst.instance) as c:
+        c.passed = verify_entry_table(inst).holds
 
 
 def _verify_steps(args, i) -> list[tuple]:
@@ -252,8 +240,7 @@ def _verify_steps(args, i) -> list[tuple]:
         # canonical bundle: smallest instances exercising every check
         return [(_run_geometry, 2, 4, 2), (_run_algebra_full, 2, 4, 2),
                 (_run_geometry, 3, 4, 2), (_run_algebra_full, 3, 4, 2),
-                (_run_graph, 2, 7, 3, 2, False),
-                (_run_entries, 2, 7, 3, 2, False)]
+                (_run_graph, 2, 7, 3, 2), (_run_entries, 2, 7, 3, 2)]
     graph_only = suite in ("graph", "entries")
     _validate_instance(q, n, k, graph=graph_only,
                        i=i if graph_only else None)
@@ -274,9 +261,9 @@ def _verify_steps(args, i) -> list[tuple]:
         except UsageError:
             return steps  # no graph checks at this instance
     if suite in ("graph", "all"):
-        steps.append((_run_graph, q, n, k, i, args.sweep_x))
+        steps.append((_run_graph, q, n, k, i))
     if suite in ("entries", "all"):
-        steps.append((_run_entries, q, n, k, i, args.sweep_x))
+        steps.append((_run_entries, q, n, k, i))
     return steps
 
 
@@ -340,14 +327,14 @@ def cmd_enumerate(out: _Output, q, n, k) -> None:
 def _command(args) -> tuple:
     """The command function and its arguments; UsageError on bad input."""
     q, n, k = args.q, args.n, args.k
+    if args.command == "enumerate":
+        _validate_instance(q, n, k, graph=False)
+        return cmd_enumerate, (q, n, k)
     i = args.i if args.i is not None else 2
     if args.command == "verify":
         return cmd_verify, (_verify_steps(args, i),)
-    if args.command == "tables":
-        _validate_instance(q, n, k, graph=True, i=i)
-        return cmd_tables, (q, n, k, i)
-    _validate_instance(q, n, k, graph=False)
-    return cmd_enumerate, (q, n, k)
+    _validate_instance(q, n, k, graph=True, i=i)
+    return cmd_tables, (q, n, k, i)
 
 
 def _open_output(path):

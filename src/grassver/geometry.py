@@ -12,14 +12,17 @@ and ``covers_below`` split them into slash and backslash covers.
 
 Every classification against y lives here.  Besides the cover split, an
 adjacent pair (u, z) of equal dimension gets the cover kinds of (u+z over
-u, u+z over z, u over u∩z, z over u∩z), which fix its F-class.  The
-pair's profile is read from one table, ``PAIR_PROFILES``, keyed by where
-rows of u and z outside the hyperplane m = u∩z fall modulo m + y
-(``hyperplane_frame``); so the typed sweep builds no basis of u+z and looks
-up no stratum per neighbour, and ``grassmann`` reads the same table.
-Every cover u of m other than z is typed by the group of its point alone
-(``group_profiles``), so ``cover_groups`` groups m's covers by point once
-for every z over m: the evaluator in ``relations`` keeps those groups.
+u, u+z over z, u over u∩z, z over u∩z), which fix its F-class and its
+letter: the one of F0, F+, F-, R, L whose column at z holds u
+(``LETTER_OF_PAIR``).  The pair's profile is read from one table,
+``PAIR_PROFILES``, keyed by where rows of u and z outside the hyperplane
+m = u∩z fall modulo m + y (``hyperplane_frame``).  Every cover u of m other
+than z gets the letter of the group of its point, so ``cover_groups``
+groups m's covers by point once for every z over m, and
+``letter_split`` joins the neighbours of z from whole groups: it builds
+no basis of u+z and looks up no stratum per neighbour.  ``grassmann``
+reads its orbits off that split at x, and the evaluator in ``relations``
+its typed columns off the same split of the groups it keeps.
 
 Rows are the packed ints of ``kernels`` at every q.  dim(u ∩ y) is
 tabled once for each enumerated subspace, keyed by its canonical rows; any
@@ -31,6 +34,7 @@ rows with y's k lanes shifted out.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple, Optional
@@ -112,14 +116,34 @@ PAIR_PROFILES = {
         (False, False, False, 2))
 }
 
+# The letter whose column at z holds u, by the profile of (u, z): its
+# F-class; else R when u+z slash-covers u but not z; else L (u slash-covers
+# u∩z but z does not).  Every adjacent pair has one of these five profiles.
+LETTER_OF_PAIR = {
+    prof: prof.f_class() or ("R" if prof.top_u and not prof.top_z else "L")
+    for prof in PAIR_PROFILES.values()
+}
+
+# The letters of the groups of covers of a hyperplane m of z, by whether
+# z's point modulo m + y is zero: (z's own group, the zero group, every
+# other group).  A group's index can stand for its point in the key of
+# PAIR_PROFILES, which only tells points apart and zero from the rest.
+_OWN_ZERO_OTHER = {
+    zero_z: tuple(LETTER_OF_PAIR[PAIR_PROFILES[key]] for key in (
+        (zero_z, zero_z, True), (True, zero_z, zero_z),
+        (False, zero_z, False)))
+    for zero_z in (False, True)
+}
+
 
 class GeometryContext:
     """Fixed (q, n, k, y) with optional enumeration of dimension bands.
 
-    ``dims`` selects which dimensions are enumerated into ``elements`` /
-    ``id_of`` (None means all of 0..n; an empty tuple builds a lazy context
-    with no enumeration, enough for local/banded computations).  Immutable
-    after construction, the stratum table included; safe to share.
+    ``dims`` selects which dimensions are enumerated into ``elements``,
+    whose ids ``id_by_rows`` gives by canonical rows (None means all of
+    0..n; an empty tuple builds a lazy context with no enumeration, enough
+    for local/banded computations).  Immutable after construction, the
+    stratum table included; safe to share.
     """
 
     def __init__(self, q: int, n: int, k: int,
@@ -147,7 +171,6 @@ class GeometryContext:
         self._past_y = k * lanes(q).bits
 
         self.elements: list[Subspace] = []
-        self.id_of: dict[Subspace, int] = {}
         self.id_by_rows: dict[tuple, int] = {}
         self.ids_by_dim: dict[int, range] = {}
         # dim(u ∩ y) by canonical rows, for the enumerated u only
@@ -155,8 +178,7 @@ class GeometryContext:
         for d in self.dims:
             start = len(self.elements)
             for u in enumerate_subspaces(n, d, q):
-                self.id_of[u] = len(self.elements)
-                self.id_by_rows[u.rows] = self.id_of[u]
+                self.id_by_rows[u.rows] = len(self.elements)
                 self._strat_cache[u.rows] = self._meet_y(u.rows)
                 self.elements.append(u)
             self.ids_by_dim[d] = range(start, len(self.elements))
@@ -194,7 +216,7 @@ class GeometryContext:
 
     def ref(self, u: Subspace) -> str:
         """Stable textual reference for a subspace in reports."""
-        idx = self.id_of.get(u)
+        idx = self.id_by_rows.get(u.rows)
         loc = f"#{idx}" if idx is not None else "-"
         rows = ":".join(format_rows(u.rows, self.n, self.q))
         return f"(dim={u.dim}, {loc}, rows={rows})"
@@ -314,12 +336,11 @@ class GeometryContext:
         return max(reduce_row(mod, r, q) for r in rows)
 
     def cover_groups(self, mrows):
-        """The covers of a hyperplane m, grouped by the point modulo
-        V = m + y of the row they add: a list of groups, each a list of
-        canonical bases in ``superspaces_rows`` order.  The first group is
-        the zero point's, empty when y lies in m.  A group's index can
-        stand for its point in ``group_profiles``, which only tells points
-        apart and zero from the rest."""
+        """(covers, ends): the covers of a hyperplane m as canonical bases,
+        grouped by the point modulo V = m + y of the row they add, group
+        after group, and the end of each group in covers.  The first group
+        is the zero point's, empty when y lies in m; each group is in
+        ``superspaces_rows`` order."""
         mod = self.sum_with_y(mrows)
         groups: dict[int, list] = {0: []}
         for urows, p in self.superspaces_rows(mrows, mod):
@@ -328,42 +349,40 @@ class GeometryContext:
                 groups[p] = [urows]
             else:
                 group.append(urows)
-        return list(groups.values())
-
-    def typed_adjacency(self, zrows):
-        """Yields (u_rows, AdjacentProfile of (u, z)) for every u of the
-        same dimension with dim(u∩z) = dim(z) - 1.
-
-        Each u is found once, as a cover u = m + <w> of the hyperplane
-        m = u∩z other than z.  Per hyperplane it takes the frame V = m + y
-        and the point p_z of z, zero unless i_z = i_m; the cover sweep
-        gives the point p_u of w modulo V, and ``group_profiles`` reads
-        the profile of (u, z) off p_u.  The cover bases are the only bases
-        built per neighbour.
-        """
-        i_z = self.intersection_dim_with_y(zrows)
-        for mrows in self.hyperplanes_rows(zrows):
-            mod, i_m = self.hyperplane_frame(mrows)
-            profile, other = group_profiles(
-                self.point(mod, zrows) if i_z == i_m else 0)
-            for urows, p in self.superspaces_rows(mrows, mod):
-                if urows != zrows:
-                    yield urows, profile.get(p, other)
+        covers: list = []
+        ends = []
+        for group in groups.values():
+            covers += group
+            ends.append(len(covers))
+        return covers, ends
 
 
-def group_profiles(p_z):
-    """The profile of (u, z) for the covers u of a hyperplane m of z, by
-    the point p of u's row outside m modulo V = m + y, given z's point p_z
-    (zero when z lies in V): returns (profile, other), where ``profile``
-    maps p_z and 0 to the profiles of their groups and every other point
-    gets ``other``.  Read from ``PAIR_PROFILES``: the group of p_z (z
-    itself excluded) is keyed (zero_z, zero_z, True), the zero group
-    (True, zero_z, zero_z), and every other group (False, zero_z, False).
+def letter_split(z, groups) -> dict[str, list]:
+    """The subspaces u of z's dimension with dim(u∩z) = dim(z) - 1, split
+    by the letter (F0, F+, F-, R or L) whose column at z holds them.
+
+    ``groups`` gives the ``cover_groups`` of each hyperplane m of z, with
+    the covers named by any handle, z among them under the same one (its
+    rows, or an id).  Each u is found once, as a cover of m = u∩z other
+    than z, and gets the letter of its group (``_OWN_ZERO_OTHER``): the
+    group holding z stands for z's point, and that point is zero exactly
+    when it is the first group.
     """
-    zero_z = not p_z
-    return ({p_z: PAIR_PROFILES[zero_z, zero_z, True],
-             0: PAIR_PROFILES[True, zero_z, zero_z]},
-            PAIR_PROFILES[False, zero_z, False])
+    letters: dict[str, list] = {"F0": [], "F+": [], "F-": [], "R": [], "L": []}
+    for covers, ends in groups:
+        at = covers.index(z)
+        own = bisect_right(ends, at)
+        mine, zero, rest = _OWN_ZERO_OTHER[own == 0]
+        start = 0
+        for t, end in enumerate(ends):
+            if t == own:  # every cover of z's group but z
+                col = letters[mine]
+                col += covers[start:at]
+                col += covers[at + 1:end]
+            else:
+                letters[rest if t else zero] += covers[start:end]
+            start = end
+    return letters
 
 
 def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:

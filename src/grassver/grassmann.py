@@ -6,9 +6,11 @@ dimension k-1, and the distance is k - dim(u∩v).  Relative to a fixed pair
 (B, C, A0, A+, A-); this module counts everything about them by direct
 enumeration and compares against the closed-form tables: orbit sizes,
 structure constants, typed-edge counts, and the (w,x)-entries of the nine
-products of F0, F+, F-.  Every class is read, not computed: the profile
-of a pair and the F-class that names the A-classes, the edge types and the
-letters F0, F+, F- come from ``geometry``.
+products of F0, F+, F-.  Every class is read, not computed: a neighbour w
+of x is in B, C, A0, A+ or A- exactly when it lies in the column at x of
+R, L, F0, F+ or F-, so the five classes are ``geometry.letter_split``
+at x, and the profile of a pair and the F-class that names the edge types
+come from ``geometry`` too.
 
 Every brute-force count also checks constancy across the class (the
 equitable-partition property), so a single aggregate could not mask a
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 
 from .gf import Subspace, dim_intersect, extend_rows, qint
 from .geometry import (
-    PAIR_PROFILES, AdjacentProfile, GeometryContext, pair_profile)
+    LETTER_OF_PAIR, PAIR_PROFILES, GeometryContext, pair_profile,
+    letter_split)
 
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
@@ -33,6 +36,11 @@ class OrbitLabel(enum.Enum):
     A0 = "A0"
     APLUS = "A+"
     AMINUS = "A-"
+
+
+# the class of a neighbour w of x, by the letter whose column at x holds w
+_ORBIT_OF = {"R": OrbitLabel.B, "L": OrbitLabel.C, "F0": OrbitLabel.A0,
+             "F+": OrbitLabel.APLUS, "F-": OrbitLabel.AMINUS}
 
 
 class EdgeType(enum.Enum):
@@ -132,7 +140,6 @@ class GrassmannInstance:
             raise ValueError(f"x is at distance {self.i}, expected {i}")
         if not 1 < self.i < k:
             raise ValueError(f"need 1 < distance < k, got {self.i}")
-        self._neighbors: list | None = None
         self._orbits: dict | None = None
         self._counts: tuple | None = None
 
@@ -154,33 +161,15 @@ class GrassmannInstance:
     def instance(self) -> tuple[int, int, int, int]:
         return (self.ctx.q, self.ctx.n, self.ctx.k, self.i)
 
-    def neighbors(self) -> list:
-        """Γ(x) with cover-kind profiles relative to (·, x), cached."""
-        if self._neighbors is None:
-            self._neighbors = list(self.ctx.typed_adjacency(self.x.rows))
-        return self._neighbors
-
-    @staticmethod
-    def label_of(prof: AdjacentProfile) -> OrbitLabel:
-        """The class of a neighbor w of x from the profile of (w, x): B
-        when only x slash-covers w∩x (w is one step farther from y), C
-        when only w does, else the A-class of its F-class."""
-        if prof.bot_z and not prof.bot_u:
-            return OrbitLabel.B
-        if prof.bot_u and not prof.bot_z:
-            return OrbitLabel.C
-        f = prof.f_class()
-        if f is None:
-            raise ValueError("equidistant neighbor fits no A-class")
-        return OrbitLabel("A" + f[1])
-
     def orbit_partition(self) -> dict[OrbitLabel, list]:
-        """Γ(x) split into the five classes (basis rows per class)."""
+        """Γ(x) split into the five classes (basis rows per class), cached:
+        the neighbours of x by the letter whose column at x holds them."""
         if self._orbits is None:
-            orbits: dict[OrbitLabel, list] = {l: [] for l in OrbitLabel}
-            for wrows, prof in self.neighbors():
-                orbits[self.label_of(prof)].append(wrows)
-            self._orbits = orbits
+            ctx, xrows = self.ctx, self.x.rows
+            split = letter_split(xrows, map(ctx.cover_groups,
+                                            ctx.hyperplanes_rows(xrows)))
+            self._orbits = {label: split[letter]
+                            for letter, label in _ORBIT_OF.items()}
         return self._orbits
 
     def orbit_sizes(self) -> dict[OrbitLabel, int]:
@@ -249,10 +238,11 @@ class GrassmannInstance:
 
 
 def classify_orbit(w: Subspace, inst: GrassmannInstance) -> OrbitLabel:
-    """Class of a single neighbor of x (B/C by distance, else A-subclass)."""
+    """Class of a single neighbor of x, by the letter of the pair (w, x):
+    the oracle for ``orbit_partition``, read off ``pair_profile``."""
     if graph_distance(w, inst.x, inst.ctx) != 1:
         raise ValueError("w must be adjacent to x")
-    return inst.label_of(pair_profile(w, inst.x, inst.ctx))
+    return _ORBIT_OF[LETTER_OF_PAIR[pair_profile(w, inst.x, inst.ctx)]]
 
 
 def expected_orbit_sizes(inst: GrassmannInstance) -> dict[OrbitLabel, int]:

@@ -17,7 +17,8 @@ both modes: full mode checks every element of a fully enumerated context
 sweeping their neighbourhoods lazily.  The same-dimension letters at a
 subspace are read from the covers of its hyperplanes, which the evaluator
 sweeps and groups by point once per hyperplane and shares among every
-subspace over it.
+subspace over it; ``geometry.letter_split`` names the letter of each
+group.
 
 Relation ids: REL-1 .. REL-8 (plus REL-8P, the literally-printed variant
 of REL-8 whose F- coefficient lacks a K2 factor), REL-F0A/F0B/F+/F-,
@@ -29,12 +30,10 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import (
-    PAIR_PROFILES, AdjacentProfile, GeometryContext, group_profiles)
+from .geometry import GeometryContext, letter_split
 from .gf import Subspace, format_rows
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
@@ -421,20 +420,6 @@ def _residual(coeffs: dict, memo: dict, apply) -> list:
     return [(r, a, b) for r, (a, b) in acc.items() if a or b]
 
 
-def _letter(prof: AdjacentProfile) -> str:
-    """The same-dimension letter whose column holds a pair of this profile:
-    its F-class; else R when u+z slash-covers u but not z; else L (u
-    slash-covers u∩z but z does not).  Every adjacent pair has exactly one
-    of the five (``geometry.PAIR_PROFILES``)."""
-    f = prof.f_class()
-    if f is not None:
-        return f
-    return "R" if prof.top_u and not prof.top_z else "L"
-
-
-_LETTERS = {prof: _letter(prof) for prof in PAIR_PROFILES.values()}
-
-
 class ColumnEvaluator:
     """Applies incidence letters to integer vectors of one context.
 
@@ -444,8 +429,8 @@ class ColumnEvaluator:
     built once, as a tuple of row ids.  The same-dimension letters (R, L,
     F0, F+, F-, F) read the hyperplanes of the subspace: each hyperplane's
     covers are swept, interned and grouped by their point modulo m + y
-    once per evaluator (``GeometryContext.cover_groups``), and a column
-    joins whole groups, each under the letter ``group_profiles`` gives it.
+    once per evaluator (``GeometryContext.cover_groups``), and
+    ``geometry.letter_split`` joins whole groups into the columns.
     The cover letters read the slash or backslash covers below or above
     (``GeometryContext.covers_below``/``covers_above``).
     """
@@ -456,7 +441,7 @@ class ColumnEvaluator:
         self.rows: list[tuple] = [u.rows for u in ctx.elements]  # id -> rows
         self._id: dict[tuple, int] = dict(ctx.id_by_rows)
         self._typed: dict[int, dict[str, tuple[int, ...]]] = {}
-        # hyperplane rows -> its cover ids grouped by point (_cover_groups)
+        # hyperplane rows -> (ids, ends) of its covers (_cover_groups)
         self._groups: dict[tuple, tuple] = {}
         self._cols: dict[str, dict[int, tuple]] = {s: {} for s in _STEPS}
 
@@ -474,12 +459,9 @@ class ColumnEvaluator:
         and the end of each group in ids."""
         entry = self._groups.get(mrows)
         if entry is None:
-            ids: list[int] = []
-            ends: list[int] = []
-            for group in self.ctx.cover_groups(mrows):
-                ids += map(self.intern, group)
-                ends.append(len(ids))
-            entry = self._groups[mrows] = tuple(ids), tuple(ends)
+            covers, ends = self.ctx.cover_groups(mrows)
+            entry = self._groups[mrows] = (tuple(map(self.intern, covers)),
+                                           tuple(ends))
         return entry
 
     def typed_columns(self, z: int) -> dict[str, tuple[int, ...]]:
@@ -487,24 +469,9 @@ class ColumnEvaluator:
         cols = self._typed.get(z)
         if cols is not None:
             return cols
-        lists: dict[str, list[int]] = {
-            "F0": [], "F+": [], "F-": [], "R": [], "L": []}
-        for mrows in self.ctx.hyperplanes_rows(self.rows[z]):
-            ids, ends = self._cover_groups(mrows)
-            # z is a cover of m too, and its group's index stands for p_z
-            at = ids.index(z)
-            own = bisect_right(ends, at)
-            profile, other = group_profiles(own)
-            start = 0
-            for t, end in enumerate(ends):
-                col = lists[_LETTERS[profile.get(t, other)]]
-                if t == own:  # every cover of z's group but z
-                    col += ids[start:at]
-                    col += ids[at + 1:end]
-                else:
-                    col += ids[start:end]
-                start = end
-        cols = self._typed[z] = {s: tuple(c) for s, c in lists.items()}
+        split = letter_split(z, map(
+            self._cover_groups, self.ctx.hyperplanes_rows(self.rows[z])))
+        cols = self._typed[z] = {s: tuple(c) for s, c in split.items()}
         return cols
 
     def _column(self, sym: str, z: int) -> tuple[int, ...]:

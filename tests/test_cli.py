@@ -108,6 +108,30 @@ def test_workers_flag_is_unknown(capsys):
     assert "unrecognized arguments: --workers 2" in err
 
 
+def test_sweep_x_flag_is_unknown(capsys):
+    # every x at distance i gives the same tables, so there is no sweep over
+    # x to ask for
+    code, _, err = run(capsys, "verify", "--suite", "graph", "--q", "2",
+                       "--n", "7", "--k", "3", "--i", "2", "--sweep-x")
+    assert code == 2
+    assert "unrecognized arguments: --sweep-x" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--q", "2", "--n", "7", "--k", "3", "--suite", "graph"],
+    ["tables", "--q", "2", "--n", "7", "--k", "3", "--mode", "columns"],
+    ["enumerate", "--q", "2", "--n", "4", "--k", "2", "--i", "2"],
+    ["enumerate", "--q", "2", "--n", "4", "--k", "2", "--suite", "all"],
+    ["enumerate", "--q", "2", "--n", "4", "--k", "2", "--mode", "full"],
+], ids=["tables-suite", "tables-mode", "enumerate-i", "enumerate-suite",
+        "enumerate-mode"])
+def test_subcommand_refuses_flags_it_does_not_read(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_missing_subcommand_exit_2(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -14,6 +14,7 @@ from grassver.gf import (
     rref_rows,
 )
 from grassver.geometry import (
+    LETTER_OF_PAIR,
     CoverKind,
     GeometryContext,
     Stratum,
@@ -21,6 +22,7 @@ from grassver.geometry import (
     cover_kind,
     expected_stratum_size,
     pair_profile,
+    letter_split,
     stratum_sizes,
     verify_cover_counts,
 )
@@ -195,18 +197,30 @@ def contexts_with_two_ys():
         yield ctx
 
 
-def test_typed_adjacency_matches_pair_profile():
-    # oracle: the pairs of equal dimension whose sum has rank d+1, each with
-    # the profile pair_profile reads off u∩z and u+z; every z of every
-    # dimension
+def split_at(ctx, zrows):
+    """The same-dimension neighbours of z by letter, from the cover groups
+    of each hyperplane of z."""
+    return letter_split(zrows, map(ctx.cover_groups,
+                                   ctx.hyperplanes_rows(zrows)))
+
+
+def test_letter_split_matches_pair_profile():
+    # oracle: the pairs of equal dimension whose sum has rank d+1, each
+    # under the letter of the profile pair_profile reads off u∩z and u+z;
+    # every z of every dimension.  The five profiles have five letters, so
+    # the letter names the profile.
+    assert len(set(LETTER_OF_PAIR.values())) == len(LETTER_OF_PAIR) == 5
     for ctx in [GeometryContext(2, 4, 2), *contexts_with_two_ys()]:
         by_dim = {}
         for u in ctx.elements:
             by_dim.setdefault(u.dim, []).append(u)
         for d, same in by_dim.items():
             for z in same:
-                swept = list(ctx.typed_adjacency(z.rows))
-                expected = {u.rows: pair_profile(u, z, ctx) for u in same
+                swept = [(u, letter)
+                         for letter, us in split_at(ctx, z.rows).items()
+                         for u in us]
+                expected = {u.rows: LETTER_OF_PAIR[pair_profile(u, z, ctx)]
+                            for u in same
                             if rank_rows(u.rows + z.rows, ctx.q) == d + 1}
                 assert len(swept) == len(expected)
                 assert dict(swept) == expected
@@ -237,7 +251,8 @@ def test_f_class_is_the_only_class_that_holds(q, n, k):
     ctx = GeometryContext(q, n, k)
     seen = set()
     for z in ctx.elements:
-        for _, p in ctx.typed_adjacency(z.rows):
+        for u in (u for us in split_at(ctx, z.rows).values() for u in us):
+            p = pair_profile(Subspace(q, n, u), z, ctx)
             held = [
                 p.top_u and p.top_z and not p.bot_u and not p.bot_z,
                 not p.top_u and not p.top_z,
@@ -291,7 +306,7 @@ def test_stratum_table_holds_the_enumerated_subspaces_only():
                           for i in range(4)}
     assert ctx._strat_cache == {}
     z = Subspace.coordinate_span([0, 3, 4], 2, 7)
-    assert list(ctx.typed_adjacency(z.rows))
+    assert any(split_at(ctx, z.rows).values())
     assert ctx._strat_cache == {}
     inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
     inst.neighbor_counts()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
-from grassver.geometry import GeometryContext
+from grassver.geometry import GeometryContext, letter_split
 from grassver.grassmann import (
     ENTRY_PRODUCTS,
     ORBIT_ORDER,
@@ -351,6 +351,45 @@ def test_default_x_for_a_non_coordinate_y(inst273):
         assert table(inst).to_record() == table(inst273).to_record()
 
 
+@pytest.mark.parametrize("q,y", [
+    (2, [[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 1, 0],
+         [0, 0, 1, 1, 1, 0, 0]]),
+    (3, [[1, 2, 0, 0, 1, 0, 0], [0, 1, 1, 0, 0, 0, 2],
+         [0, 0, 0, 1, 2, 1, 0]]),
+], ids=["2-7-3", "3-7-3"])
+def test_every_orbit_member_has_the_class_classify_orbit_gives(q, y):
+    # the oracle, one pair_profile per neighbour, at a y that is not a
+    # coordinate span; the orbits must cover Γ(x)
+    ctx = GeometryContext(q, 7, 3, y=Subspace.from_matrix(y, q), dims=())
+    assert not ctx._canonical_y
+    inst = GrassmannInstance(ctx, i=2)
+    orbits = inst.orbit_partition()
+    assert sum(map(len, orbits.values())) == intersection_numbers(0, ctx)[0]
+    for label, members in orbits.items():
+        assert members
+        for rows in members:
+            assert classify_orbit(Subspace(q, 7, rows), inst) is label
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_seeded_x_give_the_tables_of_the_default_x(n):
+    # Stab(y) is transitive on the k-spaces at distance i from y, so every
+    # such x gives the same orbit sizes and tables; a few seeded ones stand
+    # for all of them
+    ctx = GeometryContext(2, n, 3, dims=())
+    default = GrassmannInstance(ctx, i=2)
+    pool = [u for u in enumerate_subspaces(n, 3, 2)
+            if ctx.intersection_dim_with_y(u.rows) == 1 and u != default.x]
+    tables = (structure_constants, count_edge_types, verify_entry_table)
+    for x in random.Random(n).sample(pool, 3):
+        inst = GrassmannInstance(ctx, x=x)
+        assert inst.i == 2
+        assert inst.orbit_sizes() == default.orbit_sizes()
+        for table in tables:
+            assert table(inst).to_record() == table(default).to_record()
+        assert all(table(inst).holds for table in tables)
+
+
 def test_default_x_does_not_depend_on_enumeration(inst273):
     # a context that enumerates every subspace picks the x a lazy one does
     inst = GrassmannInstance(GeometryContext(2, 7, 3), i=2)
@@ -434,14 +473,18 @@ def recorded_strata(ctx):
 
 
 def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
-    # the typed sweep and the bucket walk read each pair off points modulo
-    # m + y, so no stratum of a (dim z + 1)-space u+z is ever asked for
+    # the letter split and the bucket walk read each pair off points modulo
+    # m + y, so no stratum of a (dim z + 1)-space u+z is ever asked for;
+    # the split asks for no stratum at all
     for q, n, k in [(2, 7, 3), (3, 5, 2)]:
         ctx = GeometryContext(q, n, k, dims=())
         asked = recorded_strata(ctx)
         z = Subspace.coordinate_span([0] + list(range(k, 2 * k - 1)), q, n)
-        assert list(ctx.typed_adjacency(z.rows))
-        assert asked and k + 1 not in {len(rows) for rows in asked}
+        assert any(letter_split(z.rows, map(
+            ctx.cover_groups, ctx.hyperplanes_rows(z.rows))).values())
+        assert asked == []
+        ctx.stratum_rows(z.rows)  # the recording is live
+        assert asked == [z.rows]
     inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
     asked = recorded_strata(inst.ctx)
     inst.neighbor_counts()

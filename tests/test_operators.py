@@ -28,7 +28,7 @@ def test_k1_diagonal_example():
     # (K1)_{y,y} = q^(k/2 - i) at i=k: 2^(-3/2) = (1/4)sqrt(2)
     c = GeometryContext(2, 6, 3)
     k1 = build_generator("K1", c)
-    yid = c.id_of[c.y]
+    yid = c.id_by_rows[c.y.rows]
     v = k1.entry(yid, yid)
     assert v == QSqrtScalar(0, Fraction(1, 4), 2)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from grassver.geometry import GeometryContext, pair_profile
-from grassver.gf import Subspace, enumerate_subspaces, rank_rows
+from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
+from grassver.grassmann import GrassmannInstance
 from grassver.operators import operator_set
 from grassver.relations import (
     _EVALUATORS,
@@ -99,7 +100,7 @@ def test_columns_mode_detects_violations(contexts):
 def test_columns_accept_subspace_and_rows(contexts):
     ctx = contexts[(2, 4, 2)]
     u = ctx.elements[ctx.ids_by_dim[2][0]]
-    for col in (u, u.rows, ctx.id_of[u]):
+    for col in (u, u.rows, ctx.id_by_rows[u.rows]):
         assert verify_relation("REL-1", ctx, "columns",
                                columns=[col]).holds
 
@@ -236,12 +237,10 @@ def test_typed_columns_do_not_depend_on_visit_order(q, n, k, y):
                                            spaces[z.dim])
 
 
-@pytest.mark.parametrize("instance", [(2, 5, 2), (3, 4, 2)])
-def test_typed_columns_sweep_each_hyperplane_once(instance):
-    # one cover sweep per distinct hyperplane met, not one per visit of a
-    # (z, hyperplane) pair, and no typed_adjacency sweep at all
-    ctx = GeometryContext(*instance)
-    calls = {"superspaces_rows": 0, "typed_adjacency": 0}
+def counted_sweeps(ctx):
+    """Counts, from now on, the calls of ctx's cover sweep and of its
+    cover grouping (which runs one sweep)."""
+    calls = {"superspaces_rows": 0, "cover_groups": 0}
 
     def counted(name):
         method = getattr(ctx, name)
@@ -253,6 +252,15 @@ def test_typed_columns_sweep_each_hyperplane_once(instance):
 
     for name in calls:
         setattr(ctx, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("instance", [(2, 5, 2), (3, 4, 2)])
+def test_typed_columns_sweep_each_hyperplane_once(instance):
+    # one grouped cover sweep per distinct hyperplane met, not one per
+    # visit of a (z, hyperplane) pair, and no other sweep
+    ctx = GeometryContext(*instance)
+    calls = counted_sweeps(ctx)
     ev = ColumnEvaluator(ctx)
     visits = []
     for zid in ctx.ids_by_dim[2]:
@@ -260,7 +268,16 @@ def test_typed_columns_sweep_each_hyperplane_once(instance):
         visits += ctx.hyperplanes_rows(ctx.elements[zid].rows)
     assert len(set(visits)) < len(visits)
     assert calls == {"superspaces_rows": len(set(visits)),
-                     "typed_adjacency": 0}
+                     "cover_groups": len(set(visits))}
+    # the other caller of the split: Γ(x) is one grouped sweep per
+    # hyperplane of x, taken once per instance
+    inst = GrassmannInstance(GeometryContext(instance[0], 7, 3, dims=()), i=2)
+    calls = counted_sweeps(inst.ctx)
+    inst.orbit_partition()
+    inst.neighbor_counts()
+    hyperplanes = qint(3, instance[0])
+    assert calls == {"superspaces_rows": hyperplanes,
+                     "cover_groups": hyperplanes}
 
 
 def test_report_serialization(contexts):
