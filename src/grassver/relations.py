@@ -9,16 +9,21 @@ central elements are expanded, a Term applied to e_x is a coefficient in
 Q(sqrt(q)) fixed by the stratum of x times a word of 0/1 letters applied
 to e_x.  Scaled per stratum, the coefficients are integers a + b*sqrt(q)
 and the residual is a pair of integer vectors; only reported violations
-become exact values.  A column's word vectors live while it is checked,
-so suffixes shared by its words are applied once.  Vectors are keyed by
-the ids the evaluator gives the subspaces it visits, one apply path for
-both modes: full mode checks every element of a fully enumerated context
-(whose element ids the evaluator keeps), columns mode the given columns,
-sweeping their neighbourhoods lazily.  The same-dimension letters at a
-subspace are read from the covers of its hyperplanes, which the evaluator
-sweeps and groups by point once per hyperplane and shares among every
-subspace over it; ``geometry.letter_split`` names the letter of each
-group.
+become exact values.  Columns are checked in batches of one stratum, and
+a batch's word vectors live while it is checked, so suffixes shared by
+its words are applied once.  A vector maps the ids the evaluator gives
+the subspaces it visits to packed ints with one signed lane per column of
+the batch, wide enough for any entry of the residual (``_lane_bits``), so
+one pass of a word applies it to every column of the batch.  Full mode
+checks every element of a fully enumerated context (whose element ids the
+evaluator keeps) in batches of up to ``FULL_MODE_BATCH`` columns of one
+stratum, which share their coefficients and most of their neighbourhoods;
+columns mode checks the given columns one per batch, sweeping their
+neighbourhoods lazily, as given columns need not share neighbours.  The
+same-dimension letters at a subspace are read from the covers of its
+hyperplanes, which the evaluator sweeps and groups by point once per
+hyperplane and shares among every subspace over it;
+``geometry.letter_split`` names the letter of each group.
 
 Relation ids: REL-1 .. REL-8 (plus REL-8P, the literally-printed variant
 of REL-8 whose F- coefficient lacks a K2 factor), REL-F0A/F0B/F+/F-,
@@ -34,11 +39,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import GeometryContext, letter_split
-from .gf import Subspace, format_rows
+from .gf import Subspace, format_rows, qint
 from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
 
 MAX_VIOLATIONS = 25  # reports stay readable; holds-flag still exact
+# columns of one stratum that full mode checks together, one lane each;
+# chosen by measurement of the default verify run and full mode at (2,6,3)
+# (CHANGES.md): wider batches keep bigger vectors for a shrinking gain
+FULL_MODE_BATCH = 128
 
 # stratum step (di, dj) from column to row of each incidence letter
 _STEPS = {
@@ -400,8 +409,51 @@ def _stratum_coefficients(terms, stratum, q: int, n: int, k: int):
     return {w: ab for w, ab in coeffs.items() if ab[0] or ab[1]}, unit
 
 
+class LaneOverflowError(ArithmeticError):
+    """A packed residual left a remainder past its last lane: the lane
+    bound was wrong, a fault of the evaluator and never of the input."""
+
+
+def _letter_degree(q: int, n: int) -> int:
+    """D: no letter's column, and no letter's row, has more than D
+    entries, so a word of length l has at most D^l paths between two
+    subspaces.  A d-space has [d] covers below, [n-d] above and
+    q*[d]*[n-d] neighbours of its own dimension."""
+    return max(max(qint(d, q), qint(n - d, q),
+                   q * qint(d, q) * qint(n - d, q)) for d in range(n + 1))
+
+
+def _lane_bits(stratum_coeffs, degree: int) -> int:
+    """Bits of a signed lane that holds every entry of every residual of
+    one stratum, given each component's (coeffs, unit) there: with at
+    most degree^len(w) paths per word, no entry of a component reaches
+    sum_w (|a_w| + |b_w|) * degree^len(w)."""
+    bound = max((sum((abs(a) + abs(b)) * degree ** len(word)
+                     for word, (a, b) in coeffs.items())
+                 for coeffs, _ in stratum_coeffs), default=0)
+    return bound.bit_length() + 2
+
+
+def _lanes(value: int, bits: int, count: int) -> list[int]:
+    """The count signed lanes of bits bits each that sum to value, lane t
+    weighted by 2^(bits*t)."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for _ in range(count):
+        lane = value & mask
+        value >>= bits
+        if lane >= half:  # a negative lane borrowed one from the next
+            lane -= 1 << bits
+            value += 1
+        out.append(lane)
+    if value:
+        raise LaneOverflowError(
+            f"a residual does not fit {count} lanes of {bits} bits")
+    return out
+
+
 def _word_vector(word: tuple, memo: dict, apply):
-    """The word applied to the column memo[()], reusing stored suffixes."""
+    """The word applied to the columns memo[()], reusing stored suffixes."""
     vec = memo.get(word)
     if vec is None:
         vec = apply(word[0], _word_vector(word[1:], memo, apply))
@@ -410,7 +462,7 @@ def _word_vector(word: tuple, memo: dict, apply):
 
 
 def _residual(coeffs: dict, memo: dict, apply) -> list:
-    """Nonzero entries (row, a, b) of one column's scaled residual."""
+    """Nonzero entries (row, a, b) of one batch's scaled residual."""
     acc: dict = {}
     for word, (ca, cb) in coeffs.items():
         for r, c in _word_vector(word, memo, apply).items():
@@ -425,12 +477,14 @@ class ColumnEvaluator:
 
     Every subspace the evaluator visits is interned as a small int id, and
     vectors are dicts keyed by id; the elements of an enumerated context
-    keep their element ids.  Each letter's column at a visited subspace is
-    built once, as a tuple of row ids.  The same-dimension letters (R, L,
-    F0, F+, F-, F) read the hyperplanes of the subspace: each hyperplane's
-    covers are swept, interned and grouped by their point modulo m + y
-    once per evaluator (``GeometryContext.cover_groups``), and
-    ``geometry.letter_split`` joins whole groups into the columns.
+    keep their element ids.  A value packs one lane per column of a batch
+    (``residuals``), and a letter adds values whole, so one application
+    serves every column of the batch.  Each letter's column at a visited
+    subspace is built once, as a tuple of row ids.  The same-dimension
+    letters (R, L, F0, F+, F-, F) read the hyperplanes of the subspace:
+    each hyperplane's covers are swept, interned and grouped by their
+    point modulo m + y once per evaluator (``GeometryContext.cover_groups``),
+    and ``geometry.letter_split`` joins whole groups into the columns.
     The cover letters read the slash or backslash covers below or above
     (``GeometryContext.covers_below``/``covers_above``).
     """
@@ -500,26 +554,47 @@ class ColumnEvaluator:
                 out[u] = out.get(u, 0) + val
         return out
 
-    def residuals(self, components, columns):
+    def residuals(self, components, columns, batch: int = 1):
         """Every nonzero residual entry of the components on the columns.
 
         Columns and rows are ids.  Yields (component index, row, column,
-        a, b, unit), the entry being (a + b*sqrt(q)) * unit.
+        a, b, unit), the entry being (a + b*sqrt(q)) * unit.  Columns of
+        one stratum are evaluated together, up to ``batch`` at a time,
+        column t of a batch in lane t of every value.
         """
         ctx = self.ctx
         q, n, k = ctx.q, ctx.n, ctx.k
         expanded = [_expand_terms(terms, q, n, k) for _, terms in components]
-        by_stratum: dict = {}
-        for x in columns:
-            s = ctx.stratum_rows(self.rows[x])
-            memo = {(): {x: 1}}  # word -> vector; suffixes are shared
+        degree = _letter_degree(q, n)
+        by_stratum: dict = {}  # stratum -> (coefficients, lane bits)
+        filling: dict = {}  # stratum -> columns of its next batch
+
+        def run(s, xs):
             at = by_stratum.get(s)
             if at is None:
-                at = by_stratum[s] = [_stratum_coefficients(terms, s, q, n, k)
-                                      for terms in expanded]
-            for t, (coeffs, unit) in enumerate(at):
-                for r, a, b in _residual(coeffs, memo, self.apply_band_int):
-                    yield t, r, x, a, b, unit
+                coeffs = [_stratum_coefficients(terms, s, q, n, k)
+                          for terms in expanded]
+                at = by_stratum[s] = coeffs, _lane_bits(coeffs, degree)
+            coeffs, bits = at
+            # word -> vector; suffixes are shared by the words and columns
+            memo = {(): {x: 1 << (bits * t) for t, x in enumerate(xs)}}
+            zeros = [0] * len(xs)
+            for t, (cs, unit) in enumerate(coeffs):
+                for r, a, b in _residual(cs, memo, self.apply_band_int):
+                    la = _lanes(a, bits, len(xs)) if a else zeros
+                    lb = _lanes(b, bits, len(xs)) if b else zeros
+                    for x, ax, bx in zip(xs, la, lb):
+                        if ax or bx:
+                            yield t, r, x, ax, bx, unit
+
+        for x in columns:
+            s = ctx.stratum_rows(self.rows[x])
+            xs = filling.setdefault(s, [])
+            xs.append(x)
+            if len(xs) == batch:
+                yield from run(s, filling.pop(s))
+        for s, xs in filling.items():
+            yield from run(s, xs)
 
 
 _EVALUATORS: "weakref.WeakKeyDictionary[GeometryContext, ColumnEvaluator]" = (
@@ -560,6 +635,7 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
             raise ValueError("full mode needs every dimension enumerated; "
                              "use columns mode on a partial context")
         ids = range(len(ctx.elements))
+        batch = FULL_MODE_BATCH
 
         def ref(u):
             return ctx.ref(ctx.elements[u])
@@ -571,6 +647,7 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
             raise ValueError("columns mode requires a nonempty column list")
         ids = [ev.intern(_column_rows(ctx, c)) for c in columns]
         report.checked_columns = len(ids)
+        batch = 1
 
         def ref(u):
             return ":".join(format_rows(ev.rows[u], n, q))
@@ -579,8 +656,8 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
             return ref(v[2]), names[v[0]], ref(v[1])
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    kept = heapq.nsmallest(MAX_VIOLATIONS + 1, ev.residuals(components, ids),
-                           key=order)
+    kept = heapq.nsmallest(MAX_VIOLATIONS + 1,
+                           ev.residuals(components, ids, batch), key=order)
     report.truncated = len(kept) > MAX_VIOLATIONS
     # only the reported entries become exact values
     report.violations = [

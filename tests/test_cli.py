@@ -246,6 +246,31 @@ def test_check_exception_writes_fail_record_and_exits_1(
     assert recs[-1]["detail"] == {"error": "ValueError: boom"}
 
 
+def test_lane_overflow_is_an_internal_error_exit_1(
+        tmp_path, capsys, monkeypatch):
+    # a residual too wide for its lanes is a fault of the evaluator: the
+    # check fails with the error and the run exits 1, never 2 (usage)
+    from grassver import relations
+
+    real = relations._lanes
+
+    def shifted(value, bits, count):  # every nonzero value past its lanes
+        return real(value << bits * count, bits, count)
+
+    monkeypatch.setattr(relations, "_lanes", shifted)
+    path = tmp_path / "checks.ndjson"
+    code, out, err = run(capsys, "verify", "--suite", "algebra",
+                         "--q", "2", "--n", "4", "--k", "2",
+                         "--format", "records", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: LaneOverflowError: ")
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert recs[-1]["pass"] is False
+    assert recs[-1]["detail"]["error"].startswith("LaneOverflowError: ")
+    assert all(r["pass"] for r in recs[:-1])
+
+
 def test_tables_out_in_missing_directory_exit_2(tmp_path, capsys,
                                                 monkeypatch):
     computed = []

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from collections import Counter
 import json
 import random
 import weakref
@@ -10,11 +11,14 @@ import pytest
 from grassver.geometry import GeometryContext, pair_profile
 from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
 from grassver.grassmann import GrassmannInstance
-from grassver.operators import operator_set
+from grassver.operators import T, operator_set
 from grassver.relations import (
     _EVALUATORS,
+    FULL_MODE_BATCH,
     MAX_VIOLATIONS,
     ColumnEvaluator,
+    LaneOverflowError,
+    _lanes,
     column_evaluator,
     relation_components,
     relation_ids,
@@ -298,6 +302,89 @@ def test_bad_mode_and_empty_columns(contexts):
     # partial enumeration would report violations that do not exist
     with pytest.raises(ValueError):
         verify_relation("REL-F0A", GeometryContext(2, 4, 2, dims=(2,)))
+
+
+# a reference space that is not a coordinate span, per full-mode instance
+OTHER_Y = {(2, 4, 2): [[1, 0, 1, 1], [0, 1, 1, 0]],
+           (2, 5, 2): [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]],
+           (3, 4, 2): [[1, 2, 0, 1], [0, 1, 1, 2]]}
+
+# words with coefficients near 10**40, so lanes are over 130 bits wide:
+# F minus its three parts cancels, and -(10**40 + 1) R L does not
+WIDE = [
+    ("cancels", [T(10**40, ("F",)), T(-10**40, ("F0",)),
+                 T(-10**40, ("F+",)), T(-10**40, ("F-",))]),
+    ("negative", [T(-10**40 - 1, ("R", "L"))]),
+]
+
+
+@pytest.mark.parametrize("instance", [(2, 4, 2), (3, 4, 2), (2, 5, 2)])
+@pytest.mark.parametrize("other_y", [False, True], ids=["y", "other-y"])
+def test_batched_residuals_equal_one_column_batches(instance, other_y):
+    # full mode packs the columns of a stratum into the lanes of one value;
+    # every entry must equal the one found with one column per batch, for
+    # batches that split a stratum, the full-mode batch, and whole strata
+    q, n, k = instance
+    y = Subspace.from_matrix(OTHER_Y[instance], q) if other_y else None
+    ctx = GeometryContext(q, n, k, y=y)
+    ev = ColumnEvaluator(ctx)
+    ids = range(len(ctx.elements))
+    strata = [ctx.stratum(u) for u in ctx.elements]
+    sizes = Counter(strata)
+    for rid in [*relation_ids(), "wide"]:
+        components = (WIDE if rid == "wide"
+                      else relation_components(rid, q, n, k))
+        one = sorted(ev.residuals(components, ids, 1))
+        for batch in (7, FULL_MODE_BATCH, len(ids)):
+            assert sorted(ev.residuals(components, ids, batch)) == one, (
+                rid, batch)
+        assert bool(one) == (rid in ("REL-8P", "wide")), rid
+        if rid == "REL-8P":
+            # negative lanes beside zero lanes of the same stratum, which
+            # the whole-strata batches hold in one value: borrows decoded
+            hits = Counter((r, strata[x]) for _, r, x, *_ in one)
+            assert any((a < 0 or b < 0)
+                       and hits[r, strata[x]] < sizes[strata[x]]
+                       for _, r, x, a, b, _ in one)
+        if rid == "wide":
+            assert {t for t, *_ in one} == {1}
+            assert all(a <= -(10**40 + 1) and b == 0
+                       for _, _, _, a, b, _ in one)
+
+
+def test_lanes_round_trip_and_refuse_a_value_too_wide():
+    # a remainder past the last lane is an internal error, not a ValueError
+    # (which would read as bad input)
+    rng = random.Random(3)
+    for bits in (2, 8, 140):
+        half = 1 << bits - 1
+        lanes = [-half, half - 1, 0] + [rng.randrange(-half, half)
+                                        for _ in range(6)]
+        value = sum(v << bits * t for t, v in enumerate(lanes))
+        assert _lanes(value, bits, len(lanes)) == lanes
+        for wide in (value + (1 << bits * len(lanes)),
+                     value - (1 << bits * len(lanes))):
+            with pytest.raises(LaneOverflowError) as err:
+                _lanes(wide, bits, len(lanes))
+            assert not isinstance(err.value, ValueError)
+
+
+def test_full_mode_applies_few_words(monkeypatch):
+    # work-count guard: batching a stratum's columns applies each word
+    # once per batch.  All 35 ids at (3,4,2) made 24,506 apply_band_int
+    # calls one column at a time, and make 943 in batches of 128.
+    calls = []
+    real = ColumnEvaluator.apply_band_int
+
+    def counted(self, sym, vec):
+        calls.append(sym)
+        return real(self, sym, vec)
+
+    monkeypatch.setattr(ColumnEvaluator, "apply_band_int", counted)
+    ctx = GeometryContext(3, 4, 2)
+    for rid in relation_ids():
+        verify_relation(rid, ctx, "full")
+    assert 0 < len(calls) <= 1200
 
 
 def _oracle_record(ctx, rid):
