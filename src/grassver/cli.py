@@ -27,6 +27,7 @@ from types import SimpleNamespace
 from .gf import enumerate_subspaces, gaussian_binomial, is_prime
 from .geometry import (
     GeometryContext,
+    cover_tallies,
     expected_stratum_size,
     stratum_sizes,
     verify_cover_counts,
@@ -293,11 +294,8 @@ def cmd_tables(out: _Output, q, n, k, i) -> None:
 def cmd_enumerate(out: _Output, q, n, k) -> None:
     ctx = GeometryContext(q, n, k)
     sizes = stratum_sizes(ctx)
-    slash = back = 0
-    for u in ctx.elements:
-        above = ctx.covers_above(u.rows)
-        slash += len(above[0])
-        back += len(above[1])
+    slash_below, back_below, _, _ = cover_tallies(ctx)
+    slash, back = sum(slash_below), sum(back_below)
     rows = [
         {"record": "stratum", "version": 1, "i": s.i, "j": s.j,
          "size": m, "closed_form": expected_stratum_size(s.i, s.j, ctx)}

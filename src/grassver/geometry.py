@@ -8,7 +8,11 @@ below a subspace, each written down as its canonical basis with no row
 reduction: a cover above adds a coset vector that is already a point
 modulo the rows (``kernels.insert_row``), and a hyperplane takes a
 functional scaled so that its last nonzero entry is 1.  ``covers_above``
-and ``covers_below`` split them into slash and backslash covers.
+and ``covers_below`` split them into slash and backslash covers, for the
+evaluator's letters L1, L2, R1 and R2.  The cover counts of a full
+context come from ``cover_tallies`` instead, which visits each cover
+pair once, from its top: one hyperplane sweep per subspace, each
+hyperplane found by its canonical rows and counted at both ends.
 
 Every classification against y lives here.  Besides the cover split, an
 adjacent pair (u, z) of equal dimension gets the cover kinds of (u+z over
@@ -446,10 +450,54 @@ class CoverCountReport:
         return not self.violations
 
 
-def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
-    """Check the four cover counts for every enumerated element."""
+def cover_tallies(ctx: GeometryContext):
+    """The four cover counts of every element of a fully enumerated
+    context, as four int lists indexed by element id: (slash below,
+    backslash below, slash above, backslash above).
+
+    Each cover pair m < u is visited once, from u: ``hyperplanes_rows``
+    yields m's canonical basis, ``id_by_rows`` gives m's id, and the pair
+    counts below u and above m.  It is slash when dim(m∩y) + 1 =
+    dim(u∩y).  No cover above is built.  A basis that is not an element
+    raises ValueError naming it.
+    """
     if set(ctx.dims) != set(range(ctx.n + 1)):
-        raise ValueError("cover-count verification needs the full poset")
+        raise ValueError("cover tallies need the full poset")
+    ids = ctx.id_by_rows
+    meet = [ctx.intersection_dim_with_y(u.rows) for u in ctx.elements]
+    size = len(meet)
+    slash_below, back_below = [0] * size, [0] * size
+    slash_above, back_above = [0] * size, [0] * size
+    # ids run in dimension order, and the zero space (id 0) has no
+    # hyperplanes
+    for uid in range(1, size):
+        u = ctx.elements[uid]
+        i_slash = meet[uid] - 1
+        slash = back = 0
+        for mrows in ctx.hyperplanes_rows(u.rows):
+            try:
+                mid = ids[mrows]
+            except KeyError:
+                rows = ":".join(format_rows(mrows, ctx.n, ctx.q))
+                raise ValueError(f"hyperplane rows={rows} of {ctx.ref(u)} "
+                                 f"is not an enumerated subspace") from None
+            if meet[mid] == i_slash:
+                slash += 1
+                slash_above[mid] += 1
+            else:
+                back += 1
+                back_above[mid] += 1
+        slash_below[uid] = slash
+        back_below[uid] = back
+    return slash_below, back_below, slash_above, back_above
+
+
+def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
+    """Check the four cover counts for every enumerated element.
+
+    The counts come from ``cover_tallies``, which visits each cover pair
+    once; violations are reported in element id order.
+    """
     q, k, n = ctx.q, ctx.k, ctx.n
     expected = {
         Stratum(i, j): (q**j * qint(i, q), qint(j, q), qint(k - i, q),
@@ -457,11 +505,7 @@ def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
         for i in range(k + 1) for j in range(n - k + 1)
     }
     report = CoverCountReport(instance=(q, n, k))
-    for u in ctx.elements:
-        slash_below, back_below = ctx.covers_below(u.rows)
-        slash_above, back_above = ctx.covers_above(u.rows)
-        observed = (len(slash_below), len(back_below),
-                    len(slash_above), len(back_above))
+    for u, observed in zip(ctx.elements, zip(*cover_tallies(ctx))):
         s = ctx.stratum(u)
         report.checked += 1
         if observed != expected[s]:

@@ -83,10 +83,11 @@ def test_criterion_01_enumeration():
 
 def test_criterion_02_cover_counts():
     def body():
-        for q, n, k in ((2, 5, 2), (2, 4, 2), (3, 4, 2)):
+        for q, n, k in ((2, 5, 2), (2, 4, 2), (3, 4, 2), (5, 4, 2),
+                        (2, 7, 3)):
             rep = verify_cover_counts(GeometryContext(q, n, k))
             assert rep.holds and not rep.violations, (q, n, k)
-        return "all four counts, three instances, zero violations"
+        return "all four counts, five instances, zero violations"
 
     _run("criterion-02-cover-counts", 10, body)
 

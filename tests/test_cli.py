@@ -204,6 +204,26 @@ def test_enumerate_records(capsys):
     assert summary["total"] == 67
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 5, 2), (5, 3, 1)])
+def test_enumerate_cover_pairs_match_closed_forms(q, n, k, capsys):
+    # n != 2k, so the slash and backslash totals differ: each is the sum
+    # over strata of |P_{i,j}| times the cover count below one element,
+    # q^j [i] slash and [j] backslash
+    from grassver.gf import qint
+
+    code, out, _ = run(capsys, "enumerate", "--q", str(q), "--n", str(n),
+                       "--k", str(k), "--format", "records")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines() if line]
+    strata = [r for r in recs if r["record"] == "stratum"]
+    slash = sum(r["closed_form"] * q ** r["j"] * qint(r["i"], q)
+                for r in strata)
+    back = sum(r["closed_form"] * qint(r["j"], q) for r in strata)
+    assert slash != back
+    assert (recs[-1]["slash_cover_pairs"],
+            recs[-1]["backslash_cover_pairs"]) == (slash, back)
+
+
 def test_check_record_and_line_format():
     rec = check_record("algebra", "REL-1", (2, 4, 2), True, 0.1234)
     line = format_check_line(rec)
@@ -244,6 +264,34 @@ def test_check_exception_writes_fail_record_and_exits_1(
         ("orbit-sizes", True), ("structure-constants", True),
         ("edge-types", False)]
     assert recs[-1]["detail"] == {"error": "ValueError: boom"}
+
+
+def test_cover_sweep_fault_fails_cover_counts_exit_1(
+        tmp_path, capsys, monkeypatch):
+    # a hyperplane basis that is no enumerated subspace is a fault of the
+    # sweep: cover-counts fails naming the basis, and the run exits 1
+    from grassver.geometry import GeometryContext
+
+    real = GeometryContext.hyperplanes_rows
+
+    def sweep(self, rows):  # reversed, no basis of two rows is canonical
+        return (h[::-1] for h in real(self, rows))
+
+    monkeypatch.setattr(GeometryContext, "hyperplanes_rows", sweep)
+    path = tmp_path / "checks.ndjson"
+    code, out, err = run(capsys, "verify", "--suite", "geometry",
+                         "--q", "2", "--n", "4", "--k", "2",
+                         "--format", "records", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    error = ("ValueError: hyperplane rows=4:2 of (dim=3, #51, rows=1:2:4) "
+             "is not an enumerated subspace")
+    assert err == f"error: {error}\n"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["check"], r["pass"]) for r in recs] == [
+        ("enumeration", True), ("stratum-sizes", True),
+        ("cover-counts", False)]
+    assert recs[-1]["detail"] == {"error": error}
 
 
 def test_lane_overflow_is_an_internal_error_exit_1(

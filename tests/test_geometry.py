@@ -1,14 +1,16 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from grassver import geometry, gf, kernels
+from grassver import cli, geometry, gf, kernels
 from grassver.gf import (
     Subspace,
     enumerate_subspaces,
+    format_rows,
     qint,
     rank_rows,
     rref_rows,
@@ -20,6 +22,7 @@ from grassver.geometry import (
     Stratum,
     classify_stratum,
     cover_kind,
+    cover_tallies,
     expected_stratum_size,
     pair_profile,
     letter_split,
@@ -185,11 +188,13 @@ def test_cover_sweeps_run_no_row_reduction(monkeypatch):
 
 # a reference space that is not a coordinate span, per instance
 OTHER_Y = {(2, 5, 2): [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]],
-           (3, 4, 2): [[1, 2, 0, 1], [0, 1, 1, 2]]}
+           (3, 4, 2): [[1, 2, 0, 1], [0, 1, 1, 2]],
+           (5, 3, 1): [[1, 2, 3]]}
 
 
 def contexts_with_two_ys():
-    """(2,5,2) and (3,4,2), each with the coordinate y and with OTHER_Y."""
+    """(2,5,2), (3,4,2) and (5,3,1), each with the coordinate y and with
+    OTHER_Y."""
     for (q, n, k), rows in OTHER_Y.items():
         yield GeometryContext(q, n, k)
         ctx = GeometryContext(q, n, k, y=Subspace.from_matrix(rows, q))
@@ -242,6 +247,109 @@ def test_cover_split_matches_cover_kind():
                 assert split(u.rows) == tuple(
                     [c for c, kind in covers if kind is want]
                     for want in (CoverKind.SLASH, CoverKind.BACKSLASH))
+
+
+def test_cover_tallies_match_the_two_sided_split():
+    # oracle: the slash/backslash splits of each element's covers, swept
+    # from below (covers_above) and from above (covers_below)
+    for ctx in contexts_with_two_ys():
+        tallies = cover_tallies(ctx)
+        assert all(len(t) == len(ctx.elements) for t in tallies)
+        for uid, u in enumerate(ctx.elements):
+            below = ctx.covers_below(u.rows)
+            above = ctx.covers_above(u.rows)
+            assert tuple(t[uid] for t in tallies) == (
+                len(below[0]), len(below[1]), len(above[0]), len(above[1]))
+
+
+def counted_sweeps(monkeypatch):
+    """Counts of the calls to both cover sweeps and to insert_row, kept
+    live while the test runs."""
+    calls = dict.fromkeys(
+        ("hyperplanes_rows", "superspaces_rows", "insert_row"), 0)
+    for name in ("hyperplanes_rows", "superspaces_rows"):
+        real = getattr(GeometryContext, name)
+
+        def sweep(self, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeometryContext, name, sweep)
+    real_insert = kernels.insert_row
+
+    def insert(*args):
+        calls["insert_row"] += 1
+        return real_insert(*args)
+
+    for module in (kernels, geometry):
+        monkeypatch.setattr(module, "insert_row", insert)
+    return calls
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
+def test_cover_counts_and_enumerate_sweep_each_pair_once(
+        q, n, k, monkeypatch, capsys):
+    # work-count guard: one hyperplane sweep per element of positive
+    # dimension, and no cover above built
+    calls = counted_sweeps(monkeypatch)
+    ctx = GeometryContext(q, n, k)
+    once = {"hyperplanes_rows": sum(1 for u in ctx.elements if u.dim),
+            "superspaces_rows": 0, "insert_row": 0}
+    assert verify_cover_counts(ctx).holds
+    assert calls == once
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["enumerate", "--q", str(q), "--n", str(n),
+                     "--k", str(k)]) == 0
+    assert "cover pairs:" in capsys.readouterr().out
+    assert calls == once
+    # the counters see a sweep above wherever one runs
+    ctx.covers_above(ctx.elements[0].rows)
+    assert calls["superspaces_rows"] == 1 and calls["insert_row"] > 0
+
+
+@pytest.mark.parametrize("slash", [True, False])
+def test_a_dropped_hyperplane_shows_at_both_ends(slash, monkeypatch):
+    # mutation: one cover pair left out of the sweep is missed below its
+    # top and above its bottom, and nowhere else
+    ctx = GeometryContext(3, 4, 2)
+    u, m = next((u, m) for u in ctx.elements if u.dim > 1
+                for m in ctx.hyperplanes_rows(u.rows)
+                if (ctx.intersection_dim_with_y(m) + 1
+                    == ctx.intersection_dim_with_y(u.rows)) == slash)
+    real = GeometryContext.hyperplanes_rows
+
+    def sweep(self, rows):
+        return (h for h in real(self, rows) if (rows, h) != (u.rows, m))
+
+    monkeypatch.setattr(GeometryContext, "hyperplanes_rows", sweep)
+    rep = verify_cover_counts(ctx)
+    assert rep.checked == len(ctx.elements)
+    at = (1, 0) if slash else (0, 1)
+    assert [(v.element.rows,
+             tuple(e - o for e, o in zip(v.expected, v.observed)))
+            for v in rep.violations] == [(m, (0, 0) + at),
+                                         (u.rows, at + (0, 0))]
+
+
+def test_a_basis_that_is_no_element_raises_naming_it(monkeypatch):
+    # mutation: a hyperplane basis that is not canonical is no element; the
+    # sweep names it in a ValueError rather than failing on the lookup
+    real = GeometryContext.hyperplanes_rows
+
+    def sweep(self, rows):
+        return (h[::-1] for h in real(self, rows))
+
+    monkeypatch.setattr(GeometryContext, "hyperplanes_rows", sweep)
+    ctx = GeometryContext(2, 4, 2)
+    # reversing changes no basis of fewer than two rows
+    u = ctx.elements[ctx.ids_by_dim[3][0]]
+    bad = next(real(ctx, u.rows))[::-1]
+    assert bad not in ctx.id_by_rows
+    rows = ":".join(format_rows(bad, 4, 2))
+    with pytest.raises(ValueError, match=re.escape(
+            f"hyperplane rows={rows} of {ctx.ref(u)} is not an enumerated "
+            f"subspace")):
+        verify_cover_counts(ctx)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
