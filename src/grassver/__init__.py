@@ -13,7 +13,6 @@ from .geometry import (
     GeometryContext,
     Stratum,
     CoverKind,
-    classify_stratum,
     cover_kind,
     verify_cover_counts,
 )
@@ -29,12 +28,7 @@ from .grassmann import (
     structure_constants,
     verify_entry_table,
 )
-from .operators import (
-    SparseOperator,
-    build_derived,
-    build_generator,
-    entry_of_product,
-)
+from .operators import SparseOperator
 from .relations import RelationReport, relation_ids, verify_relation
 from .scalars import QSqrtScalar, q_pow_half
 
@@ -43,13 +37,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Subspace", "enumerate_subspaces", "gaussian_binomial", "qint",
     "subspace_intersect", "subspace_sum",
-    "GeometryContext", "Stratum", "CoverKind", "classify_stratum",
-    "cover_kind", "verify_cover_counts",
+    "GeometryContext", "Stratum", "CoverKind", "cover_kind",
+    "verify_cover_counts",
     "EdgeType", "GrassmannInstance", "OrbitLabel", "classify_orbit",
     "count_edge_types", "edge_type", "graph_distance",
     "intersection_numbers", "structure_constants", "verify_entry_table",
-    "SparseOperator", "build_derived", "build_generator",
-    "entry_of_product",
+    "SparseOperator",
     "RelationReport", "relation_ids", "verify_relation",
     "QSqrtScalar", "q_pow_half",
     "__version__",

@@ -141,13 +141,13 @@ _OWN_ZERO_OTHER = {
 
 
 class GeometryContext:
-    """Fixed (q, n, k, y) with optional enumeration of dimension bands.
+    """Fixed (q, n, k, y), fully enumerated or lazy.
 
-    ``dims`` selects which dimensions are enumerated into ``elements``,
-    whose ids ``id_by_rows`` gives by canonical rows (None means all of
-    0..n; an empty tuple builds a lazy context with no enumeration, enough
-    for local/banded computations).  Immutable after construction, the
-    stratum table included; safe to share.
+    With ``dims=None`` every subspace of F_q^n goes into ``elements``, in
+    dimension order, and ``id_by_rows`` gives its id by canonical rows.
+    ``dims=()`` builds a lazy context with no enumeration, enough for
+    local computations around given subspaces.  Immutable after
+    construction, the stratum table included; safe to share.
     """
 
     def __init__(self, q: int, n: int, k: int,
@@ -166,9 +166,9 @@ class GeometryContext:
             raise ValueError("reference subspace must be a k-space of F_q^n")
         self.y = y
         self._canonical_y = y == Subspace.coordinate_span(range(k), q, n)
-        self.dims = tuple(range(n + 1)) if dims is None else tuple(sorted(dims))
-        if any(d < 0 or d > n for d in self.dims):
-            raise ValueError("enumerated dimensions outside [0, n]")
+        if dims not in (None, ()):
+            raise ValueError(f"dims must be None (every dimension) or () "
+                             f"(none), got {dims!r}")
 
         # for y the span of the first k columns, dim(u ∩ y) is dim(u)
         # minus the rank of u's rows with those k lanes shifted out
@@ -179,7 +179,7 @@ class GeometryContext:
         self.ids_by_dim: dict[int, range] = {}
         # dim(u ∩ y) by canonical rows, for the enumerated u only
         self._strat_cache: dict[tuple, int] = {}
-        for d in self.dims:
+        for d in range(n + 1) if dims is None else ():
             start = len(self.elements)
             for u in enumerate_subspaces(n, d, q):
                 self.id_by_rows[u.rows] = len(self.elements)
@@ -214,9 +214,6 @@ class GeometryContext:
 
     def qint(self, m: int) -> int:
         return qint(m, self.q)
-
-    def has_dim(self, d: int) -> bool:
-        return d in self.ids_by_dim
 
     def ref(self, u: Subspace) -> str:
         """Stable textual reference for a subspace in reports."""
@@ -389,11 +386,6 @@ def letter_split(z, groups) -> dict[str, list]:
     return letters
 
 
-def classify_stratum(u: Subspace, ctx: GeometryContext) -> Stratum:
-    """Stratum (i, j) of u: i = dim(u ∩ y), j = dim(u) - i."""
-    return ctx.stratum(u)
-
-
 def cover_kind(u: Subspace, v: Subspace,
                ctx: GeometryContext) -> Optional[CoverKind]:
     """Slash/Backslash if v covers u, else None."""
@@ -461,8 +453,8 @@ def cover_tallies(ctx: GeometryContext):
     dim(u∩y).  No cover above is built.  A basis that is not an element
     raises ValueError naming it.
     """
-    if set(ctx.dims) != set(range(ctx.n + 1)):
-        raise ValueError("cover tallies need the full poset")
+    if not ctx.elements:
+        raise ValueError("cover tallies need an enumerated context")
     ids = ctx.id_by_rows
     meet = [ctx.intersection_dim_with_y(u.rows) for u in ctx.elements]
     size = len(meet)

@@ -258,12 +258,6 @@ def expected_orbit_sizes(inst: GrassmannInstance) -> dict[OrbitLabel, int]:
     }
 
 
-def brute_intersection_numbers(inst: GrassmannInstance) -> tuple[int, int]:
-    """(b_i, c_i) by counting neighbor distances to y directly."""
-    sizes = inst.orbit_sizes()
-    return sizes[OrbitLabel.B], sizes[OrbitLabel.C]
-
-
 # ---------------------------------------------------------------------------
 # structure constants
 
@@ -457,36 +451,3 @@ def verify_entry_table(inst: GrassmannInstance) -> TableReport:
                 triple[t] for triple in edge_types[(o, "A" + b[1])]}
     return TableReport.from_cells("entry-table", inst.instance, expected,
                                   per_cell.items())
-
-
-def edge_type_matches_orbits(inst: GrassmannInstance) -> bool:
-    """Typed edges agree with reclassification: for equidistant adjacent
-    w,z in Γ(x), the type of wz matches the A-class of w relative to (z,y).
-    Also exercises edge-type symmetry (the pair is checked both ways)."""
-    ctx = inst.ctx
-    orbits = inst.orbit_partition()
-    equidistant = [
-        rows
-        for label in (OrbitLabel.A0, OrbitLabel.APLUS, OrbitLabel.AMINUS,
-                      OrbitLabel.B, OrbitLabel.C)
-        for rows in orbits[label]
-    ]
-    by_dist: dict[int, list] = {}
-    for rows in equidistant:
-        by_dist.setdefault(ctx.intersection_dim_with_y(rows), []).append(rows)
-    for members in by_dist.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                w = Subspace._canonical(ctx.q, ctx.n, members[a])
-                z = Subspace._canonical(ctx.q, ctx.n, members[b])
-                if graph_distance(w, z, ctx) != 1:
-                    continue
-                dist = ctx.k - ctx.intersection_dim_with_y(w.rows)
-                if not 1 < dist < ctx.k:
-                    continue
-                t = edge_type(w, z, inst)
-                if t != edge_type(z, w, inst):
-                    return False
-                if pair_profile(w, z, ctx).f_class() != "F" + t.value:
-                    return False
-    return True

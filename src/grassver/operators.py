@@ -1,13 +1,14 @@
 """Sparse exact operators indexed by the projective geometry.
 
-Materialized matrices over Q(sqrt(q)) for the library API (build_generator,
-build_derived, entry_of_product) and as the brute-force reference of the
+Materialized matrices over Q(sqrt(q)), the brute-force reference of the
 relation tests; the identities themselves are checked by the integer
 evaluator in grassver.relations, which sweeps the geometry on its own.
 K1, K2 are diagonal (half-integer powers of q); L1, L2, R1, R2 (cover-kind
 incidence) and F0, F+, F- (same-dimension pairs split by cover-kind
 profile) are built from the geometry; R, L are compositions.  The algebraic
 expressions for F0/F+/F- are *verification targets*, never constructors.
+``OperatorSet.get`` takes the symbols that Term words use: I, K1, K1i, K2,
+K2i, L1, L2, R1, R2, R, L, F0, F+, F-, F, O0, O1, O2.
 
 A Term is ``num / (q-1)^dq * q^(half/2) * K1^k1 * K2^k2 * word`` where
 ``word`` is a product of operator symbols; operator expressions are lists
@@ -23,21 +24,6 @@ from typing import NamedTuple
 from .geometry import GeometryContext, pair_profile
 from .gf import rank_rows
 from .scalars import QSqrtScalar, q_pow_half
-
-GENERATOR_NAMES = ("K1", "K2", "K1inv", "K2inv", "L1", "L2", "R1", "R2")
-DERIVED_NAMES = ("R", "L", "F0", "Fplus", "Fminus", "F",
-                 "Omega0", "Omega1", "Omega2")
-
-# canonical short symbols used inside Term words
-_ALIASES = {
-    "K1inv": "K1i", "K2inv": "K2i",
-    "Fplus": "F+", "Fminus": "F-",
-    "Omega0": "O0", "Omega1": "O1", "Omega2": "O2",
-}
-
-
-def canon_symbol(name: str) -> str:
-    return _ALIASES.get(name, name)
 
 
 class Term(NamedTuple):
@@ -162,20 +148,6 @@ class SparseOperator:
             for c, v in row.items():
                 yield r, c, v
 
-    def apply_to_vector(self, vec: dict) -> dict:
-        """Matrix-vector product; vec maps column id -> QSqrtScalar."""
-        out: dict = {}
-        for r, row in self.rows.items():
-            acc = None
-            for c, v in vec.items():
-                a = row.get(c)
-                if a is not None:
-                    t = a * v
-                    acc = t if acc is None else acc + t
-            if acc:
-                out[r] = acc
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseOperator)
@@ -222,7 +194,7 @@ def omega_terms(which: str, q: int, n: int, k: int) -> list[Term]:
 
 
 class OperatorSet:
-    """Cached operators over one fully- or band-enumerated context."""
+    """Cached operators over one fully enumerated context."""
 
     def __init__(self, ctx: GeometryContext):
         self.ctx = ctx
@@ -237,8 +209,6 @@ class OperatorSet:
         l2: dict = {}
         one = QSqrtScalar.from_int(1, ctx.q)
         for uid, u in enumerate(ctx.elements):
-            if not ctx.has_dim(u.dim + 1):
-                continue
             i_u = ctx.intersection_dim_with_y(u.rows)
             for vrows, _ in ctx.superspaces_rows(u.rows):
                 vid = ctx.id_by_rows[vrows]
@@ -270,8 +240,7 @@ class OperatorSet:
         for name, rows in mats.items():
             self._ops[name] = SparseOperator(ctx, rows)
 
-    def get(self, name: str) -> SparseOperator:
-        sym = canon_symbol(name)
+    def get(self, sym: str) -> SparseOperator:
         op = self._ops.get(sym)
         if op is not None:
             return op
@@ -304,7 +273,7 @@ class OperatorSet:
         elif sym in ("O0", "O1", "O2"):
             self._ops[sym] = self.evaluate_terms(omega_terms(sym, q, n, k))
         else:
-            raise ValueError(f"unknown operator {name!r}")
+            raise ValueError(f"unknown operator {sym!r}")
         return self._ops[sym]
 
     def word(self, word: tuple) -> SparseOperator:
@@ -356,33 +325,3 @@ def operator_set(ctx: GeometryContext) -> OperatorSet:
         ops = OperatorSet(ctx)
         _OPSETS[ctx] = ops
     return ops
-
-
-def build_generator(which: str, ctx: GeometryContext) -> SparseOperator:
-    """One of K1, K2, K1inv, K2inv, L1, L2, R1, R2 over ctx."""
-    if which not in GENERATOR_NAMES:
-        raise ValueError(f"unknown generator {which!r}")
-    return operator_set(ctx).get(which)
-
-
-def build_derived(which: str, ctx: GeometryContext) -> SparseOperator:
-    """One of R, L, F0, Fplus, Fminus, F, Omega0, Omega1, Omega2 over ctx."""
-    if which not in DERIVED_NAMES:
-        raise ValueError(f"unknown derived element {which!r}")
-    return operator_set(ctx).get(which)
-
-
-def entry_of_product(factors, row_id: int, col_id: int) -> QSqrtScalar:
-    """(product of factors)[row, col] by repeated sparse mat-vec.
-
-    Never materializes the product: applies the factors right-to-left to
-    the coordinate basis vector e_col.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty factor list")
-    ctx = factors[0].ctx
-    vec = {col_id: QSqrtScalar.from_int(1, ctx.q)}
-    for f in reversed(factors):
-        vec = f.apply_to_vector(vec)
-    return vec.get(row_id, QSqrtScalar.from_int(0, ctx.q))

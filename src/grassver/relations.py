@@ -615,6 +615,9 @@ def _column_rows(ctx: GeometryContext, col) -> tuple:
     """Accepts an element id, a Subspace, or packed basis rows; returns
     the canonical basis rows."""
     if isinstance(col, int):
+        if not 0 <= col < len(ctx.elements):
+            raise ValueError(f"column {col} is not an element id: the "
+                             f"context has {len(ctx.elements)} elements")
         return ctx.elements[col].rows
     if not isinstance(col, Subspace):
         col = Subspace(ctx.q, ctx.n, col)
@@ -631,9 +634,9 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
                             mode=mode, components=names)
     ev = column_evaluator(ctx)
     if mode == "full":
-        if not all(ctx.has_dim(d) for d in range(n + 1)):
-            raise ValueError("full mode needs every dimension enumerated; "
-                             "use columns mode on a partial context")
+        if not ctx.elements:
+            raise ValueError("full mode needs an enumerated context; "
+                             "use columns mode on a lazy context")
         ids = range(len(ctx.elements))
         batch = FULL_MODE_BATCH
 
@@ -645,7 +648,9 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
     elif mode == "columns":
         if not columns:
             raise ValueError("columns mode requires a nonempty column list")
-        ids = [ev.intern(_column_rows(ctx, c)) for c in columns]
+        # each distinct column once, in the order given
+        ids = list(dict.fromkeys(
+            ev.intern(_column_rows(ctx, c)) for c in columns))
         report.checked_columns = len(ids)
         batch = 1
 

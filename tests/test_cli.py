@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import grassver
 from grassver import cli
 from grassver.cli import main
 from grassver.reports import check_record, format_check_line
@@ -425,3 +426,53 @@ def test_python_m_grassver_runs_the_cli(capsys):
                           timeout=120)
     assert (proc.returncode, mask_seconds(proc.stdout), proc.stderr) == (
         code, mask_seconds(out), err)
+
+
+# runs one verify under perfbench's layer tracer and prints, last, what the
+# benchmark worker reads: the exit code, the traced metrics, the backend,
+# the version, and the named function keys that no layer module defines
+_TRACED_RUN = """
+import json
+import grassver, grassver.cli, layertrace
+from grassver import kernels
+
+tracer = layertrace.Tracer()
+tracer.install()
+code = grassver.cli.main(["verify", "--suite", "all", "--q", "2", "--n", "4",
+                          "--k", "2"])
+metrics = tracer.metrics()
+print(json.dumps({
+    "code": code, "metrics": metrics, "backend": kernels.BACKEND,
+    "version": grassver.__version__,
+    "missing": [key for _, key, _ in layertrace.NAMED
+                if key not in tracer.stats]}))
+"""
+
+
+# named benchmark metrics whose functions are already gone, so they read
+# 0; the metric list can change only with a change to the benchmark
+STALE_TRACED_NAMES = {
+    "geometry.GeometryContext.typed_adjacency",
+    "relations.ColumnEvaluator.evaluate_band_terms",
+    "relations.ColumnEvaluator.apply_terms",
+}
+
+
+def test_the_names_the_benchmark_tracer_reads_exist():
+    # the benchmark's tracer wraps grassver's functions by name from
+    # outside the package; a deleted or renamed one breaks only traced
+    # benchmark runs, or makes a named metric read 0, and the test suite
+    # does not otherwise start such a run
+    src = Path(cli.__file__).resolve().parents[1]
+    perfbench = src.parent / "perfbench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(perfbench), str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0
+    assert got["metrics"]["relations.verify_relation.calls"] > 0
+    assert got["backend"] == "python"
+    assert got["version"] == grassver.__version__
+    assert set(got["missing"]) <= STALE_TRACED_NAMES

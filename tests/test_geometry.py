@@ -20,7 +20,6 @@ from grassver.geometry import (
     CoverKind,
     GeometryContext,
     Stratum,
-    classify_stratum,
     cover_kind,
     cover_tallies,
     expected_stratum_size,
@@ -40,15 +39,15 @@ def ctx242():
 
 def test_reference_subspace_defaults(ctx242):
     assert ctx242.y == Subspace.coordinate_span([0, 1], 2, 4)
-    assert classify_stratum(ctx242.y, ctx242) == Stratum(2, 0)
-    assert classify_stratum(Subspace.zero(2, 4), ctx242) == Stratum(0, 0)
+    assert ctx242.stratum(ctx242.y) == Stratum(2, 0)
+    assert ctx242.stratum(Subspace.zero(2, 4)) == Stratum(0, 0)
 
 
 def test_stratum_examples(ctx242):
     u = Subspace.coordinate_span([0, 2], 2, 4)  # meets y in e0 only
-    assert classify_stratum(u, ctx242) == Stratum(1, 1)
+    assert ctx242.stratum(u) == Stratum(1, 1)
     v = Subspace.coordinate_span([2, 3], 2, 4)
-    assert classify_stratum(v, ctx242) == Stratum(0, 2)
+    assert ctx242.stratum(v) == Stratum(0, 2)
 
 
 def test_cover_kind_dichotomy(ctx242):
@@ -355,12 +354,14 @@ def test_a_basis_that_is_no_element_raises_naming_it(monkeypatch):
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
 def test_f_class_is_the_only_class_that_holds(q, n, k):
     # f_class returns one class, so the three conditions must exclude each
-    # other on every adjacent pair of every dimension
+    # other on every adjacent pair of every dimension; and the class is
+    # symmetric, so an edge has one type whichever end it is read from
     ctx = GeometryContext(q, n, k)
     seen = set()
     for z in ctx.elements:
         for u in (u for us in split_at(ctx, z.rows).values() for u in us):
-            p = pair_profile(Subspace(q, n, u), z, ctx)
+            u = Subspace(q, n, u)
+            p = pair_profile(u, z, ctx)
             held = [
                 p.top_u and p.top_z and not p.bot_u and not p.bot_z,
                 not p.top_u and not p.top_z,
@@ -370,6 +371,7 @@ def test_f_class_is_the_only_class_that_holds(q, n, k):
             f = p.f_class()
             assert f == (("F0", "F+", "F-")[held.index(True)]
                          if any(held) else None)
+            assert pair_profile(z, u, ctx).f_class() == f
             seen.add(f)
     assert seen == {"F0", "F+", "F-", None}
 
@@ -469,7 +471,9 @@ def test_banded_context_skips_enumeration():
     u = Subspace.coordinate_span([0, 4, 5], 2, 7)
     assert ctx.stratum(u) == Stratum(1, 2)
     assert ctx.ids_by_dim == {}
-    assert not any(ctx.has_dim(d) for d in range(ctx.n + 1))
+    assert ctx.id_by_rows == {}
+    with pytest.raises(ValueError, match="enumerated context"):
+        cover_tallies(ctx)
 
 
 def test_non_canonical_reference_subspace():

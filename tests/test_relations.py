@@ -109,6 +109,41 @@ def test_columns_accept_subspace_and_rows(contexts):
                                columns=[col]).holds
 
 
+def test_a_repeated_column_is_checked_once():
+    # (1, 18) is a 2-space in stratum (1, 1), on which REL-8P fails; the
+    # same column given again, as rows, a Subspace or an element id, adds
+    # no column and no violation
+    full = GeometryContext(2, 5, 2)
+    u = Subspace(2, 5, (1, 18))
+    v = full.elements[full.ids_by_dim[2][0]]
+    once = verify_relation("REL-8P", full, "columns", columns=[u])
+    assert once.checked_columns == 1
+    assert len(once.violations) == 4
+    uid = full.id_by_rows[u.rows]
+    for cols in ([u, u], [u.rows, uid, u], [(19, 18), u]):
+        again = verify_relation("REL-8P", full, "columns", columns=cols)
+        assert again.to_record() == once.to_record()
+    # repeats are dropped where they recur; the first order is kept
+    pair = verify_relation("REL-8P", full, "columns", columns=[v, u])
+    assert pair.checked_columns == 2
+    got = verify_relation("REL-8P", full, "columns", columns=[v, u, v, u])
+    assert got.to_record() == pair.to_record()
+
+
+def test_a_column_id_outside_the_elements_is_refused():
+    full = GeometryContext(2, 4, 2)
+    size = len(full.elements)
+    for bad in (-1, size, size + 7):
+        with pytest.raises(ValueError, match=f"column {bad} is not"):
+            verify_relation("REL-1", full, "columns", columns=[0, bad])
+    # a lazy context has no element ids at all
+    lazy = GeometryContext(2, 4, 2, dims=())
+    with pytest.raises(ValueError, match="column 0 is not"):
+        verify_relation("REL-1", lazy, "columns", columns=[0])
+    assert verify_relation("REL-1", full, "columns",
+                           columns=[0, size - 1]).checked_columns == 2
+
+
 def test_non_canonical_column_gives_the_canonical_report():
     # rows (19, 18) span the stratum-(1,1) 2-space with canonical rows
     # (1, 18), on which REL-8P fails and REL-8 holds
@@ -298,10 +333,13 @@ def test_bad_mode_and_empty_columns(contexts):
         verify_relation("REL-1", ctx, "sideways")
     with pytest.raises(ValueError):
         verify_relation("REL-1", ctx, "columns", columns=[])
-    # full mode needs every dimension: a letter cut at the edge of a
-    # partial enumeration would report violations that do not exist
-    with pytest.raises(ValueError):
-        verify_relation("REL-F0A", GeometryContext(2, 4, 2, dims=(2,)))
+    # a context enumerates every dimension or none: a letter cut at the
+    # edge of a partial band would report violations that do not exist
+    with pytest.raises(ValueError, match="dims"):
+        GeometryContext(2, 4, 2, dims=(2,))
+    # and full mode needs the enumeration
+    with pytest.raises(ValueError, match="enumerated context"):
+        verify_relation("REL-F0A", GeometryContext(2, 4, 2, dims=()))
 
 
 # a reference space that is not a coordinate span, per full-mode instance
