@@ -195,10 +195,11 @@ def _run_algebra_full(out: _Output, q, n, k):
                     for v in rep.violations[:5]
                 ]}
     with out.check("algebra", "REL-8-variant-resolution", (q, n, k)) as c:
-        c.passed = variant_holds.get("REL-8", False) != variant_holds.get(
-            "REL-8P", False)
-        c.detail = {"holds": "REL-8" if variant_holds.get("REL-8") else
-                    "REL-8P" if variant_holds.get("REL-8P") else "neither"}
+        holds = [rid for rid, held in variant_holds.items() if held]
+        # exactly one variant must hold; at k = 1, F- is 0 and both do
+        c.passed = len(holds) == 1
+        c.detail = {"holds": holds[0] if c.passed else
+                    "both" if holds else "neither"}
 
 
 def _run_algebra_columns(out: _Output, q, n, k, i):

@@ -84,10 +84,8 @@ class AdjacentProfile(NamedTuple):
     def from_dims(cls, i_u: int, i_z: int, i_s: int,
                   i_m: int) -> AdjacentProfile:
         """The profile from dim(· ∩ y) of u, z, s = u+z and m = u∩z."""
-        # tuple.__new__ skips the generated __new__: every typed sweep
-        # builds one profile per adjacent pair
-        return tuple.__new__(cls, (i_s == i_u + 1, i_s == i_z + 1,
-                                   i_u == i_m + 1, i_z == i_m + 1))
+        return cls(i_s == i_u + 1, i_s == i_z + 1, i_u == i_m + 1,
+                   i_z == i_m + 1)
 
     def f_class(self) -> str | None:
         """The F-class of the pair: "F0", "F+", "F-", or None for none.

@@ -2,43 +2,29 @@
 
 Materialized matrices over Q(sqrt(q)), the brute-force reference of the
 relation tests; the identities themselves are checked by the integer
-evaluator in grassver.relations, which sweeps the geometry on its own.
+evaluator in grassver.relations, which sweeps the geometry on its own and
+imports nothing from here.
 K1, K2 are diagonal (half-integer powers of q); L1, L2, R1, R2 (cover-kind
 incidence) and F0, F+, F- (same-dimension pairs split by cover-kind
 profile) are built from the geometry; R, L are compositions.  The algebraic
 expressions for F0/F+/F- are *verification targets*, never constructors.
-``OperatorSet.get`` takes the symbols that Term words use: I, K1, K1i, K2,
-K2i, L1, L2, R1, R2, R, L, F0, F+, F-, F, O0, O1, O2.
+``OperatorSet.get`` takes the letters of Term words: I, K1, K1i, K2, K2i,
+L1, L2, R1, R2, R, L, F0, F+, F-, F, O0, O1, O2.
 
-A Term is ``num / (q-1)^dq * q^(half/2) * K1^k1 * K2^k2 * word`` where
-``word`` is a product of operator symbols; operator expressions are lists
-of Terms.
+``OperatorSet.evaluate_terms`` sums the Terms that the evaluator checks
+(``grassver.relations.Term``, ``num / (q-1)^dq * q^(half/2) * word``),
+each as its word's matrix, diagonal letters included, times its scalar.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import NamedTuple
 
 from .geometry import GeometryContext, pair_profile
 from .gf import rank_rows
+from .relations import Term, omega_terms
 from .scalars import QSqrtScalar, q_pow_half
-
-
-class Term(NamedTuple):
-    """One summand of an operator expression (see module docstring)."""
-
-    num: int
-    dq: int = 0
-    half: int = 0
-    k1: int = 0
-    k2: int = 0
-    word: tuple = ()
-
-
-def T(num, word=(), dq=0, half=0, k1=0, k2=0) -> Term:
-    return Term(num, dq, half, k1, k2, tuple(word))
 
 
 class SparseOperator:
@@ -159,40 +145,6 @@ class SparseOperator:
         return id(self)
 
 
-# ---------------------------------------------------------------------------
-# derived-element definitions as Term lists
-
-
-def omega_terms(which: str, q: int, n: int, k: int) -> list[Term]:
-    """The three central elements, as displayed operator expressions."""
-    if which == "O0":
-        return [
-            T(q - 1, ("F0", "K1i", "K2i"), half=-n),
-            T(1, half=-k, k1=-1),
-            T(1, half=-(n - k), k2=-1),
-            T(-1, half=-n, k1=-1, k2=-1),
-        ]
-    if which == "O1":
-        return [
-            T(q, ("F0", "K2i"), half=-(n - k)),
-            T(q - 1, ("F-", "K2i"), half=-(n - k)),
-            T(1, dq=1, half=k + 2 - (n - k), k1=1, k2=-1),
-            T(1, dq=1, half=k + 2, k1=-1),
-            T(-1, dq=1, half=2 - (n - k), k2=-1),
-            T(-q, dq=1),
-        ]
-    if which == "O2":
-        return [
-            T(q, ("F0", "K1i"), half=-k),
-            T(q - 1, ("F+", "K1i"), half=-k),
-            T(1, dq=1, half=n - 2 * k + 2, k1=-1, k2=1),
-            T(1, dq=1, half=n + 2 - k, k2=-1),
-            T(-1, dq=1, half=2 - k, k1=-1),
-            T(-q, dq=1),
-        ]
-    raise ValueError(f"unknown central element {which!r}")
-
-
 class OperatorSet:
     """Cached operators over one fully enumerated context."""
 
@@ -290,22 +242,9 @@ class OperatorSet:
     # -- Term evaluation ----------------------------------------------------
 
     def term_matrix(self, term: Term) -> SparseOperator:
-        ctx = self.ctx
-        q, n, k = ctx.q, ctx.n, ctx.k
-        base = Fraction(term.num, (q - 1) ** term.dq)
-        mat = self.word(term.word)
-        out: dict = {}
-        for r, row in mat.rows.items():
-            s = ctx.stratum(ctx.elements[r])
-            factor = q_pow_half(
-                term.half + term.k1 * (k - 2 * s.i)
-                + term.k2 * (2 * s.j - (n - k)),
-                q,
-            ) * base
-            if not factor:
-                continue
-            out[r] = {c: factor * v for c, v in row.items()}
-        return SparseOperator(ctx, out)
+        q = self.ctx.q
+        return self.word(term.word).scale(
+            q_pow_half(term.half, q) * Fraction(term.num, (q - 1) ** term.dq))
 
     def evaluate_terms(self, terms) -> SparseOperator:
         acc = SparseOperator.zeros(self.ctx)

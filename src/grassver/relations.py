@@ -1,6 +1,10 @@
 """Registry and verification of the operator identities.
 
-Every identity is stored as a named list of components, each a list of
+A Term is ``num / (q-1)^dq * q^(half/2) * word``, where ``word`` is a
+product of letters: the incidence letters below, the diagonal letters
+K1, K1i, K2, K2i and the central elements O0, O1, O2 (``omega_terms``).
+Every identity is registered once, by id in report order
+(``relation_ids``), as its components, each a tuple of
 Terms summing to the zero operator.  Both modes check a component column
 by column with one exact integer evaluator.  Each incidence letter (L1,
 L2, R1, R2, R, L, F0, F+, F-, F) moves the stratum (i, j) by a fixed step
@@ -24,23 +28,20 @@ same-dimension letters at a subspace are read from the covers of its
 hyperplanes, which the evaluator sweeps and groups by point once per
 hyperplane and shares among every subspace over it;
 ``geometry.letter_split`` names the letter of each group.
-
-Relation ids: REL-1 .. REL-8 (plus REL-8P, the literally-printed variant
-of REL-8 whose F- coefficient lacks a K2 factor), REL-F0A/F0B/F+/F-,
-REL-CENT, REL-FC0/FC+/FC-, REL-COMM, REL-A1(i)-(viii), REL-A2(i)-(iv),
-REL-A3(i)-(iv), REL-A4.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import GeometryContext, letter_split
 from .gf import Subspace, format_rows, qint
-from .operators import T, Term, omega_terms
 from .scalars import QSqrtScalar
 
 MAX_VIOLATIONS = 25  # reports stay readable; holds-flag still exact
@@ -64,158 +65,199 @@ _DIAGONALS = {"K1": (1, 0), "K1i": (-1, 0), "K2": (0, 1), "K2i": (0, -1)}
 # registry
 
 
-def _core_relations(q: int, n: int, k: int) -> dict[str, list[Term]]:
-    """REL-1 .. REL-8 and the literal REL-8P variant."""
+class Term(NamedTuple):
+    """One summand of an operator expression (see module docstring)."""
+
+    num: int
+    dq: int = 0
+    half: int = 0
+    word: tuple = ()
+
+
+def T(num, word=(), dq=0, half=0) -> Term:
+    return Term(num, dq, half, tuple(word))
+
+
+def omega_terms(which: str, q: int, n: int, k: int) -> list[Term]:
+    """The three central elements, as displayed operator expressions."""
+    if which == "O0":
+        return [
+            T(q - 1, ("F0", "K1i", "K2i"), half=-n),
+            T(1, ("K1i",), half=-k),
+            T(1, ("K2i",), half=-(n - k)),
+            T(-1, ("K1i", "K2i"), half=-n),
+        ]
+    if which == "O1":
+        return [
+            T(q, ("F0", "K2i"), half=-(n - k)),
+            T(q - 1, ("F-", "K2i"), half=-(n - k)),
+            T(1, ("K1", "K2i"), dq=1, half=k + 2 - (n - k)),
+            T(1, ("K1i",), dq=1, half=k + 2),
+            T(-1, ("K2i",), dq=1, half=2 - (n - k)),
+            T(-q, dq=1),
+        ]
+    if which == "O2":
+        return [
+            T(q, ("F0", "K1i"), half=-k),
+            T(q - 1, ("F+", "K1i"), half=-k),
+            T(1, ("K1i", "K2"), dq=1, half=n - 2 * k + 2),
+            T(1, ("K2i",), dq=1, half=n + 2 - k),
+            T(-1, ("K1i",), dq=1, half=2 - k),
+            T(-q, dq=1),
+        ]
+    raise ValueError(f"unknown central element {which!r}")
+
+
+def _commutators(pairs) -> tuple:
+    return tuple((f"[{a},{b}]", (T(1, (a, b)), T(-1, (b, a))))
+                 for a, b in pairs)
+
+
+@functools.cache
+def _registry(q: int, n: int, k: int) -> dict[str, tuple]:
+    """Relation id -> its components, in report order.
+
+    A relation written as a list of Terms has that one component, named
+    by the relation's id; REL-CENT and REL-COMM bundle named commutators.
+    """
+    rel8 = [
+        T(q, ("R", "L")),
+        T(-1, ("F", "F0")),
+        T(-1, ("F+", "F-")),
+        T(-1, ("K1", "F0"), dq=1, half=k),
+        T(-1, ("K2", "F0"), dq=1, half=n - k),
+        T(2, ("F0",), dq=1),
+        T(-1, ("K1", "F+"), dq=1, half=k),
+        T(1, ("F+",), dq=1),
+        T(1, ("F-",), dq=1),
+        T(-1, ("K1", "K2"), dq=2, half=n),
+        T(1, ("K1",), dq=2, half=k),
+        T(1, ("K2",), dq=2, half=n - k),
+        T(-1, dq=2),
+    ]
     rels = {
         "REL-1": [
             T(q * q, ("R", "F0")),
             T(-1, ("F0", "R")),
-            T(1, ("R",), half=k, k1=1),
-            T(1, ("R",), half=n - k, k2=1),
+            T(1, ("K1", "R"), half=k),
+            T(1, ("K2", "R"), half=n - k),
             T(-(q + 1), ("R",)),
         ],
         "REL-2": [
             T(q, ("R", "F+")),
             T(-1, ("F+", "R")),
             T(-1, ("F0", "R")),
-            T(1, ("R",), dq=1, half=n + 2, k1=1, k2=-1),
-            T(-1, ("R",), dq=1, half=k, k1=1),
-            T(-1, ("R",), dq=1, half=n - k, k2=1),
+            T(1, ("K1", "K2i", "R"), dq=1, half=n + 2),
+            T(-1, ("K1", "R"), dq=1, half=k),
+            T(-1, ("K2", "R"), dq=1, half=n - k),
             T(1, ("R",), dq=1),
         ],
         "REL-3": [
             T(q, ("R", "F-")),
             T(-1, ("F-", "R")),
             T(-1, ("F0", "R")),
-            T(1, ("R",), dq=1, half=n + 2, k1=-1, k2=1),
-            T(-1, ("R",), dq=1, half=k, k1=1),
-            T(-1, ("R",), dq=1, half=n - k, k2=1),
+            T(1, ("K1i", "K2", "R"), dq=1, half=n + 2),
+            T(-1, ("K1", "R"), dq=1, half=k),
+            T(-1, ("K2", "R"), dq=1, half=n - k),
             T(1, ("R",), dq=1),
         ],
         "REL-4": [
             T(q * q, ("F0", "L")),
             T(-1, ("L", "F0")),
-            T(1, ("L",), half=k + 2, k1=1),
-            T(1, ("L",), half=n - k + 2, k2=1),
+            T(1, ("K1", "L"), half=k + 2),
+            T(1, ("K2", "L"), half=n - k + 2),
             T(-(q + 1), ("L",)),
         ],
         "REL-5": [
             T(q, ("F+", "L")),
             T(-1, ("L", "F+")),
             T(-1, ("L", "F0")),
-            T(1, ("L",), dq=1, half=n + 2, k1=1, k2=-1),
-            T(-1, ("L",), dq=1, half=k + 2, k1=1),
-            T(-1, ("L",), dq=1, half=n - k + 2, k2=1),
+            T(1, ("K1", "K2i", "L"), dq=1, half=n + 2),
+            T(-1, ("K1", "L"), dq=1, half=k + 2),
+            T(-1, ("K2", "L"), dq=1, half=n - k + 2),
             T(1, ("L",), dq=1),
         ],
         "REL-6": [
             T(q, ("F-", "L")),
             T(-1, ("L", "F-")),
             T(-1, ("L", "F0")),
-            T(1, ("L",), dq=1, half=n + 2, k1=-1, k2=1),
-            T(-1, ("L",), dq=1, half=k + 2, k1=1),
-            T(-1, ("L",), dq=1, half=n - k + 2, k2=1),
+            T(1, ("K1i", "K2", "L"), dq=1, half=n + 2),
+            T(-1, ("K1", "L"), dq=1, half=k + 2),
+            T(-1, ("K2", "L"), dq=1, half=n - k + 2),
             T(1, ("L",), dq=1),
         ],
         "REL-7": [
             T(1, ("L", "R")),
             T(-q, ("F+", "F-")),
-            T(-1, ("F+",), dq=1, half=n + 2, k1=-1, k2=1),
-            T(1, ("F+",), dq=1, half=n - k + 2, k2=1),
-            T(-1, ("F-",), dq=1, half=n + 2, k1=1, k2=-1),
-            T(1, ("F-",), dq=1, half=k + 2, k1=1),
-            T(-1, dq=2, half=n + 2, k1=1, k2=1),
-            T(1, dq=2, half=2 * n - k + 2, k1=1),
-            T(1, dq=2, half=n + k + 2, k2=1),
+            T(-1, ("K1i", "K2", "F+"), dq=1, half=n + 2),
+            T(1, ("K2", "F+"), dq=1, half=n - k + 2),
+            T(-1, ("K1", "K2i", "F-"), dq=1, half=n + 2),
+            T(1, ("K1", "F-"), dq=1, half=k + 2),
+            T(-1, ("K1", "K2"), dq=2, half=n + 2),
+            T(1, ("K1",), dq=2, half=2 * n - k + 2),
+            T(1, ("K2",), dq=2, half=n + k + 2),
             T(-(q ** (n + 1)), dq=2),
         ],
-    }
-    rel8 = [
-        T(q, ("R", "L")),
-        T(-1, ("F", "F0")),
-        T(-1, ("F+", "F-")),
-        T(-1, ("F0",), dq=1, half=k, k1=1),
-        T(-1, ("F0",), dq=1, half=n - k, k2=1),
-        T(2, ("F0",), dq=1),
-        T(-1, ("F+",), dq=1, half=k, k1=1),
-        T(1, ("F+",), dq=1),
-        T(1, ("F-",), dq=1),
-        T(-1, dq=2, half=n, k1=1, k2=1),
-        T(1, dq=2, half=k, k1=1),
-        T(1, dq=2, half=n - k, k2=1),
-        T(-1, dq=2),
-    ]
-    rels["REL-8"] = rel8 + [T(-1, ("F-",), dq=1, half=n - k, k2=1)]
-    # literal printing: scalar q^{(n-k)/2} instead of q^{(n-k)/2} K2
-    rels["REL-8P"] = rel8 + [T(-1, ("F-",), dq=1, half=n - k)]
-    return rels
-
-
-def _f_expression_relations(q: int, n: int, k: int) -> dict[str, list[Term]]:
-    """F0/F+/F- (geometric) minus their algebraic expressions."""
-    return {
+        "REL-8": rel8 + [T(-1, ("K2", "F-"), dq=1, half=n - k)],
+        # literal printing: scalar q^{(n-k)/2} instead of q^{(n-k)/2} K2
+        "REL-8P": rel8 + [T(-1, ("F-",), dq=1, half=n - k)],
+        # F0/F+/F- (geometric) minus their algebraic expressions
         "REL-F0A": [
             T(1, ("F0",)),
             T(-1, ("L1", "R1")),
             T(1, ("R1", "L1")),
-            T(-1, dq=1, half=n, k1=-1, k2=1),
-            T(1, dq=1, half=k, k1=1),
-            T(1, dq=1, half=n - k, k2=1),
+            T(-1, ("K1i", "K2"), dq=1, half=n),
+            T(1, ("K1",), dq=1, half=k),
+            T(1, ("K2",), dq=1, half=n - k),
             T(-1, dq=1),
         ],
         "REL-F0B": [
             T(1, ("F0",)),
             T(-1, ("R2", "L2")),
             T(1, ("L2", "R2")),
-            T(-1, dq=1, half=n, k1=1, k2=-1),
-            T(1, dq=1, half=k, k1=1),
-            T(1, dq=1, half=n - k, k2=1),
+            T(-1, ("K1", "K2i"), dq=1, half=n),
+            T(1, ("K1",), dq=1, half=k),
+            T(1, ("K2",), dq=1, half=n - k),
             T(-1, dq=1),
         ],
         "REL-F+": [
             T(1, ("F+",)),
             T(-1, ("L2", "R2")),
-            T(1, dq=1, half=n, k1=1, k2=-1),
-            T(-1, dq=1, half=k, k1=1),
+            T(1, ("K1", "K2i"), dq=1, half=n),
+            T(-1, ("K1",), dq=1, half=k),
         ],
         "REL-F-": [
             T(1, ("F-",)),
             T(-1, ("R1", "L1")),
-            T(1, dq=1, half=n, k1=-1, k2=1),
-            T(-1, dq=1, half=n - k, k2=1),
+            T(1, ("K1i", "K2"), dq=1, half=n),
+            T(-1, ("K2",), dq=1, half=n - k),
         ],
-    }
-
-
-def _center_recovery_relations(q: int, n: int, k: int) -> dict[str, list[Term]]:
-    """F0/F+/F- recovered from the central elements."""
-    return {
+        "REL-CENT": _commutators(itertools.product(
+            ("O0", "O1", "O2"), ("K1", "K2", "L1", "L2", "R1", "R2"))),
+        # F0/F+/F- recovered from the central elements
         "REL-FC0": [
             T(1, ("F0",)),
             T(-1, ("O0", "K1", "K2"), dq=1, half=n),
-            T(1, dq=1, half=k, k1=1),
-            T(1, dq=1, half=n - k, k2=1),
+            T(1, ("K1",), dq=1, half=k),
+            T(1, ("K2",), dq=1, half=n - k),
             T(-1, dq=1),
         ],
         "REL-FC+": [
             T(1, ("F+",)),
             T(-1, ("O2", "K1"), dq=1, half=k),
             T(1, ("O0", "K2", "K1"), dq=2, half=n + 2),
-            T(1, dq=2, half=n + 2, k1=1, k2=-1),
-            T(-2, dq=2, half=k + 2, k1=1),
+            T(1, ("K1", "K2i"), dq=2, half=n + 2),
+            T(-2, ("K1",), dq=2, half=k + 2),
         ],
         "REL-FC-": [
             T(1, ("F-",)),
             T(-1, ("O1", "K2"), dq=1, half=n - k),
             T(1, ("O0", "K1", "K2"), dq=2, half=n + 2),
-            T(1, dq=2, half=n + 2, k1=-1, k2=1),
-            T(-2, dq=2, half=n - k + 2, k2=1),
+            T(1, ("K1i", "K2"), dq=2, half=n + 2),
+            T(-2, ("K2",), dq=2, half=n - k + 2),
         ],
-    }
-
-
-def _appendix_relations(q: int, n: int, k: int) -> dict[str, list[Term]]:
-    rels = {
+        "REL-COMM": _commutators(
+            itertools.combinations(("F0", "F+", "F-", "F"), 2)),
         "REL-A1(i)": [T(1, ("K1", "L1")), T(-q, ("L1", "K1"))],
         "REL-A1(ii)": [T(1, ("K1", "L2")), T(-1, ("L2", "K1"))],
         "REL-A1(iii)": [T(q, ("K1", "R1")), T(-1, ("R1", "K1"))],
@@ -232,76 +274,55 @@ def _appendix_relations(q: int, n: int, k: int) -> dict[str, list[Term]]:
             T(1, ("R1", "R1", "L1")),
             T(-(q + 1), ("R1", "L1", "R1")),
             T(q, ("L1", "R1", "R1")),
-            T(q + 1, ("R1",), half=n - 2, k1=-1, k2=1),
+            T(q + 1, ("K1i", "K2", "R1"), half=n - 2),
         ],
         "REL-A3(ii)": [
             T(q, ("R2", "R2", "L2")),
             T(-(q + 1), ("R2", "L2", "R2")),
             T(1, ("L2", "R2", "R2")),
-            T(q + 1, ("R2",), half=n, k1=1, k2=-1),
+            T(q + 1, ("K1", "K2i", "R2"), half=n),
         ],
         "REL-A3(iii)": [
             T(q, ("L1", "L1", "R1")),
             T(-(q + 1), ("L1", "R1", "L1")),
             T(1, ("R1", "L1", "L1")),
-            T(q + 1, ("L1",), half=n, k1=-1, k2=1),
+            T(q + 1, ("K1i", "K2", "L1"), half=n),
         ],
         "REL-A3(iv)": [
             T(1, ("L2", "L2", "R2")),
             T(-(q + 1), ("L2", "R2", "L2")),
             T(q, ("R2", "L2", "L2")),
-            T(q + 1, ("L2",), half=n - 2, k1=1, k2=-1),
+            T(q + 1, ("K1", "K2i", "L2"), half=n - 2),
         ],
         "REL-A4": [
             T(1, ("L1", "R1")),
             T(-1, ("R1", "L1")),
             T(1, ("L2", "R2")),
             T(-1, ("R2", "L2")),
-            T(-1, dq=1, half=n, k1=1, k2=-1),
-            T(1, dq=1, half=n, k1=-1, k2=1),
+            T(-1, ("K1", "K2i"), dq=1, half=n),
+            T(1, ("K1i", "K2"), dq=1, half=n),
         ],
     }
-    return rels
+    return {rid: ((rid, tuple(c)),) if isinstance(c, list) else c
+            for rid, c in rels.items()}
 
 
-def _commutator(a: str, b: str) -> list[Term]:
-    return [T(1, (a, b)), T(-1, (b, a))]
-
-
-def relation_components(relation_id: str, q: int, n: int, k: int):
-    """Components of a relation: list of (component_name, terms).
+def relation_components(relation_id: str, q: int, n: int, k: int) -> tuple:
+    """Components of a relation: (component name, Terms) pairs.
 
     Each component must evaluate to the zero operator.  Most relations have
     a single component; REL-CENT and REL-COMM bundle several commutators.
     """
-    if relation_id == "REL-CENT":
-        return [
-            (f"[{o},{g}]", _commutator(o, g))
-            for o in ("O0", "O1", "O2")
-            for g in ("K1", "K2", "L1", "L2", "R1", "R2")
-        ]
-    if relation_id == "REL-COMM":
-        pairs = [("F0", "F+"), ("F0", "F-"), ("F0", "F"),
-                 ("F+", "F-"), ("F+", "F"), ("F-", "F")]
-        return [(f"[{a},{b}]", _commutator(a, b)) for a, b in pairs]
-    for family in (_core_relations, _f_expression_relations,
-                   _center_recovery_relations, _appendix_relations):
-        rels = family(q, n, k)
-        if relation_id in rels:
-            return [(relation_id, rels[relation_id])]
-    raise ValueError(f"unknown relation id {relation_id!r}")
+    try:
+        return _registry(q, n, k)[relation_id]
+    except KeyError:
+        raise ValueError(f"unknown relation id {relation_id!r}") from None
 
 
 def relation_ids() -> list[str]:
-    ids = [f"REL-{t}" for t in range(1, 9)]
-    ids += ["REL-8P", "REL-F0A", "REL-F0B", "REL-F+", "REL-F-",
-            "REL-CENT", "REL-FC0", "REL-FC+", "REL-FC-", "REL-COMM"]
-    ids += [f"REL-A1({r})" for r in
-            ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
-    ids += [f"REL-A2({r})" for r in ("i", "ii", "iii", "iv")]
-    ids += [f"REL-A3({r})" for r in ("i", "ii", "iii", "iv")]
-    ids += ["REL-A4"]
-    return ids
+    """Every relation id, in report order; the ids are the same at every
+    instance."""
+    return list(_registry(2, 4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +375,7 @@ class RelationReport:
 
 def _expand_terms(terms, q: int, n: int, k: int) -> list[Term]:
     """The Terms with every central element of a word replaced by its own
-    Terms, whose K factors become diagonal letters of the word."""
+    Terms."""
     out = []
     for term in terms:
         parts = [term._replace(word=())]
@@ -362,10 +383,7 @@ def _expand_terms(terms, q: int, n: int, k: int) -> list[Term]:
             if sym in ("O0", "O1", "O2"):
                 parts = [
                     p._replace(num=p.num * o.num, dq=p.dq + o.dq,
-                               half=p.half + o.half,
-                               # a tuple times a negative count is empty
-                               word=p.word + ("K1",) * o.k1 + ("K1i",) * -o.k1
-                               + ("K2",) * o.k2 + ("K2i",) * -o.k2 + o.word)
+                               half=p.half + o.half, word=p.word + o.word)
                     for p in parts for o in omega_terms(sym, q, n, k)
                 ]
             else:
@@ -395,7 +413,6 @@ def _stratum_coefficients(terms, stratum, q: int, n: int, k: int):
                 if not (0 <= i <= k and 0 <= j <= nk):
                     break
         else:
-            e2 += term.k1 * (k - 2 * i) + term.k2 * (2 * j - nk)
             found.append((term, e2))
     top = max((term.dq for term, _ in found), default=0)
     low = min((e2 // 2 for _, e2 in found), default=0)
@@ -621,6 +638,9 @@ def _column_rows(ctx: GeometryContext, col) -> tuple:
         return ctx.elements[col].rows
     if not isinstance(col, Subspace):
         col = Subspace(ctx.q, ctx.n, col)
+    elif (col.q, col.n) != (ctx.q, ctx.n):
+        raise ValueError(f"column from (q, n) = ({col.q}, {col.n}) on a "
+                         f"context of (q, n) = ({ctx.q}, {ctx.n})")
     return col.rows
 
 
@@ -646,11 +666,11 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
         def order(v):  # component, row id, column id
             return v[:3]
     elif mode == "columns":
-        if not columns:
-            raise ValueError("columns mode requires a nonempty column list")
         # each distinct column once, in the order given
         ids = list(dict.fromkeys(
-            ev.intern(_column_rows(ctx, c)) for c in columns))
+            ev.intern(_column_rows(ctx, c)) for c in columns or ()))
+        if not ids:
+            raise ValueError("columns mode requires a nonempty column list")
         report.checked_columns = len(ids)
         batch = 1
 

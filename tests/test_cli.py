@@ -51,6 +51,23 @@ def test_verify_algebra_records_names_winning_variant(capsys):
     assert res[0]["detail"]["holds"] == "REL-8"
 
 
+def test_variant_resolution_reports_a_tie_at_k_1(capsys):
+    # at k = 1, F- is the zero operator, so REL-8 and REL-8P are one
+    # identity and both hold; the resolution says so, and still fails, as
+    # it asserts that exactly one variant holds
+    code, out, _ = run(capsys, "verify", "--suite", "algebra",
+                       "--q", "2", "--n", "4", "--k", "1",
+                       "--format", "records")
+    assert code == 1
+    recs = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    for rid in ("REL-8", "REL-8P"):
+        assert recs[f"{rid}-evaluated"]["detail"] == {"holds": True}
+    res = recs["REL-8-variant-resolution"]
+    assert res["pass"] is False
+    assert res["detail"] == {"holds": "both"}
+    assert [r for r in recs.values() if not r["pass"]] == [res]
+
+
 def test_verify_algebra_columns_mode(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "algebra",
                        "--q", "2", "--n", "5", "--k", "2",

@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 from collections import Counter
@@ -8,17 +9,20 @@ from pathlib import Path
 
 import pytest
 
+import grassver
 from grassver.geometry import GeometryContext, pair_profile
 from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
 from grassver.grassmann import GrassmannInstance
-from grassver.operators import T, operator_set
+from grassver.operators import operator_set
 from grassver.relations import (
     _EVALUATORS,
     FULL_MODE_BATCH,
     MAX_VIOLATIONS,
     ColumnEvaluator,
     LaneOverflowError,
+    T,
     _lanes,
+    _registry,
     column_evaluator,
     relation_components,
     relation_ids,
@@ -41,6 +45,30 @@ def test_registry_is_complete():
         assert comps and all(terms for _, terms in comps)
     with pytest.raises(ValueError):
         relation_components("REL-99", 2, 4, 2)
+    # the ids, in report order, are the registry's keys at every instance
+    for instance in ((2, 4, 2), (3, 5, 2), (2, 7, 3)):
+        assert relation_ids() == list(_registry(*instance))
+
+
+CHECKED_PATH = ("kernels", "gf", "geometry", "relations", "grassmann",
+                "reports", "cli")
+
+
+@pytest.mark.parametrize("module", CHECKED_PATH)
+def test_the_checked_path_never_imports_the_reference(module):
+    # the SparseOperator matrices are the reference the evaluator is
+    # compared with, so the modules the CLI runs share no code with them
+    src = Path(grassver.__file__).with_name(f"{module}.py")
+    imported = []
+    for node in ast.walk(ast.parse(src.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported += [base] + [f"{base}.{a.name}" for a in node.names]
+    assert imported
+    assert not [name for name in imported
+                if "operators" in name.replace(".", " ").split()]
 
 
 def test_rel_cent_bundles_all_commutators():
@@ -327,6 +355,28 @@ def test_report_serialization(contexts):
     assert rec["instance"] == [2, 4, 2]
 
 
+@pytest.mark.parametrize("q, n", [(3, 5), (2, 7)])
+def test_a_column_from_another_ambient_space_is_refused(q, n):
+    # a 2-space of F_q^n would be read as rows of F_2^5; it is refused,
+    # and the message names both (q, n)
+    ctx = GeometryContext(2, 5, 2, dims=())
+    col = next(enumerate_subspaces(n, 2, q))
+    with pytest.raises(ValueError, match=rf"\({q}, {n}\).*\(2, 5\)"):
+        verify_relation("REL-1", ctx, "columns", columns=[col])
+
+
+@pytest.mark.parametrize("columns", [
+    [], None, iter([]), (c for c in ()),
+], ids=["list", "none", "iterator", "generator"])
+def test_no_columns_are_refused(columns):
+    # an empty iterator is refused as the empty list is, not passed
+    # vacuously with no column checked
+    ctx = GeometryContext(2, 5, 2, dims=())
+    with pytest.raises(ValueError,
+                       match="columns mode requires a nonempty column list"):
+        verify_relation("REL-1", ctx, "columns", columns=columns)
+
+
 def test_bad_mode_and_empty_columns(contexts):
     ctx = contexts[(2, 4, 2)]
     with pytest.raises(ValueError):
@@ -449,17 +499,26 @@ def ctx252():
     return GeometryContext(2, 5, 2)
 
 
+@pytest.fixture(scope="module")
+def odd_contexts():
+    return {inst: GeometryContext(*inst) for inst in ((2, 4, 3), (3, 3, 1))}
+
+
 @pytest.mark.parametrize("instance, rid", [
     *[((2, 4, 2), rid) for rid in relation_ids()],
     # n-k odd: coefficients with odd powers of sqrt(q)
     ((2, 5, 2), "REL-8"), ((2, 5, 2), "REL-8P"),
+    # k and n-k odd, and k = 1, where F- is 0 and REL-8P holds
+    *[((2, 4, 3), rid) for rid in relation_ids()],
+    *[((3, 3, 1), rid) for rid in relation_ids()],
 ])
 def test_full_mode_matches_sparse_operator_oracle(contexts, ctx252,
-                                                  instance, rid):
-    ctx = ctx252 if instance == (2, 5, 2) else contexts[instance]
+                                                  odd_contexts, instance,
+                                                  rid):
+    ctx = {**contexts, **odd_contexts, (2, 5, 2): ctx252}[instance]
     got = verify_relation(rid, ctx, "full").to_record()
     assert got == _oracle_record(ctx, rid)
-    assert got["holds"] == (rid != "REL-8P")
+    assert got["holds"] == (rid != "REL-8P" or instance[2] == 1)
 
 
 def _ref(rows) -> str:
