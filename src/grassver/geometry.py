@@ -20,7 +20,7 @@ u, u+z over z, u over u∩z, z over u∩z), which fix its F-class and its
 letter: the one of F0, F+, F-, R, L whose column at z holds u
 (``LETTER_OF_PAIR``).  The pair's profile is read from one table,
 ``PAIR_PROFILES``, keyed by where rows of u and z outside the hyperplane
-m = u∩z fall modulo m + y (``hyperplane_frame``).  Every cover u of m other
+m = u∩z fall modulo m + y (``sum_with_y``).  Every cover u of m other
 than z gets the letter of the group of its point, so ``cover_groups``
 groups m's covers by point once for every z over m, and
 ``letter_split`` joins the neighbours of z from whole groups: it builds
@@ -320,19 +320,6 @@ class GeometryContext:
         for r in rows:
             base = extend_rows(base, r, self.q)
         return base
-
-    def hyperplane_frame(self, mrows):
-        """(V, i_m) for a hyperplane m: the canonical basis of V = m + y
-        and dim(m ∩ y)."""
-        mod = self.sum_with_y(mrows)
-        return mod, len(mrows) + self.k - len(mod)
-
-    def point(self, mod, rows):
-        """The point modulo V = ``mod`` of a row outside m, for the rows of
-        a subspace over the hyperplane m of that frame: the rows of m
-        reduce to zero, and every other row to that point, the larger."""
-        q = self.q
-        return max(reduce_row(mod, r, q) for r in rows)
 
     def cover_groups(self, mrows):
         """(covers, ends): the covers of a hyperplane m as canonical bases,

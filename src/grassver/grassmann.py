@@ -20,12 +20,16 @@ miscount on individual vertices.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .gf import Subspace, dim_intersect, extend_rows, qint
+from .gf import (
+    Subspace, dim_intersect, enumerate_subspaces, extend_rows, intersect_rows,
+    qint)
 from .geometry import (
-    LETTER_OF_PAIR, PAIR_PROFILES, GeometryContext, pair_profile,
-    letter_split)
+    LETTER_OF_PAIR, PAIR_PROFILES, AdjacentProfile, GeometryContext,
+    pair_profile, letter_split)
+from .kernels import lanes
 
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
@@ -75,11 +79,16 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
     they cover a common hyperplane m.  A hyperplane of a frontier vertex is
     expanded once, the first time it is met, and gives every cover of it
     still without a distance the next one; a later meeting adds nothing,
-    since its covers all have distances by then.
+    since its covers all have distances by then.  Every vertex covers
+    some (k-1)-space, so once all of them are expanded every vertex has
+    its distance and the search stops: the hyperplanes of the last layer,
+    the vertices at distance k, are never enumerated.  The number of
+    (k-1)-spaces is counted by enumeration, not taken from a closed form.
     """
     start = u.rows
     dist = {start: 0}
     expanded = set()
+    unexpanded = _count_subspaces(ctx.n, ctx.k - 1, ctx.q)
     frontier = [start]
     d = 0
     while frontier:
@@ -94,8 +103,16 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
                     if wrows not in dist:
                         dist[wrows] = d
                         nxt.append(wrows)
+                unexpanded -= 1
+                if not unexpanded:
+                    return dist
         frontier = nxt
     return dist
+
+
+def _count_subspaces(n: int, d: int, q: int) -> int:
+    """The number of d-spaces of F_q^n, by enumerating them."""
+    return sum(1 for _ in enumerate_subspaces(n, d, q))
 
 
 def intersection_numbers(i: int, ctx: GeometryContext) -> tuple[int, int]:
@@ -110,10 +127,24 @@ def intersection_numbers(i: int, ctx: GeometryContext) -> tuple[int, int]:
 # An F-class "F" + t names the A-class "A" + t and the edge type t, whose
 # place in a (0, +, -) triple is its place in _TRIPLE
 _TRIPLE = "0+-"
-# that place for an edge between members equidistant from y, by the key of
-# PAIR_PROFILES (see neighbor_counts)
+# that place for an edge between two covers of a hyperplane h of x that
+# are equidistant from y, by the key of PAIR_PROFILES: the covers' points
+# modulo h + y are their cover groups (see neighbor_counts)
 _TYPE_SLOT = {key: _TRIPLE.index(prof.f_class()[1])
               for key, prof in PAIR_PROFILES.items() if key[0] == key[1]}
+# that place for an edge wz between equidistant k-spaces of a cover S of x
+# with w∩x ≠ z∩x, by (S∩y ⊆ w, w∩y = z∩y).  Then S = w+z, so dim(S∩y) is
+# dim(w∩y) or one more; and m = w∩z meets y in w∩y when w∩y = z∩y, else in
+# a hyperplane of it.  S∩y ⊆ w makes w∩y = S∩y = z∩y, so the entry for
+# (True, False) is only ever given a count of 0.
+_COVER_SLOT = {
+    (up, same): _TRIPLE.index(AdjacentProfile.from_dims(
+        1, 1, 1 + (not up), 1 - (not same)).f_class()[1])
+    for up in (True, False) for same in (True, False)}
+# the level of a class, dim(w∩y) - dim(x∩y) for its members w, by the key
+# of the profile of (w, x): i_w - i_x = [w's point is 0] - [x's point is 0]
+_LEVEL = {_ORBIT_OF[LETTER_OF_PAIR[prof]].value: zero_w - zero_x
+          for (zero_w, zero_x, _), prof in PAIR_PROFILES.items()}
 
 
 class GrassmannInstance:
@@ -141,6 +172,7 @@ class GrassmannInstance:
         if not 1 < self.i < k:
             raise ValueError(f"need 1 < distance < k, got {self.i}")
         self._orbits: dict | None = None
+        self._groups: list = []  # cover_groups of x's hyperplanes
         self._counts: tuple | None = None
 
     def _default_x(self, i: int) -> Subspace:
@@ -163,11 +195,14 @@ class GrassmannInstance:
 
     def orbit_partition(self) -> dict[OrbitLabel, list]:
         """Γ(x) split into the five classes (basis rows per class), cached:
-        the neighbours of x by the letter whose column at x holds them."""
+        the neighbours of x by the letter whose column at x holds them.
+        The cover groups of x's hyperplanes that give the split are kept
+        for ``neighbor_counts``."""
         if self._orbits is None:
             ctx, xrows = self.ctx, self.x.rows
-            split = letter_split(xrows, map(ctx.cover_groups,
-                                            ctx.hyperplanes_rows(xrows)))
+            self._groups = [ctx.cover_groups(h)
+                            for h in ctx.hyperplanes_rows(xrows)]
+            split = letter_split(xrows, self._groups)
             self._orbits = {label: split[letter]
                             for letter, label in _ORBIT_OF.items()}
         return self._orbits
@@ -180,61 +215,168 @@ class GrassmannInstance:
         number of neighbors of w in class N, and of the triple of typed
         edges (0, +, -) from w to class N; two dicts, cached.
 
-        Only the edges inside Γ(x) are visited.  Two distinct members of
-        Γ(x) are adjacent exactly when they share a hyperplane, and that
-        hyperplane m = w∩z is unique; so every member goes into the bucket
-        of each of its [k] hyperplanes, and each unordered pair in a bucket
-        is one edge, visited once and credited to both ends.  Only an edge
-        between members equidistant from y gets a type, and no basis of
-        w+z is built for it: with the frame V = m + y taken once per
-        bucket, the points of w and z modulo V key its profile in
-        ``geometry.PAIR_PROFILES``, and so its type (``_TYPE_SLOT``).  A
-        point is zero exactly when i_w > i_m, and is then not computed.
+        Every edge wz inside Γ(x) lies in exactly one of two families of
+        cliques, and each member's counts are read off class tallies of
+        the cliques that hold it; no pair is visited.
+
+        1. w∩x = z∩x = h: the covers of a hyperplane h of x other than x,
+           any two of which meet exactly in h.  An equidistant pair gets
+           its type from the cover groups of h (the points modulo h + y)
+           that ``orbit_partition`` swept: both in the zero group gives
+           F-, the same other group F0, two other groups F+ (``_TYPE_SLOT``).
+        2. w∩x ≠ z∩x: then z∩x and z∩w are two distinct hyperplanes of z
+           (were they one, z∩x would lie in w and be w∩x), so z = z∩x +
+           z∩w lies in S = w + x, a cover of x; and any two k-spaces of S
+           are adjacent.  Each member w lies in the one
+           cover w + x, so the pairs of k-spaces of each cover S other
+           than x, less the pairs sharing their hyperplane of x, are all
+           the other edges, each once.  An equidistant pair is F+ when
+           S∩y ⊆ w, else F0 when w∩y = z∩y and F- otherwise
+           (``_COVER_SLOT``).
+
+        So the count of w into class N is (its cover group's tally over
+        h, less w itself) + (its tally over S, less its tally over the
+        covers of h in S).  dim(S∩y) is read off the point of S modulo
+        x + y and dim(w∩y) off w's class, so no stratum but x's is asked
+        for; w∩y, where it is a hyperplane of S∩y, is keyed by
+        ``_meet_key``.  Each member is looked up twice, once in its cover
+        group and once in its S, and its state is kept in flat lists
+        indexed by member.
         """
         if self._counts is None:
-            ctx = self.ctx
-            intersection_dim = ctx.intersection_dim_with_y
-            orbits = self.orbit_partition()
-            members = [(o, rows)  # o indexes ORBIT_ORDER
-                       for o, name in enumerate(ORBIT_ORDER)
-                       for rows in orbits[OrbitLabel(name)]]
-            i_y = [intersection_dim(rows) for _, rows in members]
-            buckets: dict[tuple, list] = {}
-            for w, (_, wrows) in enumerate(members):
-                for mrows in ctx.hyperplanes_rows(wrows):
-                    buckets.setdefault(mrows, []).append(w)
-            adjacent = [[0] * 5 for _ in members]
-            typed = [[0] * 15 for _ in members]  # (0, +, -) per class
-            for mrows, bucket in buckets.items():
-                if len(bucket) < 2:
+            self._counts = self._count_neighbors()
+        return self._counts
+
+    def _count_neighbors(self) -> tuple[dict, dict]:
+        ctx, q, xrows = self.ctx, self.ctx.q, self.x.rows
+        orbits = self.orbit_partition()
+        index: dict[tuple, int] = {}  # a member's rows -> its place
+        cls: list[int] = []  # a member's class, by place in ORBIT_ORDER
+        for o, name in enumerate(ORBIT_ORDER):
+            for rows in orbits[OrbitLabel(name)]:
+                index[rows] = len(cls)
+                cls.append(o)
+        grp = [0] * len(cls)  # a member's cover group, by place in groups
+        # per cover group: (place of h among x's hyperplanes, counts of
+        # a member into each class, its typed counts), from family 1
+        groups = []
+        minus, same, other = (_TYPE_SLOT[key] for key in (
+            (True, True, True), (False, False, True), (False, False, False)))
+        for h, (covers, ends) in enumerate(self._groups):
+            parts, start = [], 0
+            for end in ends:  # the members of a group share their class
+                parts.append([index[rows] for rows in covers[start:end]
+                              if rows != xrows])
+                start = end
+            over_h, off_zero = [0] * 5, [0] * 5  # class tallies
+            for t, ids in enumerate(parts):
+                if ids:
+                    over_h[cls[ids[0]]] += len(ids)
+                    if t:
+                        off_zero[cls[ids[0]]] += len(ids)
+            for t, ids in enumerate(parts):
+                if not ids:
                     continue
-                mod, i_m = ctx.hyperplane_frame(mrows)
-                point = [ctx.point(mod, members[z][1]) if i_y[z] == i_m
-                         else 0 for z in bucket]
-                for a, w in enumerate(bucket):
-                    o_w, p_w = members[w][0], point[a]
-                    i_w, adjacent_w, typed_w = i_y[w], adjacent[w], typed[w]
-                    for b in range(a + 1, len(bucket)):
-                        z = bucket[b]
-                        o_z = members[z][0]
-                        adjacent_w[o_z] += 1
-                        adjacent[z][o_w] += 1
-                        if i_y[z] != i_w:
-                            continue
-                        p_z = point[b]
-                        t = _TYPE_SLOT[not p_w, not p_z, p_w == p_z]
-                        typed_w[3 * o_z + t] += 1
-                        typed[z][3 * o_w + t] += 1
-            adjacency: dict[tuple, set] = {}
-            edge_types: dict[tuple, set] = {}
-            for w, (o, _) in enumerate(members):
+                c = cls[ids[0]]
+                adjacent = over_h[:]
+                adjacent[c] -= 1
+                typed = [0] * 15
+                if t:  # a nonzero point: i_w = i_h
+                    for nn, count in enumerate(off_zero):
+                        typed[3 * nn + other] = count
+                    typed[3 * c + other] -= len(ids)
+                    typed[3 * c + same] = len(ids) - 1
+                else:  # the zero point: i_w = i_h + 1
+                    typed[3 * c + minus] = len(ids) - 1
+                for w in ids:
+                    grp[w] = len(groups)
+                groups.append((h, adjacent, typed))
+
+        yrows, i_x = self.y.rows, ctx.intersection_dim_with_y(xrows)
+        level = [i_x + _LEVEL[name] for name in ORBIT_ORDER]  # dim(w∩y)
+        signatures = [set() for _ in ORBIT_ORDER]  # per class
+        for srows, p in ctx.superspaces_rows(xrows, ctx.sum_with_y(xrows)):
+            i_s = i_x + (not p)
+            meet = intersect_rows(srows, yrows, ctx.n, q)  # S∩y
+            spivots = 0
+            for r in srows:
+                spivots |= r & -r
+            # class tallies over S (scope None) and over the covers of
+            # each h in S (scope h): of all members, of those on one
+            # level, and of those with one w∩y (key None: S∩y ⊆ w)
+            by_class, by_level, by_meet = (
+                defaultdict(lambda: [0] * 5) for _ in range(3))
+            members = []
+            for wrows in ctx.hyperplanes_rows(srows):
+                if wrows == xrows:
+                    continue
+                w = index[wrows]
+                c, h = cls[w], groups[grp[w]][0]
+                up = level[c] == i_s
+                key = None if up else _meet_key(wrows, spivots, meet, q)
+                members.append((w, c, h, up, key))
+                for scope in (None, h):
+                    by_class[scope][c] += 1
+                    by_level[scope, up][c] += 1
+                    by_meet[scope, key][c] += 1
+            for w, c, h, up, key in members:
+                _, adjacent, typed = groups[grp[w]]
+                adjacent, typed = adjacent[:], typed[:]
+                in_s, in_h = by_class[None], by_class[h]
+                level_s, level_h = by_level[None, up], by_level[h, up]
+                meet_s, meet_h = by_meet[None, key], by_meet[h, key]
+                alike, unlike = _COVER_SLOT[up, True], _COVER_SLOT[up, False]
+                for nn in range(5):
+                    adjacent[nn] += in_s[nn] - in_h[nn]
+                    paired = meet_s[nn] - meet_h[nn]
+                    typed[3 * nn + alike] += paired
+                    typed[3 * nn + unlike] += (level_s[nn] - level_h[nn]
+                                               - paired)
+                signatures[c].add((tuple(adjacent), tuple(typed)))
+
+        adjacency: dict[tuple, set] = {}
+        edge_types: dict[tuple, set] = {}
+        for o, sigs in enumerate(signatures):
+            for adjacent, typed in sigs:
                 for nn, name in enumerate(ORBIT_ORDER):
                     cell = (ORBIT_ORDER[o], name)
-                    adjacency.setdefault(cell, set()).add(adjacent[w][nn])
+                    adjacency.setdefault(cell, set()).add(adjacent[nn])
                     edge_types.setdefault(cell, set()).add(
-                        tuple(typed[w][3 * nn:3 * nn + 3]))
-            self._counts = adjacency, edge_types
-        return self._counts
+                        typed[3 * nn:3 * nn + 3])
+        return adjacency, edge_types
+
+
+def _meet_key(wrows, spivots, meet, q):
+    """w∩y for a k-space w of a cover S of x that does not hold S∩y: the
+    coordinates in S/w of ``meet``, a basis of S∩y, scaled so that the
+    first nonzero one is 1.
+
+    S/w is a line, and w∩y is the kernel of S∩y -> S/w, a hyperplane of
+    S∩y: two such w give the same kernel exactly when their coordinate
+    tuples agree up to a scalar.  The coordinate of b is read at the one
+    pivot column of S (``spivots``, the first bit of each pivot lane) that
+    w lacks: b less each row of w times b's entry at that row's pivot lies
+    in S and is zero on every other pivot column of S, so it is its entry
+    there times the row of S with that pivot.
+    """
+    mask = lanes(q).mask
+    wpivots = 0
+    for r in wrows:
+        wpivots |= r & -r
+    at = (spivots & ~wpivots).bit_length() - 1
+    terms = []  # (pivot of a row of w, the row's entry at column at)
+    for r in wrows:
+        a = (r >> at) & mask
+        if a:
+            terms.append(((r & -r).bit_length() - 1, a))
+    coords = []
+    for b in meet:
+        c = (b >> at) & mask
+        for pivot, a in terms:
+            c -= a * ((b >> pivot) & mask)
+        coords.append(c % q)
+    scale = lanes(q).inverse[next(c for c in coords if c)]
+    return tuple(c * scale % q for c in coords)
 
 
 def classify_orbit(w: Subspace, inst: GrassmannInstance) -> OrbitLabel:

@@ -247,3 +247,19 @@ def test_criterion_11_graph_tables_at_q3_and_k4():
         return "(3,7,3,i=2) and (2,9,4,i=2): orbits and three tables exact"
 
     _run("criterion-11-graph-tables-q3-k4", 120, body)
+
+
+def test_criterion_12_graph_reach():
+    # the largest instance the walk of Γ(x) by shared hyperplanes ran (in
+    # 385 s and 961 MiB); the clique tallies still read every one of its
+    # 132,132 members
+    def body():
+        inst = GrassmannInstance(GeometryContext(3, 11, 5, dims=()), i=4)
+        assert inst.orbit_sizes() == expected_orbit_sizes(inst)
+        for table in (structure_constants, count_edge_types,
+                      verify_entry_table):
+            rep = table(inst)
+            assert rep.holds and not rep.inequitable, rep.kind
+        return "(3,11,5,i=4): orbits and three tables exact"
+
+    _run("criterion-12-graph-reach", 60, body)

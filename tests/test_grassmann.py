@@ -1,11 +1,17 @@
+import inspect
 import json
 import random
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
-from grassver.geometry import GeometryContext, letter_split
+from grassver import grassmann
+from grassver.gf import (
+    Subspace, enumerate_subspaces, gaussian_binomial, intersect_rows, qint,
+    rank_rows)
+from grassver.geometry import PAIR_PROFILES, GeometryContext, letter_split
+from grassver.kernels import reduce_row
 from grassver.grassmann import (
     ENTRY_PRODUCTS,
     ORBIT_ORDER,
@@ -139,7 +145,7 @@ def test_classify_orbit_single_vertices(inst273):
 
 def _pairwise_structure_constants(inst):
     """The structure-constant table by a rank test on every ordered pair
-    of Γ(x): the reference for the one-sweep walk of neighbor_counts."""
+    of Γ(x): the reference for the clique tallies of neighbor_counts."""
     q, k = inst.ctx.q, inst.ctx.k
     label = {rows: l.value for l, members in inst.orbit_partition().items()
              for rows in members}
@@ -211,7 +217,7 @@ def test_edge_type_table(inst273):
 
 def test_edge_type_triples_sum_to_structure_constants(inst273):
     # equidistant orbit pairs only: elsewhere no edge gets a type.  The
-    # structure constants come from the pairwise count: one walk fills
+    # structure constants come from the pairwise count: one tally fills
     # both tables, so its own would not be an independent check
     et = count_edge_types(inst273).observed
     sc = _pairwise_structure_constants(inst273).observed
@@ -256,7 +262,7 @@ def test_entry_table_proportionality(inst273):
 def _evaluator_entry_table(inst):
     """The entry table by applying F_b, then F_a, to e_x with the column
     evaluator and reading the A-classes: the reference for the table
-    that verify_entry_table reads off the hyperplane buckets."""
+    that verify_entry_table reads off the clique tallies."""
     ev = column_evaluator(inst.ctx)
     orbits = inst.orbit_partition()
     a_classes = {
@@ -291,11 +297,65 @@ def test_entry_table_equals_evaluator_products(inst273):
         assert verify_entry_table(inst).to_record() == want.to_record()
 
 
+# the place of an edge type in a (0, +, -) triple, by the key of
+# PAIR_PROFILES of an equidistant pair
+_BUCKET_SLOT = {key: "0+-".index(prof.f_class()[1])
+                for key, prof in PAIR_PROFILES.items() if key[0] == key[1]}
+
+
+def _bucket_walk_counts(inst):
+    """neighbor_counts by walking every pair of Γ(x) that shares a
+    hyperplane: the reference for the clique tallies.
+
+    Every member goes into the bucket of each of its [k] hyperplanes, and
+    each unordered pair in a bucket is one edge, credited to both ends.  An
+    edge between members equidistant from y is typed by the points of its
+    ends modulo m + y, m the bucket's hyperplane, through PAIR_PROFILES.
+    """
+    ctx = inst.ctx
+    orbits = inst.orbit_partition()
+    members = [(o, rows) for o, name in enumerate(ORBIT_ORDER)
+               for rows in orbits[OrbitLabel(name)]]
+    i_y = [ctx.intersection_dim_with_y(rows) for _, rows in members]
+    buckets = {}
+    for w, (_, wrows) in enumerate(members):
+        for mrows in ctx.hyperplanes_rows(wrows):
+            buckets.setdefault(mrows, []).append(w)
+    adjacent = [[0] * 5 for _ in members]
+    typed = [[0] * 15 for _ in members]  # (0, +, -) per class
+    for mrows, bucket in buckets.items():
+        # a member's point modulo m + y is that of its rows, the rows of m
+        # reducing to zero; it is zero when the member meets y in more
+        mod = ctx.sum_with_y(mrows)
+        i_m = len(mrows) + ctx.k - len(mod)
+        point = [max(reduce_row(mod, r, ctx.q) for r in members[z][1])
+                 if i_y[z] == i_m else 0 for z in bucket]
+        for a, w in enumerate(bucket):
+            for b in range(a + 1, len(bucket)):
+                z = bucket[b]
+                adjacent[w][members[z][0]] += 1
+                adjacent[z][members[w][0]] += 1
+                if i_y[z] != i_y[w]:
+                    continue
+                p_w, p_z = point[a], point[b]
+                t = _BUCKET_SLOT[not p_w, not p_z, p_w == p_z]
+                typed[w][3 * members[z][0] + t] += 1
+                typed[z][3 * members[w][0] + t] += 1
+    adjacency, edge_types = {}, {}
+    for w, (o, _) in enumerate(members):
+        for nn, name in enumerate(ORBIT_ORDER):
+            cell = (ORBIT_ORDER[o], name)
+            adjacency.setdefault(cell, set()).add(adjacent[w][nn])
+            edge_types.setdefault(cell, set()).add(
+                tuple(typed[w][3 * nn:3 * nn + 3]))
+    return adjacency, edge_types
+
+
 def _assert_tables_match_recorded(inst):
-    # to_record() of the three tables, recorded before the walk found the
-    # edges inside Γ(x) through shared hyperplanes: by the pairwise count
-    # (2,8,3,2 and 2,9,4,3) or by one adjacency sweep per w (3,7,3,2), the
-    # entry table by the column evaluator in both
+    # to_record() of the three tables, recorded before the clique tallies:
+    # by the pairwise count (2,8,3,2 and 2,9,4,3), by one adjacency sweep
+    # per w (3,7,3,2) or by the walk of shared hyperplanes (3,9,4,3), the
+    # entry table by the column evaluator in the first three
     with open(DATA / "tables-{}-{}-{}-{}.ndjson".format(*inst.instance),
               encoding="utf-8") as f:
         want = [json.loads(line) for line in f]
@@ -330,6 +390,102 @@ def test_q3_instance_373():
     assert sizes == {"B": 972, "C": 16, "A0": 32, "A+": 432, "A-": 108}
     assert inst.orbit_sizes() == expected_orbit_sizes(inst)
     _assert_tables_match_recorded(inst)
+
+
+def test_q3_instance_3943():
+    ctx = GeometryContext(3, 9, 4, dims=())
+    inst = GrassmannInstance(ctx, i=3)
+    assert inst.orbit_sizes() == expected_orbit_sizes(inst)
+    _assert_tables_match_recorded(inst)
+
+
+@pytest.mark.parametrize("q,n,k,i", [
+    (2, 7, 3, 2), (2, 8, 3, 2), (3, 7, 3, 2), (2, 9, 4, 2), (2, 9, 4, 3)])
+def test_clique_tallies_equal_the_bucket_walk(q, n, k, i):
+    inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+    assert inst.neighbor_counts() == _bucket_walk_counts(inst)
+
+
+def test_clique_tallies_equal_the_bucket_walk_at_seeded_x():
+    ctx = GeometryContext(2, 8, 3, dims=())
+    default = GrassmannInstance(ctx, i=2)
+    pool = [u for u in enumerate_subspaces(8, 3, 2)
+            if ctx.intersection_dim_with_y(u.rows) == 1 and u != default.x]
+    for x in random.Random(83).sample(pool, 3):
+        inst = GrassmannInstance(ctx, x=x)
+        assert inst.neighbor_counts() == _bucket_walk_counts(inst)
+
+
+_NON_COORDINATE_Y = [
+    (2, [[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 1, 0],
+         [0, 0, 1, 1, 1, 0, 0]]),
+    (3, [[1, 2, 0, 0, 1, 0, 0], [0, 1, 1, 0, 0, 0, 2],
+         [0, 0, 0, 1, 2, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("q,y", _NON_COORDINATE_Y, ids=["2-7-3", "3-7-3"])
+def test_clique_tallies_equal_the_bucket_walk_at_a_non_coordinate_y(q, y):
+    ctx = GeometryContext(q, 7, 3, y=Subspace.from_matrix(y, q), dims=())
+    inst = GrassmannInstance(ctx, i=2)
+    assert inst.neighbor_counts() == _bucket_walk_counts(inst)
+
+
+def test_a_kept_same_h_pair_fails_the_bucket_walk(monkeypatch):
+    # mutation: family 2 counts the covers of w∩x inside w + x too, which
+    # family 1 counts already
+    src = textwrap.dedent(inspect.getsource(
+        GrassmannInstance._count_neighbors))
+    kept = "adjacent[nn] += in_s[nn] - in_h[nn]"
+    assert src.count(kept) == 1
+    namespace = dict(vars(grassmann))
+    exec(src.replace(kept, "adjacent[nn] += in_s[nn]"), namespace)
+    monkeypatch.setattr(GrassmannInstance, "_count_neighbors",
+                        namespace["_count_neighbors"])
+    inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
+    assert inst.neighbor_counts() != _bucket_walk_counts(inst)
+    assert not structure_constants(inst).holds
+
+
+def test_swapped_f0_and_f_minus_in_a_cover_fail_the_bucket_walk(
+        monkeypatch):
+    # mutation: inside a cover S of x, an equidistant pair off S∩y with
+    # one w∩y typed F- and one with two typed F0
+    slots = grassmann._COVER_SLOT
+    f0, minus = slots[False, True], slots[False, False]
+    monkeypatch.setitem(slots, (False, True), minus)
+    monkeypatch.setitem(slots, (False, False), f0)
+    inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
+    assert inst.neighbor_counts() != _bucket_walk_counts(inst)
+    assert not count_edge_types(inst).holds
+
+
+@pytest.mark.parametrize("q,y", [(2, None), (3, None)] + _NON_COORDINATE_Y,
+                         ids=["2-7-3", "3-7-3", "2-7-3-y", "3-7-3-y"])
+def test_meet_key_splits_a_cover_as_intersect_rows_does(q, y):
+    # inside each cover S of x, the k-spaces w that do not hold S∩y have
+    # the same _meet_key exactly when they have the same w∩y
+    ctx = GeometryContext(q, 7, 3, dims=(), y=None if y is None
+                          else Subspace.from_matrix(y, q))
+    xrows, yrows = GrassmannInstance(ctx, i=2).x.rows, ctx.y.rows
+    checked = 0
+    for srows, _ in ctx.superspaces_rows(xrows):
+        meet = intersect_rows(srows, yrows, 7, q)
+        spivots = 0
+        for r in srows:
+            spivots |= r & -r
+        by_key, by_meet = {}, {}
+        for wrows in ctx.hyperplanes_rows(srows):
+            if ctx.intersection_dim_with_y(wrows) == len(meet):
+                continue
+            key = grassmann._meet_key(wrows, spivots, meet, q)
+            by_key.setdefault(key, set()).add(wrows)
+            by_meet.setdefault(intersect_rows(wrows, yrows, 7, q),
+                               set()).add(wrows)
+            checked += 1
+        assert (sorted(map(sorted, by_key.values()))
+                == sorted(map(sorted, by_meet.values())))
+    assert checked
 
 
 def test_default_x_for_a_non_coordinate_y(inst273):
@@ -482,3 +638,60 @@ def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
     asked = recorded_strata(inst.ctx)
     inst.neighbor_counts()
     assert asked and 4 not in {len(rows) for rows in asked}
+
+
+def recorded_sweeps(monkeypatch):
+    """The rows each cover sweep is called on from now on, by sweep, and
+    the number of hyperplanes yielded."""
+    calls = {"hyperplanes_rows": [], "superspaces_rows": [], "yielded": 0}
+    real_above = GeometryContext.superspaces_rows
+    real_below = GeometryContext.hyperplanes_rows
+
+    def above(self, rows, *args):
+        calls["superspaces_rows"].append(rows)
+        return real_above(self, rows, *args)
+
+    def below(self, rows):
+        calls["hyperplanes_rows"].append(rows)
+        for mrows in real_below(self, rows):
+            calls["yielded"] += 1
+            yield mrows
+
+    monkeypatch.setattr(GeometryContext, "superspaces_rows", above)
+    monkeypatch.setattr(GeometryContext, "hyperplanes_rows", below)
+    return calls
+
+
+@pytest.mark.parametrize("q,n,k,i", [(2, 8, 3, 2), (3, 7, 3, 2)])
+def test_neighbor_counts_sweep_each_cover_of_x_once(q, n, k, i,
+                                                    monkeypatch):
+    # work-count guard: past the orbit split, one sweep above x and one
+    # sweep below each cover of x, and no sweep per member of Γ(x); dim(S∩y)
+    # comes from S's point modulo x + y, so no (k+1)-space is looked up
+    inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+    inst.orbit_partition()
+    covers = [s for s, _ in inst.ctx.superspaces_rows(inst.x.rows)]
+    calls = recorded_sweeps(monkeypatch)
+    asked = recorded_strata(inst.ctx)
+    inst.neighbor_counts()
+    assert calls["superspaces_rows"] == [inst.x.rows]
+    assert calls["hyperplanes_rows"] == covers
+    assert asked == [inst.x.rows]
+
+
+def test_bfs_stops_once_every_hyperplane_is_expanded(monkeypatch):
+    # at (2,7,3) the vertices below distance k number 1 + 210 + 3920 =
+    # 4,131 of 11,811; only their hyperplanes may be enumerated
+    ctx = GeometryContext(2, 7, 3, dims=())
+    src = Subspace.coordinate_span([0, 1, 2], 2, 7)
+    vertices = gaussian_binomial(7, 3, 2)
+    calls = recorded_sweeps(monkeypatch)
+    dist = bfs_distances(src, ctx)
+    assert len(dist) == vertices
+    below = sum(1 for d in dist.values() if d < ctx.k)
+    assert below == 4131
+    assert calls["yielded"] <= below * qint(ctx.k, 2)
+    # mutation: told there is one (k-1)-space, the search stops after
+    # expanding it and the reach check fails
+    monkeypatch.setattr(grassmann, "_count_subspaces", lambda n, d, q: 1)
+    assert len(bfs_distances(src, ctx)) < vertices

@@ -337,13 +337,14 @@ def test_typed_columns_sweep_each_hyperplane_once(instance):
     assert calls == {"superspaces_rows": len(set(visits)),
                      "cover_groups": len(set(visits))}
     # the other caller of the split: Γ(x) is one grouped sweep per
-    # hyperplane of x, taken once per instance
+    # hyperplane of x, taken once per instance; the graph tables reuse
+    # those groups and add one plain sweep, of the covers of x
     inst = GrassmannInstance(GeometryContext(instance[0], 7, 3, dims=()), i=2)
     calls = counted_sweeps(inst.ctx)
     inst.orbit_partition()
     inst.neighbor_counts()
     hyperplanes = qint(3, instance[0])
-    assert calls == {"superspaces_rows": hyperplanes,
+    assert calls == {"superspaces_rows": hyperplanes + 1,
                      "cover_groups": hyperplanes}
 
 
