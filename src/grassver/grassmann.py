@@ -161,16 +161,18 @@ class GrassmannInstance:
             raise ValueError(f"need n > 2k >= 6, got n={n}, k={k}")
         self.ctx = ctx
         self.y = ctx.y
-        if x is None:
-            if i is None:
-                raise ValueError("either x or the distance i is required")
-            x = self._default_x(i)
-        self.x = x
-        self.i = graph_distance(x, self.y, ctx)
-        if i is not None and self.i != i:
-            raise ValueError(f"x is at distance {self.i}, expected {i}")
-        if not 1 < self.i < k:
-            raise ValueError(f"need 1 < distance < k, got {self.i}")
+        if x is not None:
+            d = graph_distance(x, self.y, ctx)
+            if i is not None and d != i:
+                raise ValueError(f"x is at distance {d}, expected {i}")
+            i = d
+        elif i is None:
+            raise ValueError("either x or the distance i is required")
+        # checked before the default x is built: it has k rows only then
+        if not 1 < i < k:
+            raise ValueError(f"need 1 < i < k, got i={i}, k={k}")
+        self.x = self._default_x(i) if x is None else x
+        self.i = i
         self._orbits: dict | None = None
         self._groups: list = []  # cover_groups of x's hyperplanes
         self._counts: tuple | None = None

@@ -29,9 +29,18 @@ def check_record(suite: str, check: str, instance, passed: bool,
     return rec
 
 
+def skip_record(suite: str, check: str, instance, reason: str) -> dict:
+    """A check, or with check "*" a whole suite, that was not run, and
+    why; it is not a check, so it neither passes nor fails."""
+    return {"record": "skip", "version": 1, "suite": suite, "check": check,
+            "instance": list(instance), "reason": reason}
+
+
 def format_check_line(rec: dict) -> str:
-    status = "PASS" if rec["pass"] else "FAIL"
     inst = ",".join(str(v) for v in rec["instance"])
+    if rec["record"] == "skip":
+        return f"SKIP {rec['suite']}:{rec['check']} ({inst}) {rec['reason']}"
+    status = "PASS" if rec["pass"] else "FAIL"
     return (f"{status} {rec['suite']}:{rec['check']} "
             f"({inst}) {rec['seconds']:.2f}s")
 
@@ -51,16 +60,18 @@ CHECKS_CSV_HEADER = csv_lines([("suite", "check", "instance", "pass",
 
 
 def format_check(rec: dict, output_format: str) -> str:
-    """One check record as written out: a text line, a CSV row (after
-    CHECKS_CSV_HEADER) or an NDJSON line."""
+    """One check or skip record as written out: a text line, a CSV row
+    (after CHECKS_CSV_HEADER; a skip has "skip: <reason>" for pass and no
+    seconds) or an NDJSON line."""
     if output_format == "text":
         return format_check_line(rec) + "\n"
     if output_format == "csv":
+        skip = rec["record"] == "skip"
         return csv_lines([(
             rec["suite"], rec["check"],
             " ".join(str(v) for v in rec["instance"]),
-            "1" if rec["pass"] else "0",
-            f"{rec['seconds']:.3f}",
+            f"skip: {rec['reason']}" if skip else "1" if rec["pass"] else "0",
+            "" if skip else f"{rec['seconds']:.3f}",
         )])
     return records_to_ndjson([rec])
 

@@ -6,12 +6,15 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import grassver
 from grassver import cli
 from grassver.cli import main
+from grassver.geometry import GeometryContext
+from grassver.grassmann import GrassmannInstance
 from grassver.reports import check_record, format_check_line
 
 
@@ -53,19 +56,50 @@ def test_verify_algebra_records_names_winning_variant(capsys):
 
 def test_variant_resolution_reports_a_tie_at_k_1(capsys):
     # at k = 1, F- is the zero operator, so REL-8 and REL-8P are one
-    # identity and both hold; the resolution says so, and still fails, as
-    # it asserts that exactly one variant holds
+    # identity and both hold; the resolution is then a skip record that
+    # says so, not a check, and the run exits 0
     code, out, _ = run(capsys, "verify", "--suite", "algebra",
                        "--q", "2", "--n", "4", "--k", "1",
                        "--format", "records")
-    assert code == 1
-    recs = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    checks = {r["check"]: r for r in recs if r["record"] == "check"}
     for rid in ("REL-8", "REL-8P"):
-        assert recs[f"{rid}-evaluated"]["detail"] == {"holds": True}
-    res = recs["REL-8-variant-resolution"]
-    assert res["pass"] is False
-    assert res["detail"] == {"holds": "both"}
-    assert [r for r in recs.values() if not r["pass"]] == [res]
+        assert checks[f"{rid}-evaluated"]["detail"] == {"holds": True}
+    assert all(r["pass"] for r in checks.values())
+    assert recs[-1] == {
+        "record": "skip", "version": 1, "suite": "algebra",
+        "check": "REL-8-variant-resolution", "instance": [2, 4, 1],
+        "reason": "at k = 1 F- is the zero operator, so REL-8 and REL-8P "
+                  "are one identity"}
+    assert "REL-8-variant-resolution" not in checks
+
+
+@pytest.mark.parametrize("k,held,resolution", [
+    (2, {"REL-8P": True}, "both"),
+    (2, {"REL-8": False}, "neither"),
+    (1, {"REL-8": False, "REL-8P": False}, "neither"),
+], ids=["both-at-k-2", "neither-at-k-2", "neither-at-k-1"])
+def test_variant_resolution_fails_unless_one_variant_holds(
+        k, held, resolution, capsys, monkeypatch):
+    # only a tie at k = 1 is a skip: both variants holding at k >= 2, or
+    # neither at any k, is a failed resolution
+    real = cli.verify_relation
+
+    def patched(rid, ctx, mode, **kw):
+        rep = real(rid, ctx, mode, **kw)
+        return SimpleNamespace(holds=held.get(rid, rep.holds),
+                               violations=rep.violations)
+
+    monkeypatch.setattr(cli, "verify_relation", patched)
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--q", "2",
+                       "--n", "4", "--k", str(k), "--format", "records")
+    assert code == 1
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert all(r["record"] == "check" for r in recs)
+    assert [r for r in recs if not r["pass"]] == [recs[-1]]
+    assert recs[-1]["check"] == "REL-8-variant-resolution"
+    assert recs[-1]["detail"] == {"holds": resolution}
 
 
 def test_verify_algebra_columns_mode(capsys):
@@ -110,6 +144,144 @@ def test_verify_nonprime_q_exit_2(capsys):
                        "--q", "6", "--n", "4", "--k", "2")
     assert code == 2
     assert "prime" in err
+
+
+GRAPH_RANGE = "need n > 2k >= 6, got n={n}, k={k}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "records"])
+def test_suite_all_writes_a_skip_for_each_graph_suite_it_does_not_run(
+        fmt, capsys):
+    # (2,4,2) is outside n > 2k >= 6: the graph and entries suites are
+    # each a skip record carrying the library's refusal, and a skip is not
+    # a check, so the summary and the exit code are those of the 39 checks
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "4",
+                         "--k", "2", "--format", fmt)
+    assert (code, err) == (0, "")
+    reason = GRAPH_RANGE.format(n=4, k=2)
+    lines = out.splitlines()
+    if fmt == "text":
+        assert lines[-3:] == [f"SKIP graph:* (2,4,2,2) {reason}",
+                              f"SKIP entries:* (2,4,2,2) {reason}",
+                              "39/39 checks passed"]
+        assert len(lines) == 42
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["suite", "check", "instance", "pass", "seconds"]
+        assert all(r[3] == "1" for r in rows[1:-2])
+        assert rows[-2:] == [
+            ["graph", "*", "2 4 2 2", f"skip: {reason}", ""],
+            ["entries", "*", "2 4 2 2", f"skip: {reason}", ""]]
+        assert len(rows) == 42
+    else:
+        recs = [json.loads(line) for line in lines]
+        assert [r["record"] for r in recs] == ["check"] * 39 + ["skip"] * 2
+        assert recs[-2:] == [
+            {"record": "skip", "version": 1, "suite": suite, "check": "*",
+             "instance": [2, 4, 2, 2], "reason": reason}
+            for suite in ("graph", "entries")]
+
+
+def test_suite_all_at_k_1_skips_the_resolution_and_the_graph_suites(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "3", "--k", "1",
+                       "--format", "records")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    skips = [(r["suite"], r["check"]) for r in recs if r["record"] == "skip"]
+    assert skips == [("algebra", "REL-8-variant-resolution"),
+                     ("graph", "*"), ("entries", "*")]
+    assert all(r["pass"] for r in recs if r["record"] == "check")
+
+
+def _instance_refusal(q, n, k, i):
+    try:
+        GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_cli_refuses_a_graph_instance_exactly_when_the_library_does():
+    # the CLI keeps no copy of the instance rules: planning a graph run
+    # (no check runs) is bad usage exactly when the library refuses to
+    # build the instance, with the library's message
+    parser = cli._build_parser()
+    refused = 0
+    for q in (2, 3, 4):
+        for n in range(2, 10):
+            for k in range(1, n):
+                for i in range(k + 2):
+                    args = parser.parse_args([
+                        "verify", "--suite", "graph", "--q", str(q),
+                        "--n", str(n), "--k", str(k), "--i", str(i)])
+                    expected = _instance_refusal(q, n, k, i)
+                    try:
+                        cli._command(args)
+                    except cli.UsageError as exc:
+                        assert str(exc) == expected, (q, n, k, i)
+                        refused += 1
+                    else:
+                        assert expected is None, (q, n, k, i)
+    assert 0 < refused < 3 * sum(k + 2 for n in range(2, 10)
+                                 for k in range(1, n))
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # k = 1 and k = 2: below 2k >= 6 whatever n is
+    (["--q", "2", "--n", "3", "--k", "1"], 2, GRAPH_RANGE.format(n=3, k=1)),
+    (["--q", "2", "--n", "5", "--k", "2"], 2, GRAPH_RANGE.format(n=5, k=2)),
+    # n = 2k is refused, n = 2k + 1 is the first graph instance
+    (["--q", "2", "--n", "6", "--k", "3"], 2, GRAPH_RANGE.format(n=6, k=3)),
+    (["--q", "2", "--n", "7", "--k", "3"], 0, None),
+    # i = 1 is refused, i = k - 1 is the last distance accepted
+    (["--q", "2", "--n", "7", "--k", "3", "--i", "1"], 2,
+     "need 1 < i < k, got i=1, k=3"),
+    (["--q", "2", "--n", "7", "--k", "3", "--i", "2"], 0, None),
+    (["--q", "2", "--n", "7", "--k", "3", "--i", "3"], 2,
+     "need 1 < i < k, got i=3, k=3"),
+    # the rules of the field and the lattice, from gf and geometry
+    (["--q", "4", "--n", "7", "--k", "3"], 2,
+     "field order must be prime, got 4"),
+    (["--q", "2", "--n", "3", "--k", "3"], 2, "need n > k >= 1, got n=3, k=3"),
+], ids=["k-1", "k-2", "n-2k", "n-2k+1", "i-1", "i-k-1", "i-k", "q-4",
+        "n-k"])
+def test_graph_instance_boundaries(argv, code, err, capsys):
+    got, out, stderr = run(capsys, "verify", "--suite", "graph", *argv)
+    assert got == code
+    if err is None:
+        assert stderr == ""
+        assert "3/3 checks passed" in out
+    else:
+        assert (out, stderr) == ("", f"error: {err}\n")
+
+
+def test_one_verify_run_sweeps_and_tallies_gamma_x_once(capsys,
+                                                        monkeypatch):
+    # the bundle's graph and entries suites share one instance, so Γ(x) is
+    # split and its clique tallies are taken once per run, not per suite
+    from grassver import grassmann
+
+    split, tallied = [], []
+    real_split = grassmann.letter_split
+    real_tally = GrassmannInstance._count_neighbors
+
+    def counted_split(*a):
+        split.append(1)
+        return real_split(*a)
+
+    def counted_tally(self):
+        tallied.append(self)
+        return real_tally(self)
+
+    monkeypatch.setattr(grassmann, "letter_split", counted_split)
+    monkeypatch.setattr(GrassmannInstance, "_count_neighbors", counted_tally)
+    code, out, _ = run(capsys, "verify", "--format", "records")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert len(recs) == 82
+    assert all(r["record"] == "check" and r["pass"] for r in recs)
+    assert len(split) == 1
+    assert len(tallied) == 1 and tallied[0].instance == (2, 7, 3, 2)
 
 
 def test_unknown_flag_exit_2(capsys):

@@ -494,7 +494,7 @@ def test_default_x_for_a_non_coordinate_y(inst273):
     ctx = GeometryContext(2, 7, 3, y=Subspace(2, 7, (0x43, 0x26, 0x1c)),
                           dims=())
     inst = GrassmannInstance(ctx, i=2)
-    assert inst.i == 2
+    assert graph_distance(inst.x, ctx.y, ctx) == inst.i == 2
     assert inst.orbit_sizes() == inst273.orbit_sizes()
     for table in (structure_constants, count_edge_types, verify_entry_table):
         assert table(inst).to_record() == table(inst273).to_record()
@@ -598,6 +598,24 @@ def test_instance_validation():
         GrassmannInstance(ctx, i=3)  # distance = k
     with pytest.raises(ValueError):
         GrassmannInstance(ctx)  # neither x nor i
+
+
+@pytest.mark.parametrize("i", [0, 1, 3, 4, 5])
+def test_a_distance_outside_the_range_is_refused_by_its_range(i):
+    # the range is checked before the default x is built, which for i > k
+    # would not be a k-space
+    ctx = GeometryContext(2, 7, 3, dims=())
+    with pytest.raises(ValueError) as err:
+        GrassmannInstance(ctx, i=i)
+    assert str(err.value) == f"need 1 < i < k, got i={i}, k=3"
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 7, 3), (2, 9, 4), (3, 11, 5)])
+def test_the_default_x_lies_at_the_distance_asked(q, n, k):
+    ctx = GeometryContext(q, n, k, dims=())
+    for i in range(2, k):
+        inst = GrassmannInstance(ctx, i=i)
+        assert graph_distance(inst.x, ctx.y, ctx) == inst.i == i
 
 
 def test_table_record_serialization(inst273):
