@@ -12,14 +12,11 @@ from .gf import (
 from .geometry import (
     GeometryContext,
     Stratum,
-    CoverKind,
     cover_kind,
     verify_cover_counts,
 )
 from .grassmann import (
-    EdgeType,
     GrassmannInstance,
-    OrbitLabel,
     classify_orbit,
     count_edge_types,
     edge_type,
@@ -37,9 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Subspace", "enumerate_subspaces", "gaussian_binomial", "qint",
     "subspace_intersect", "subspace_sum",
-    "GeometryContext", "Stratum", "CoverKind", "cover_kind",
+    "GeometryContext", "Stratum", "cover_kind",
     "verify_cover_counts",
-    "EdgeType", "GrassmannInstance", "OrbitLabel", "classify_orbit",
+    "GrassmannInstance", "classify_orbit",
     "count_edge_types", "edge_type", "graph_distance",
     "intersection_numbers", "structure_constants", "verify_entry_table",
     "SparseOperator",

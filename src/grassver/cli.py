@@ -35,7 +35,6 @@ from .geometry import (
 )
 from .grassmann import (
     GrassmannInstance,
-    OrbitLabel,
     count_edge_types,
     expected_orbit_sizes,
     structure_constants,
@@ -188,10 +187,7 @@ def _run_algebra_full(out: _Output, q, n, k):
             c.passed = rep.holds
             if not rep.holds:
                 c.detail = {"violations": [
-                    {"component": v.component, "row": v.row,
-                     "col": v.col, "value": v.value}
-                    for v in rep.violations[:5]
-                ]}
+                    v._asdict() for v in rep.violations[:5]]}
     holds = [rid for rid, held in variant_holds.items() if held]
     if k == 1 and len(holds) == 2:
         out.skip("algebra", "REL-8-variant-resolution", (q, n, k),
@@ -220,10 +216,8 @@ def _run_algebra_columns(out: _Output, ctx, i):
 def _run_graph(out: _Output, inst):
     with out.check("graph", "orbit-sizes", inst.instance) as c:
         sizes = inst.orbit_sizes()
-        expected = expected_orbit_sizes(inst)
-        c.passed = sizes == expected and sum(
-            sizes.values()) == sum(expected.values())
-        c.detail = {"sizes": {l.value: sizes[l] for l in OrbitLabel}}
+        c.passed = sizes == expected_orbit_sizes(inst)
+        c.detail = {"sizes": sizes}
     with out.check("graph", "structure-constants", inst.instance) as c:
         c.passed = structure_constants(inst).holds
     with out.check("graph", "edge-types", inst.instance) as c:

@@ -37,11 +37,9 @@ rows with y's k lanes shifted out.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .gf import (
     Subspace,
@@ -61,11 +59,6 @@ from .kernels import (
 class Stratum(NamedTuple):
     i: int
     j: int
-
-
-class CoverKind(enum.Enum):
-    SLASH = "/"
-    BACKSLASH = "\\"
 
 
 class AdjacentProfile(NamedTuple):
@@ -209,9 +202,6 @@ class GeometryContext:
         if u.n != self.n or u.q != self.q:
             raise ValueError("subspace from a different ambient space")
         return self.stratum_rows(u.rows)
-
-    def qint(self, m: int) -> int:
-        return qint(m, self.q)
 
     def ref(self, u: Subspace) -> str:
         """Stable textual reference for a subspace in reports."""
@@ -371,16 +361,16 @@ def letter_split(z, groups) -> dict[str, list]:
     return letters
 
 
-def cover_kind(u: Subspace, v: Subspace,
-               ctx: GeometryContext) -> Optional[CoverKind]:
-    """Slash/Backslash if v covers u, else None."""
+def cover_kind(u: Subspace, v: Subspace, ctx: GeometryContext) -> str | None:
+    """The kind of the cover u < v: "/" (slash) or "\\" (backslash), or
+    None when v does not cover u."""
     if v.dim != u.dim + 1:
         return None
     if rank_rows(u.rows + v.rows, ctx.q) != v.dim:
         return None  # u not contained in v
     i_u = ctx.intersection_dim_with_y(u.rows)
     i_v = ctx.intersection_dim_with_y(v.rows)
-    return CoverKind.SLASH if i_v == i_u + 1 else CoverKind.BACKSLASH
+    return "/" if i_v == i_u + 1 else "\\"
 
 
 def pair_profile(u: Subspace, z: Subspace,
@@ -401,16 +391,14 @@ def pair_profile(u: Subspace, z: Subspace,
     return AdjacentProfile.from_dims(i_u, i_z, i_s, i_m)
 
 
-@dataclass
-class CoverCountViolation:
+class CoverCountViolation(NamedTuple):
     element: Subspace
     stratum: Stratum
     observed: tuple[int, int, int, int]
     expected: tuple[int, int, int, int]
 
 
-@dataclass
-class CoverCountReport:
+class CoverCountReport(NamedTuple):
     """Per-element check of the four stratum cover counts.
 
     For u in stratum (i, j) the expected counts are:
@@ -419,8 +407,8 @@ class CoverCountReport:
     """
 
     instance: tuple[int, int, int]
-    checked: int = 0
-    violations: list[CoverCountViolation] = field(default_factory=list)
+    checked: int
+    violations: list[CoverCountViolation]
 
     @property
     def holds(self) -> bool:
@@ -481,14 +469,13 @@ def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
                         q ** (k - i) * qint(n - k - j, q))
         for i in range(k + 1) for j in range(n - k + 1)
     }
-    report = CoverCountReport(instance=(q, n, k))
+    violations = []
     for u, observed in zip(ctx.elements, zip(*cover_tallies(ctx))):
         s = ctx.stratum(u)
-        report.checked += 1
         if observed != expected[s]:
-            report.violations.append(
-                CoverCountViolation(u, s, observed, expected[s]))
-    return report
+            violations.append(CoverCountViolation(u, s, observed,
+                                                  expected[s]))
+    return CoverCountReport((q, n, k), len(ctx.elements), violations)
 
 
 def stratum_sizes(ctx: GeometryContext) -> dict[Stratum, int]:

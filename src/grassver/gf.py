@@ -130,12 +130,16 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, matrix, q: int, n: int | None = None) -> "Subspace":
-        """Row space of a matrix of any integers, in canonical form."""
+        """Row space of a matrix of any integers, in canonical form; every
+        row has n entries, n defaulting to the first row's length."""
         matrix = [list(row) for row in matrix]
         if n is None:
             if not matrix:
                 raise ValueError("ambient dimension required for empty matrix")
             n = len(matrix[0])
+        if any(len(row) != n for row in matrix):
+            raise ValueError(f"every row of the matrix needs n = {n} "
+                             "entries")
         packed = [_pack_row(row, q) for row in matrix]
         return cls._canonical(q, n, rref_rows(packed, q))
 

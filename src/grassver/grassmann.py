@@ -19,9 +19,8 @@ miscount on individual vertices.
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .gf import (
     Subspace, dim_intersect, enumerate_subspaces, extend_rows, intersect_rows,
@@ -31,27 +30,11 @@ from .geometry import (
     pair_profile, letter_split)
 from .kernels import lanes
 
+# the five classes of Γ(x), by the names the reports print
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
-
-class OrbitLabel(enum.Enum):
-    B = "B"
-    C = "C"
-    A0 = "A0"
-    APLUS = "A+"
-    AMINUS = "A-"
-
-
 # the class of a neighbour w of x, by the letter whose column at x holds w
-_ORBIT_OF = {"R": OrbitLabel.B, "L": OrbitLabel.C, "F0": OrbitLabel.A0,
-             "F+": OrbitLabel.APLUS, "F-": OrbitLabel.AMINUS}
-
-
-class EdgeType(enum.Enum):
-    T0 = "0"
-    TPLUS = "+"
-    TMINUS = "-"
-    NOT_EQUIDISTANT = "x"
+_ORBIT_OF = {"R": "B", "L": "C", "F0": "A0", "F+": "A+", "F-": "A-"}
 
 
 def graph_distance(u: Subspace, v: Subspace, ctx: GeometryContext) -> int:
@@ -85,6 +68,8 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
     the vertices at distance k, are never enumerated.  The number of
     (k-1)-spaces is counted by enumeration, not taken from a closed form.
     """
+    if u.dim != ctx.k:
+        raise ValueError("graph vertices must be k-spaces")
     start = u.rows
     dist = {start: 0}
     expanded = set()
@@ -143,7 +128,7 @@ _COVER_SLOT = {
     for up in (True, False) for same in (True, False)}
 # the level of a class, dim(w∩y) - dim(x∩y) for its members w, by the key
 # of the profile of (w, x): i_w - i_x = [w's point is 0] - [x's point is 0]
-_LEVEL = {_ORBIT_OF[LETTER_OF_PAIR[prof]].value: zero_w - zero_x
+_LEVEL = {_ORBIT_OF[LETTER_OF_PAIR[prof]]: zero_w - zero_x
           for (zero_w, zero_x, _), prof in PAIR_PROFILES.items()}
 
 
@@ -195,9 +180,10 @@ class GrassmannInstance:
     def instance(self) -> tuple[int, int, int, int]:
         return (self.ctx.q, self.ctx.n, self.ctx.k, self.i)
 
-    def orbit_partition(self) -> dict[OrbitLabel, list]:
-        """Γ(x) split into the five classes (basis rows per class), cached:
-        the neighbours of x by the letter whose column at x holds them.
+    def orbit_partition(self) -> dict[str, list]:
+        """Γ(x) split into the five classes (basis rows per class, keyed
+        in ``ORBIT_ORDER``), cached: the neighbours of x by the letter
+        whose column at x holds them.
         The cover groups of x's hyperplanes that give the split are kept
         for ``neighbor_counts``."""
         if self._orbits is None:
@@ -209,7 +195,7 @@ class GrassmannInstance:
                             for letter, label in _ORBIT_OF.items()}
         return self._orbits
 
-    def orbit_sizes(self) -> dict[OrbitLabel, int]:
+    def orbit_sizes(self) -> dict[str, int]:
         return {l: len(v) for l, v in self.orbit_partition().items()}
 
     def neighbor_counts(self) -> tuple[dict, dict]:
@@ -255,7 +241,7 @@ class GrassmannInstance:
         index: dict[tuple, int] = {}  # a member's rows -> its place
         cls: list[int] = []  # a member's class, by place in ORBIT_ORDER
         for o, name in enumerate(ORBIT_ORDER):
-            for rows in orbits[OrbitLabel(name)]:
+            for rows in orbits[name]:
                 index[rows] = len(cls)
                 cls.append(o)
         grp = [0] * len(cls)  # a member's cover group, by place in groups
@@ -381,7 +367,7 @@ def _meet_key(wrows, spivots, meet, q):
     return tuple(c * scale % q for c in coords)
 
 
-def classify_orbit(w: Subspace, inst: GrassmannInstance) -> OrbitLabel:
+def classify_orbit(w: Subspace, inst: GrassmannInstance) -> str:
     """Class of a single neighbor of x, by the letter of the pair (w, x):
     the oracle for ``orbit_partition``, read off ``pair_profile``."""
     if graph_distance(w, inst.x, inst.ctx) != 1:
@@ -389,16 +375,16 @@ def classify_orbit(w: Subspace, inst: GrassmannInstance) -> OrbitLabel:
     return _ORBIT_OF[LETTER_OF_PAIR[pair_profile(w, inst.x, inst.ctx)]]
 
 
-def expected_orbit_sizes(inst: GrassmannInstance) -> dict[OrbitLabel, int]:
+def expected_orbit_sizes(inst: GrassmannInstance) -> dict[str, int]:
     q, n, k = inst.ctx.q, inst.ctx.n, inst.ctx.k
     i = inst.i
     b_i, c_i = intersection_numbers(i, inst.ctx)
     return {
-        OrbitLabel.B: b_i,
-        OrbitLabel.C: c_i,
-        OrbitLabel.A0: (q - 1) * qint(i, q) ** 2,
-        OrbitLabel.APLUS: q ** (i + 1) * qint(i, q) * qint(n - k - i, q),
-        OrbitLabel.AMINUS: q ** (i + 1) * qint(i, q) * qint(k - i, q),
+        "B": b_i,
+        "C": c_i,
+        "A0": (q - 1) * qint(i, q) ** 2,
+        "A+": q ** (i + 1) * qint(i, q) * qint(n - k - i, q),
+        "A-": q ** (i + 1) * qint(i, q) * qint(k - i, q),
     }
 
 
@@ -431,33 +417,36 @@ def closed_structure_constants(q, n, k, i) -> dict:
     }
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     """Brute-force table vs closed form, with the equitability check."""
 
     kind: str
     instance: tuple[int, int, int, int]
-    observed: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
-    mismatches: list = field(default_factory=list)  # cells observed!=expected
-    inequitable: list = field(default_factory=list)  # cells varying across w
+    observed: dict
+    expected: dict
+    mismatches: list  # cells observed != expected, or never observed
+    inequitable: list  # cells varying across w
 
     @classmethod
     def from_cells(cls, kind, instance, expected, cells) -> TableReport:
         """The report from (cell, set of values over the cell's class)
         pairs, in report order.  A cell taking more than one value is
         inequitable and shows its least value; a constant cell is compared
-        with the closed form."""
-        report = cls(kind, instance, expected=expected)
+        with the closed form.  An expected cell that is not given is a
+        mismatch, listed after the given ones."""
+        observed: dict = {}
+        mismatches, inequitable = [], []
         for cell, values in cells:
             if len(values) != 1:
-                report.inequitable.append(cell)
-                report.observed[cell] = min(values)
+                inequitable.append(cell)
+                observed[cell] = min(values)
                 continue
-            (report.observed[cell],) = values
-            if report.observed[cell] != expected[cell]:
-                report.mismatches.append(cell)
-        return report
+            (observed[cell],) = values
+            if observed[cell] != expected[cell]:
+                mismatches.append(cell)
+        mismatches += [cell for cell in expected if cell not in observed]
+        return cls(kind, instance, observed, expected, mismatches,
+                   inequitable)
 
     @property
     def holds(self) -> bool:
@@ -494,8 +483,10 @@ def structure_constants(inst: GrassmannInstance) -> TableReport:
 # edge types
 
 
-def edge_type(w: Subspace, z: Subspace, inst: GrassmannInstance) -> EdgeType:
-    """Type of the edge wz (w, z adjacent and equidistant from y).
+def edge_type(w: Subspace, z: Subspace,
+              inst: GrassmannInstance) -> str | None:
+    """Type of the edge wz of adjacent w, z: "0", "+" or "-", or None
+    when w and z are not equidistant from y.
 
     Type 0: w+z /-covers each of w,z and each \\-covers w∩z; type +: w+z
     \\-covers both; type -: each of w,z /-covers w∩z.
@@ -505,11 +496,11 @@ def edge_type(w: Subspace, z: Subspace, inst: GrassmannInstance) -> EdgeType:
         raise ValueError("w and z must be adjacent")
     if (ctx.intersection_dim_with_y(w.rows)
             != ctx.intersection_dim_with_y(z.rows)):
-        return EdgeType.NOT_EQUIDISTANT
+        return None
     f = pair_profile(w, z, ctx).f_class()
     if f is None:
         raise ValueError("equidistant edge fits no type")
-    return EdgeType(f[1])
+    return f[1]
 
 
 def closed_edge_type_table(q, n, k, i) -> dict:

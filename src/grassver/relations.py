@@ -36,7 +36,6 @@ import functools
 import heapq
 import itertools
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -329,23 +328,20 @@ def relation_ids() -> list[str]:
 # reports
 
 
-@dataclass
-class RelationViolation:
+class RelationViolation(NamedTuple):
     component: str
     row: str
     col: str
     value: str
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     relation_id: str
     instance: tuple[int, int, int]
     mode: str  # "full" or "columns"
-    components: list[str] = field(default_factory=list)
-    checked_columns: int | None = None
-    violations: list[RelationViolation] = field(default_factory=list)
-    truncated: bool = False
+    checked_columns: int | None  # columns mode only
+    violations: list[RelationViolation]  # the first MAX_VIOLATIONS
+    truncated: bool  # more violations than reported
 
     @property
     def holds(self) -> bool:
@@ -360,11 +356,7 @@ class RelationReport:
             "mode": self.mode,
             "holds": self.holds,
             "checked_columns": self.checked_columns,
-            "violations": [
-                {"component": v.component, "row": v.row,
-                 "col": v.col, "value": v.value}
-                for v in self.violations
-            ],
+            "violations": [v._asdict() for v in self.violations],
             "violations_truncated": self.truncated,
         }
 
@@ -650,15 +642,13 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
     q, n, k = ctx.q, ctx.n, ctx.k
     components = relation_components(relation_id, q, n, k)
     names = [name for name, _ in components]
-    report = RelationReport(relation_id=relation_id, instance=(q, n, k),
-                            mode=mode, components=names)
     ev = column_evaluator(ctx)
     if mode == "full":
         if not ctx.elements:
             raise ValueError("full mode needs an enumerated context; "
                              "use columns mode on a lazy context")
         ids = range(len(ctx.elements))
-        batch = FULL_MODE_BATCH
+        batch, checked = FULL_MODE_BATCH, None
 
         def ref(u):
             return ctx.ref(ctx.elements[u])
@@ -671,8 +661,7 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
             ev.intern(_column_rows(ctx, c)) for c in columns or ()))
         if not ids:
             raise ValueError("columns mode requires a nonempty column list")
-        report.checked_columns = len(ids)
-        batch = 1
+        batch, checked = 1, len(ids)
 
         def ref(u):
             return ":".join(format_rows(ev.rows[u], n, q))
@@ -683,10 +672,10 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
         raise ValueError(f"unknown mode {mode!r}")
     kept = heapq.nsmallest(MAX_VIOLATIONS + 1,
                            ev.residuals(components, ids, batch), key=order)
-    report.truncated = len(kept) > MAX_VIOLATIONS
     # only the reported entries become exact values
-    report.violations = [
+    violations = [
         RelationViolation(names[t], ref(r), ref(c),
                           str(QSqrtScalar(a * u, b * u, q)))
         for t, r, c, a, b, u in kept[:MAX_VIOLATIONS]]
-    return report
+    return RelationReport(relation_id, (q, n, k), mode, checked, violations,
+                          len(kept) > MAX_VIOLATIONS)

@@ -92,8 +92,7 @@ def table_to_csv(report) -> str:
         brute = report.observed.get(cell, "")
         closed = report.expected[cell]
         ok = (cell not in report.mismatches
-              and cell not in report.inequitable
-              and cell in report.observed)
+              and cell not in report.inequitable)
         rows.append((report.kind, q, n, k, i, name,
                      _cell_str(brute), _cell_str(closed), "1" if ok else "0"))
     return csv_lines(rows)

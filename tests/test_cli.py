@@ -13,8 +13,9 @@ import pytest
 import grassver
 from grassver import cli
 from grassver.cli import main
-from grassver.geometry import GeometryContext
-from grassver.grassmann import GrassmannInstance
+from grassver.geometry import GeometryContext, verify_cover_counts
+from grassver.grassmann import GrassmannInstance, structure_constants
+from grassver.relations import verify_relation
 from grassver.reports import check_record, format_check_line
 
 
@@ -615,6 +616,32 @@ def test_python_m_grassver_runs_the_cli(capsys):
                           timeout=120)
     assert (proc.returncode, mask_seconds(proc.stdout), proc.stderr) == (
         code, mask_seconds(out), err)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the reports are NamedTuples: dataclasses, and the inspect it
+    # imports, made 12 of the 38 modules that importing the CLI loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, grassver.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: verify_relation("REL-1", GeometryContext(2, 4, 2)),
+     "truncated"),
+    (lambda: verify_cover_counts(GeometryContext(2, 4, 2)), "checked"),
+    (lambda: structure_constants(GrassmannInstance(
+        GeometryContext(2, 7, 3, dims=()), i=2)), "mismatches"),
+], ids=["relation", "cover-counts", "table"])
+def test_a_returned_report_is_a_value(build, field):
+    report = build()
+    with pytest.raises(AttributeError):
+        setattr(report, field, getattr(report, field))
 
 
 # runs one verify under perfbench's layer tracer and prints, last, what the

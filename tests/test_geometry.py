@@ -17,7 +17,6 @@ from grassver.gf import (
 )
 from grassver.geometry import (
     LETTER_OF_PAIR,
-    CoverKind,
     GeometryContext,
     Stratum,
     cover_kind,
@@ -54,8 +53,8 @@ def test_cover_kind_dichotomy(ctx242):
     u = Subspace.coordinate_span([2], 2, 4)
     v_slash = Subspace.coordinate_span([0, 2], 2, 4)
     v_back = Subspace.coordinate_span([2, 3], 2, 4)
-    assert cover_kind(u, v_slash, ctx242) is CoverKind.SLASH
-    assert cover_kind(u, v_back, ctx242) is CoverKind.BACKSLASH
+    assert cover_kind(u, v_slash, ctx242) == "/"
+    assert cover_kind(u, v_back, ctx242) == "\\"
     # not a cover: same dim, or not containing u
     assert cover_kind(u, Subspace.coordinate_span([3], 2, 4), ctx242) is None
     assert cover_kind(v_slash, u, ctx242) is None
@@ -244,8 +243,8 @@ def test_cover_split_matches_cover_kind():
                                   (ctx.covers_below, below)):
                 assert all(kind is not None for _, kind in covers)
                 assert split(u.rows) == tuple(
-                    [c for c, kind in covers if kind is want]
-                    for want in (CoverKind.SLASH, CoverKind.BACKSLASH))
+                    [c for c, kind in covers if kind == want]
+                    for want in ("/", "\\"))
 
 
 def test_cover_tallies_match_the_two_sided_split():

@@ -164,6 +164,13 @@ def test_rows_wider_than_the_lane_masks_are_refused():
         _pack_row([0] * (MAX_COLUMNS + 1), 3)
 
 
+def test_from_matrix_refuses_rows_that_are_not_n_long():
+    with pytest.raises(ValueError):
+        Subspace.from_matrix([[1, 0, 0], [0, 1, 0, 1]], 2)  # ragged
+    with pytest.raises(ValueError):
+        Subspace.from_matrix([[1, 0, 0, 1]], 2, 3)  # longer than n
+
+
 def test_zero_and_full():
     z = Subspace.zero(3, 4)
     f = Subspace.full(3, 4)

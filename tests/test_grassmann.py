@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import random
 import textwrap
@@ -15,9 +17,7 @@ from grassver.kernels import reduce_row
 from grassver.grassmann import (
     ENTRY_PRODUCTS,
     ORBIT_ORDER,
-    EdgeType,
     GrassmannInstance,
-    OrbitLabel,
     TableReport,
     bfs_distances,
     classify_orbit,
@@ -33,6 +33,7 @@ from grassver.grassmann import (
     vertex_neighbors_rows,
 )
 from grassver.relations import column_evaluator
+from grassver.reports import table_to_csv, table_to_text
 
 DATA = Path(__file__).parent / "data" / "graph"
 
@@ -119,7 +120,7 @@ def test_intersection_numbers_closed_form():
 
 
 def test_orbit_sizes(inst273):
-    sizes = {l.value: s for l, s in inst273.orbit_sizes().items()}
+    sizes = inst273.orbit_sizes()
     assert sizes == {"B": 96, "C": 9, "A0": 9, "A+": 72, "A-": 24}
     assert sum(sizes.values()) == 210  # = b_0
     assert inst273.orbit_sizes() == expected_orbit_sizes(inst273)
@@ -136,7 +137,7 @@ def test_classify_orbit_single_vertices(inst273):
     orbits = inst273.orbit_partition()
     for label, members in orbits.items():
         w = Subspace(2, 7, members[0])
-        assert classify_orbit(w, inst273) is label
+        assert classify_orbit(w, inst273) == label
     far = Subspace.coordinate_span([2, 4, 6], 2, 7)
     if graph_distance(far, inst273.x, ctx) != 1:
         with pytest.raises(ValueError):
@@ -147,7 +148,7 @@ def _pairwise_structure_constants(inst):
     """The structure-constant table by a rank test on every ordered pair
     of Γ(x): the reference for the clique tallies of neighbor_counts."""
     q, k = inst.ctx.q, inst.ctx.k
-    label = {rows: l.value for l, members in inst.orbit_partition().items()
+    label = {rows: l for l, members in inst.orbit_partition().items()
              for rows in members}
     per_cell = {}
     for w, o in label.items():
@@ -185,6 +186,21 @@ def test_structure_constants_table(inst273):
     assert table[("A-", "A-")] == 11  # q[k] - q - 1
 
 
+def test_a_cell_that_is_never_observed_fails_the_table(inst273,
+                                                       monkeypatch):
+    adjacency, edge_types = inst273.neighbor_counts()
+    adjacency = dict(adjacency)
+    del adjacency[("A+", "A-")]
+    monkeypatch.setattr(inst273, "neighbor_counts",
+                        lambda: (adjacency, edge_types))
+    report = structure_constants(inst273)
+    assert not report.holds
+    assert report.mismatches == [("A+", "A-")]
+    assert table_to_text(report, "structure constants").endswith("=> FAIL")
+    rows = csv.DictReader(io.StringIO(table_to_csv(report)))
+    assert [r["match"] for r in rows if r["cell"] == "A+|A-"] == ["0"]
+
+
 def test_edge_type_requires_adjacency(inst273):
     x = inst273.x
     y = inst273.y
@@ -194,11 +210,11 @@ def test_edge_type_requires_adjacency(inst273):
 
 def test_edge_type_cross_distance(inst273):
     orbits = inst273.orbit_partition()
-    b = Subspace(2, 7, orbits[OrbitLabel.B][0])
-    for rows in orbits[OrbitLabel.C]:
+    b = Subspace(2, 7, orbits["B"][0])
+    for rows in orbits["C"]:
         c = Subspace(2, 7, rows)
         if graph_distance(b, c, inst273.ctx) == 1:
-            assert edge_type(b, c, inst273) is EdgeType.NOT_EQUIDISTANT
+            assert edge_type(b, c, inst273) is None
             break
 
 
@@ -266,7 +282,7 @@ def _evaluator_entry_table(inst):
     ev = column_evaluator(inst.ctx)
     orbits = inst.orbit_partition()
     a_classes = {
-        o: [ev.intern(rows) for rows in orbits[OrbitLabel(o)]]
+        o: [ev.intern(rows) for rows in orbits[o]]
         for o in ("A0", "A+", "A-")
     }
     expected_by_word = closed_entry_table(*inst.instance)
@@ -315,7 +331,7 @@ def _bucket_walk_counts(inst):
     ctx = inst.ctx
     orbits = inst.orbit_partition()
     members = [(o, rows) for o, name in enumerate(ORBIT_ORDER)
-               for rows in orbits[OrbitLabel(name)]]
+               for rows in orbits[name]]
     i_y = [ctx.intersection_dim_with_y(rows) for _, rows in members]
     buckets = {}
     for w, (_, wrows) in enumerate(members):
@@ -368,7 +384,7 @@ def _assert_tables_match_recorded(inst):
 def test_banded_instance_283():
     ctx = GeometryContext(2, 8, 3, dims=())
     inst = GrassmannInstance(ctx, i=2)
-    sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
+    sizes = inst.orbit_sizes()
     assert sizes == {"B": 224, "C": 9, "A0": 9, "A+": 168, "A-": 24}
     _assert_tables_match_recorded(inst)
 
@@ -377,7 +393,7 @@ def test_distance_3_instance_294():
     # k = 4 is the smallest k with a distance i = 3 inside 1 < i < k
     ctx = GeometryContext(2, 9, 4, dims=())
     inst = GrassmannInstance(ctx, i=3)
-    sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
+    sizes = inst.orbit_sizes()
     assert sizes == {"B": 384, "C": 49, "A0": 49, "A+": 336, "A-": 112}
     assert inst.orbit_sizes() == expected_orbit_sizes(inst)
     _assert_tables_match_recorded(inst)
@@ -386,7 +402,7 @@ def test_distance_3_instance_294():
 def test_q3_instance_373():
     ctx = GeometryContext(3, 7, 3, dims=())
     inst = GrassmannInstance(ctx, i=2)
-    sizes = {l.value: s for l, s in inst.orbit_sizes().items()}
+    sizes = inst.orbit_sizes()
     assert sizes == {"B": 972, "C": 16, "A0": 32, "A+": 432, "A-": 108}
     assert inst.orbit_sizes() == expected_orbit_sizes(inst)
     _assert_tables_match_recorded(inst)
@@ -517,7 +533,7 @@ def test_every_orbit_member_has_the_class_classify_orbit_gives(q, y):
     for label, members in orbits.items():
         assert members
         for rows in members:
-            assert classify_orbit(Subspace(q, 7, rows), inst) is label
+            assert classify_orbit(Subspace(q, 7, rows), inst) == label
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -567,7 +583,7 @@ def test_non_canonical_x_and_bfs_source_are_made_canonical():
     ctx = GeometryContext(2, 7, 3, dims=())
     inst = GrassmannInstance(ctx, x=Subspace(2, 7, (9, 8, 16)))
     assert inst.x == Subspace(2, 7, (1, 8, 16))
-    sizes = {label.value: c for label, c in inst.orbit_sizes().items()}
+    sizes = inst.orbit_sizes()
     assert sizes == {"B": 96, "C": 9, "A0": 9, "A+": 72, "A-": 24}
     ctx262 = GeometryContext(2, 6, 2, dims=())
     dist = bfs_distances(Subspace(2, 6, (3, 2)), ctx262)
@@ -586,6 +602,12 @@ def test_x_and_bfs_source_residues_are_reduced_mod_q():
     dist = bfs_distances(Subspace.from_matrix(((5, 3, 0, 1),), 3, 4), ctx341)
     assert dist == bfs_distances(
         Subspace.from_matrix(((1, 0, 0, 2),), 3, 4), ctx341)
+
+
+def test_bfs_refuses_a_source_that_is_not_a_k_space():
+    ctx = GeometryContext(2, 7, 3, dims=())
+    with pytest.raises(ValueError, match="graph vertices must be k-spaces"):
+        bfs_distances(Subspace.coordinate_span([0, 1], 2, 7), ctx)
 
 
 def test_instance_validation():
