@@ -150,9 +150,22 @@ class _Output:
             raise error
 
 
-def _run_geometry(out: _Output, q, n, k):
+def _enumerated(built: dict, q, n, k) -> GeometryContext:
+    """The enumerated context at (q, n, k), kept in ``built`` from the
+    first call at that instance until a call at another one, so the
+    geometry and algebra checks of an instance share one and no earlier
+    instance's is kept.  The check that makes the first call builds it,
+    so a failure to build it is that check's FAIL record."""
+    ctx = built.get((q, n, k))
+    if ctx is None:
+        built.clear()
+        ctx = built[q, n, k] = GeometryContext(q, n, k)
+    return ctx
+
+
+def _run_geometry(out: _Output, built, q, n, k):
     with out.check("geometry", "enumeration", (q, n, k)) as c:
-        ctx = GeometryContext(q, n, k)
+        ctx = _enumerated(built, q, n, k)
         c.passed = all(
             len(ctx.ids_by_dim[d]) == gaussian_binomial(n, d, q)
             for d in range(n + 1)
@@ -171,15 +184,14 @@ def _run_geometry(out: _Output, q, n, k):
                     "violations": len(rep.violations)}
 
 
-def _run_algebra_full(out: _Output, q, n, k):
-    ctx = GeometryContext(q, n, k)
+def _run_algebra_full(out: _Output, built, q, n, k):
     variant_holds = {}
     for rid in relation_ids():
         variant = rid in ("REL-8", "REL-8P")
         # the two printed variants of REL-8 are resolved separately below
         name = f"{rid}-evaluated" if variant else rid
         with out.check("algebra", name, (q, n, k)) as c:
-            rep = verify_relation(rid, ctx, "full")
+            rep = verify_relation(rid, _enumerated(built, q, n, k), "full")
             if variant:
                 variant_holds[rid] = rep.holds
                 c.passed, c.detail = True, {"holds": rep.holds}
@@ -231,14 +243,15 @@ def _run_entries(out: _Output, inst):
 
 def _verify_steps(args, ctx, i) -> list[tuple]:
     """The check groups that verify runs at ctx's instance, as (function,
-    *arguments).  The graph and entries suites share one instance."""
+    *arguments).  The graph and entries suites share one instance, and the
+    geometry and full algebra suites one enumerated context."""
     q, n, k, suite = ctx.q, ctx.n, ctx.k, args.suite
-    steps = []
+    steps, built = [], {}
     if suite in ("geometry", "all"):
-        steps.append((_run_geometry, q, n, k))
+        steps.append((_run_geometry, built, q, n, k))
     if suite in ("algebra", "all"):
         if args.mode == "full":
-            steps.append((_run_algebra_full, q, n, k))
+            steps.append((_run_algebra_full, built, q, n, k))
         elif 0 <= i <= min(k, n - k):
             steps.append((_run_algebra_columns, ctx, i))
         else:
@@ -318,9 +331,12 @@ def _command(args) -> tuple:
             (q, n, k) == (None, None, None)):
         # canonical bundle: smallest instances exercising every check
         inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
+        built: dict = {}
         return cmd_verify, ([
-            (_run_geometry, 2, 4, 2), (_run_algebra_full, 2, 4, 2),
-            (_run_geometry, 3, 4, 2), (_run_algebra_full, 3, 4, 2),
+            (_run_geometry, built, 2, 4, 2),
+            (_run_algebra_full, built, 2, 4, 2),
+            (_run_geometry, built, 3, 4, 2),
+            (_run_algebra_full, built, 3, 4, 2),
             (_run_graph, inst), (_run_entries, inst)],)
     _validate_instance(q, n, k)
     try:

@@ -1,33 +1,39 @@
 """Registry and verification of the operator identities.
 
 A Term is ``num / (q-1)^dq * q^(half/2) * word``, where ``word`` is a
-product of letters: the incidence letters below, the diagonal letters
-K1, K1i, K2, K2i and the central elements O0, O1, O2 (``omega_terms``).
+product of letters: the incidence letters below, the diagonal letters K1,
+K1i, K2, K2i and the central elements O0, O1, O2 (``omega_terms``).
 Every identity is registered once, by id in report order
-(``relation_ids``), as its components, each a tuple of
-Terms summing to the zero operator.  Both modes check a component column
-by column with one exact integer evaluator.  Each incidence letter (L1,
-L2, R1, R2, R, L, F0, F+, F-, F) moves the stratum (i, j) by a fixed step
-and K1, K2 scale by a power of sqrt(q) read off the stratum, so once the
-central elements are expanded, a Term applied to e_x is a coefficient in
+(``relation_ids``), as its components, each a tuple of Terms summing to
+the zero operator.  Both modes check a component column by column with
+one exact integer evaluator.  Each incidence letter (L1, L2, R1, R2, R,
+L, F0, F+, F-, F) moves the stratum (i, j) by a fixed step and K1, K2
+scale by a power of sqrt(q) read off the stratum, so once the central
+elements are expanded, a Term applied to e_x is a coefficient in
 Q(sqrt(q)) fixed by the stratum of x times a word of 0/1 letters applied
-to e_x.  Scaled per stratum, the coefficients are integers a + b*sqrt(q)
-and the residual is a pair of integer vectors; only reported violations
-become exact values.  Columns are checked in batches of one stratum, and
-a batch's word vectors live while it is checked, so suffixes shared by
-its words are applied once.  A vector maps the ids the evaluator gives
-the subspaces it visits to packed ints with one signed lane per column of
-the batch, wide enough for any entry of the residual (``_lane_bits``), so
-one pass of a word applies it to every column of the batch.  Full mode
-checks every element of a fully enumerated context (whose element ids the
-evaluator keeps) in batches of up to ``FULL_MODE_BATCH`` columns of one
-stratum, which share their coefficients and most of their neighbourhoods;
-columns mode checks the given columns one per batch, sweeping their
-neighbourhoods lazily, as given columns need not share neighbours.  The
-same-dimension letters at a subspace are read from the covers of its
-hyperplanes, which the evaluator sweeps and groups by point once per
-hyperplane and shares among every subspace over it;
-``geometry.letter_split`` names the letter of each group.
+to e_x.  Each check reads every expanded Term once into a plan
+(``_plans``): its power of sqrt(q) is affine in the stratum (i, j), and
+its word stays inside the strata on a box of them, so a stratum's
+coefficients are a filter and integer sums.  Scaled per stratum by a unit
+q^low / (q-1)^top, kept as the exponent pair (low, top), the coefficients
+are integers a + b*sqrt(q) and the residual is a pair of integer vectors;
+only reported violations become exact values (``_exact``).  The evaluator
+looks up the stratum of each column id once.  Columns are checked in
+batches of one stratum, and a batch's word vectors live while it is
+checked, so suffixes shared by its words are applied once.  A vector maps
+the ids the evaluator gives the subspaces it visits to packed ints with
+one signed lane per column of the batch, wide enough for any entry of the
+residual (``_lane_bits``), so one pass of a word applies it to every
+column of the batch.  Full mode checks every element of a fully
+enumerated context (whose element ids the evaluator keeps) in batches of
+up to ``FULL_MODE_BATCH`` columns of one stratum, which share their
+coefficients and most of their neighbourhoods; columns mode checks the
+given columns one per batch, sweeping their neighbourhoods lazily, as
+given columns need not share neighbours.  The same-dimension letters at a
+subspace are read from the covers of its hyperplanes, which the evaluator
+sweeps and groups by point once per hyperplane and shares among every
+subspace over it; ``geometry.letter_split`` names the letter of each
+group.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import GeometryContext, letter_split
+from .geometry import GeometryContext, Stratum, letter_split
 from .gf import Subspace, format_rows, qint
 from .scalars import QSqrtScalar
 
@@ -384,38 +390,80 @@ def _expand_terms(terms, q: int, n: int, k: int) -> list[Term]:
     return out
 
 
-def _stratum_coefficients(terms, stratum, q: int, n: int, k: int):
-    """Integer coefficients of expanded Terms on columns of one stratum.
+class _Plan(NamedTuple):
+    """An expanded Term as read once, for columns of any stratum (i, j).
 
-    Returns (coeffs, unit): coeffs maps each word of incidence letters to
-    [a, b], its coefficient being (a + b*sqrt(q)) * unit.  Terms whose word
-    leaves the strata, and words whose Terms cancel, are left out.
+    ``word`` keeps only the incidence letters.  On a column of stratum
+    (i, j) the Term's power of sqrt(q) is ``c0 + ci*i + cj*j``, and its
+    word stays inside the strata exactly when ``ilo <= i <= ihi`` and
+    ``jlo <= j <= jhi`` (the box); outside it the Term is zero there.
     """
-    nk = n - k
-    found = []
+
+    num: int
+    dq: int
+    word: tuple
+    c0: int
+    ci: int
+    cj: int
+    ilo: int
+    ihi: int
+    jlo: int
+    jhi: int
+
+
+def _plans(terms, k: int, nk: int) -> list[_Plan]:
+    """The plan of each expanded Term, reading its word right to left.
+
+    A diagonal letter adds its multiples of (k - 2i', 2j' - nk) at the
+    stratum (i', j') it acts on: the column's (i, j) moved by the steps
+    (di, dj) of the letters to its right, an affine term in i and j.  The
+    box keeps i + di in [0, k] and j + dj in [0, nk] after every step.
+    """
+    plans = []
     for term in terms:
-        i, j = stratum
-        e2 = term.half  # the power of sqrt(q), read right to left
+        c0, ci, cj = term.half, 0, 0
+        di = dj = 0
+        ilo, ihi, jlo, jhi = 0, k, 0, nk
         for sym in reversed(term.word):
             if sym in _DIAGONALS:
                 a, b = _DIAGONALS[sym]
-                e2 += a * (k - 2 * i) + b * (2 * j - nk)
+                c0 += a * (k - 2 * di) + b * (2 * dj - nk)
+                ci -= 2 * a
+                cj += 2 * b
             else:
-                i, j = i + _STEPS[sym][0], j + _STEPS[sym][1]
-                if not (0 <= i <= k and 0 <= j <= nk):
-                    break
-        else:
-            found.append((term, e2))
-    top = max((term.dq for term, _ in found), default=0)
-    low = min((e2 // 2 for _, e2 in found), default=0)
-    coeffs: dict = {}
-    for term, e2 in found:
+                di, dj = di + _STEPS[sym][0], dj + _STEPS[sym][1]
+                ilo, ihi = max(ilo, -di), min(ihi, k - di)
+                jlo, jhi = max(jlo, -dj), min(jhi, nk - dj)
         word = tuple(sym for sym in term.word if sym in _STEPS)
+        plans.append(_Plan(term.num, term.dq, word, c0, ci, cj,
+                           ilo, ihi, jlo, jhi))
+    return plans
+
+
+def _stratum_coefficients(plans, stratum, q: int):
+    """Integer coefficients of planned Terms on columns of one stratum.
+
+    Returns (coeffs, (low, top)): coeffs maps each word of incidence
+    letters to [a, b], its coefficient being (a + b*sqrt(q)) * q^low /
+    (q-1)^top.  Terms whose word leaves the strata, and words whose Terms
+    cancel, are left out.
+    """
+    i, j = stratum
+    found = [(p.num, p.dq, p.word, p.c0 + p.ci * i + p.cj * j)
+             for p in plans if p.ilo <= i <= p.ihi and p.jlo <= j <= p.jhi]
+    top = max((dq for _, dq, _, _ in found), default=0)
+    low = min((e2 for *_, e2 in found), default=0) // 2
+    coeffs: dict = {}
+    for num, dq, word, e2 in found:
         ab = coeffs.setdefault(word, [0, 0])
-        ab[e2 % 2] += term.num * (q - 1) ** (top - term.dq) * q ** (
-            e2 // 2 - low)
+        ab[e2 % 2] += num * (q - 1) ** (top - dq) * q ** (e2 // 2 - low)
+    return {w: ab for w, ab in coeffs.items() if ab[0] or ab[1]}, (low, top)
+
+
+def _exact(a: int, b: int, low: int, top: int, q: int) -> QSqrtScalar:
+    """The value (a + b*sqrt(q)) * q^low / (q-1)^top."""
     unit = Fraction(q) ** low / (q - 1) ** top
-    return {w: ab for w, ab in coeffs.items() if ab[0] or ab[1]}, unit
+    return QSqrtScalar(a * unit, b * unit, q)
 
 
 class LaneOverflowError(ArithmeticError):
@@ -507,6 +555,7 @@ class ColumnEvaluator:
         # hyperplane rows -> (ids, ends) of its covers (_cover_groups)
         self._groups: dict[tuple, tuple] = {}
         self._cols: dict[str, dict[int, tuple]] = {s: {} for s in _STEPS}
+        self._strata: dict[int, Stratum] = {}  # id -> stratum, read once
 
     def intern(self, rows) -> int:
         """The id of the subspace with canonical basis rows ``rows``."""
@@ -567,22 +616,28 @@ class ColumnEvaluator:
         """Every nonzero residual entry of the components on the columns.
 
         Columns and rows are ids.  Yields (component index, row, column,
-        a, b, unit), the entry being (a + b*sqrt(q)) * unit.  Columns of
-        one stratum are evaluated together, up to ``batch`` at a time,
-        column t of a batch in lane t of every value.
+        a, b, (low, top)), the entry being (a + b*sqrt(q)) * q^low /
+        (q-1)^top: the unit stays a pair of exponents, which ``_exact``
+        turns into a value for the entries that are reported.  Each Term
+        is planned once per call (``_plans``), so a stratum's coefficients
+        are a filter and integer sums.  Columns of one stratum are
+        evaluated together, up to ``batch`` at a time, column t of a batch
+        in lane t of every value; the stratum of each column id is looked
+        up once per evaluator.
         """
         ctx = self.ctx
         q, n, k = ctx.q, ctx.n, ctx.k
-        expanded = [_expand_terms(terms, q, n, k) for _, terms in components]
+        plans = [_plans(_expand_terms(terms, q, n, k), k, n - k)
+                 for _, terms in components]
         degree = _letter_degree(q, n)
+        strata = self._strata
         by_stratum: dict = {}  # stratum -> (coefficients, lane bits)
         filling: dict = {}  # stratum -> columns of its next batch
 
         def run(s, xs):
             at = by_stratum.get(s)
             if at is None:
-                coeffs = [_stratum_coefficients(terms, s, q, n, k)
-                          for terms in expanded]
+                coeffs = [_stratum_coefficients(p, s, q) for p in plans]
                 at = by_stratum[s] = coeffs, _lane_bits(coeffs, degree)
             coeffs, bits = at
             # word -> vector; suffixes are shared by the words and columns
@@ -597,7 +652,9 @@ class ColumnEvaluator:
                             yield t, r, x, ax, bx, unit
 
         for x in columns:
-            s = ctx.stratum_rows(self.rows[x])
+            s = strata.get(x)
+            if s is None:
+                s = strata[x] = ctx.stratum_rows(self.rows[x])
             xs = filling.setdefault(s, [])
             xs.append(x)
             if len(xs) == batch:
@@ -675,7 +732,7 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
     # only the reported entries become exact values
     violations = [
         RelationViolation(names[t], ref(r), ref(c),
-                          str(QSqrtScalar(a * u, b * u, q)))
-        for t, r, c, a, b, u in kept[:MAX_VIOLATIONS]]
+                          str(_exact(a, b, low, top, q)))
+        for t, r, c, a, b, (low, top) in kept[:MAX_VIOLATIONS]]
     return RelationReport(relation_id, (q, n, k), mode, checked, violations,
                           len(kept) > MAX_VIOLATIONS)

@@ -285,6 +285,75 @@ def test_one_verify_run_sweeps_and_tallies_gamma_x_once(capsys,
     assert len(tallied) == 1 and tallied[0].instance == (2, 7, 3, 2)
 
 
+def _counted_contexts(monkeypatch, fail_full=False):
+    """The instance and dims of every context the CLI builds from now on;
+    with fail_full, building an enumerated one raises MemoryError."""
+    built = []
+
+    def counted(q, n, k, dims=None):
+        built.append(((q, n, k), dims))
+        if fail_full and dims is None:
+            raise MemoryError("no room for the enumeration")
+        return GeometryContext(q, n, k, dims=dims)
+
+    monkeypatch.setattr(cli, "GeometryContext", counted)
+    return built
+
+
+def test_one_verify_run_enumerates_each_instance_once(capsys, monkeypatch):
+    # the geometry and full algebra checks of an instance share one
+    # enumerated context: two for the bundle, beside the graph's lazy one
+    built = _counted_contexts(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--format", "records")
+    assert code == 0
+    assert len(out.splitlines()) == 82
+    assert sorted(built, key=str) == [((2, 4, 2), None), ((2, 7, 3), ()),
+                                      ((3, 4, 2), None)]
+    built.clear()
+    code, _, _ = run(capsys, "verify", "--q", "2", "--n", "4", "--k", "2")
+    assert code == 0
+    assert built == [((2, 4, 2), ()), ((2, 4, 2), None)]
+
+
+@pytest.mark.parametrize("suite,check", [
+    ("geometry", "enumeration"), ("algebra", "REL-1"), ("all", "enumeration"),
+])
+def test_a_context_that_cannot_be_built_fails_the_check_building_it(
+        suite, check, capsys, monkeypatch):
+    # the first check that needs the enumeration builds it, so a failure
+    # to build it is that check's FAIL record, and the run stops there
+    _counted_contexts(monkeypatch, fail_full=True)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--q", "2",
+                         "--n", "4", "--k", "2", "--format", "records")
+    assert code == 1
+    assert err == "error: MemoryError: no room for the enumeration\n"
+    (rec,) = [json.loads(line) for line in out.splitlines()]
+    assert (rec["suite"], rec["check"], rec["pass"]) == (
+        "geometry" if suite == "all" else suite, check, False)
+    assert rec["detail"] == {
+        "error": "MemoryError: no room for the enumeration"}
+
+
+def test_one_verify_run_looks_up_each_column_stratum_once(capsys,
+                                                         monkeypatch):
+    # the evaluator keeps the stratum of every column id it groups, so full
+    # mode reads it once per element of each context, not once per
+    # relation: at most 279 lookups (67 + 212 elements)
+    seen = []
+    real = GeometryContext.stratum_rows
+
+    def counted(self, rows):
+        if sys._getframe(1).f_globals["__name__"] == "grassver.relations":
+            seen.append((self, rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(GeometryContext, "stratum_rows", counted)
+    code, _, _ = run(capsys, "verify", "--format", "records")
+    assert code == 0
+    assert 0 < len(seen) <= 67 + 212
+    assert len(set(seen)) == len(seen)
+
+
 def test_unknown_flag_exit_2(capsys):
     code, _, _ = run(capsys, "verify", "--frobnicate")
     assert code == 2

@@ -5,6 +5,7 @@ from collections import Counter
 import json
 import random
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,19 +16,26 @@ from grassver.gf import Subspace, enumerate_subspaces, qint, rank_rows
 from grassver.grassmann import GrassmannInstance
 from grassver.operators import operator_set
 from grassver.relations import (
+    _DIAGONALS,
     _EVALUATORS,
+    _STEPS,
     FULL_MODE_BATCH,
     MAX_VIOLATIONS,
     ColumnEvaluator,
     LaneOverflowError,
     T,
+    _exact,
+    _expand_terms,
     _lanes,
+    _plans,
     _registry,
+    _stratum_coefficients,
     column_evaluator,
     relation_components,
     relation_ids,
     verify_relation,
 )
+from grassver.scalars import QSqrtScalar
 
 FULL_INSTANCES = [(2, 4, 2), (3, 4, 2)]
 
@@ -474,6 +482,88 @@ def test_full_mode_applies_few_words(monkeypatch):
     for rid in relation_ids():
         verify_relation(rid, ctx, "full")
     assert 0 < len(calls) <= 1200
+
+
+def _walked_coefficients(terms, stratum, q, n, k):
+    """The coefficients of expanded Terms on columns of one stratum, by
+    walking each word right to left from the stratum: (coeffs, unit),
+    each word's coefficient being (a + b*sqrt(q)) * unit."""
+    nk = n - k
+    found = []
+    for term in terms:
+        i, j = stratum
+        e2 = term.half  # the power of sqrt(q), read right to left
+        for sym in reversed(term.word):
+            if sym in _DIAGONALS:
+                a, b = _DIAGONALS[sym]
+                e2 += a * (k - 2 * i) + b * (2 * j - nk)
+            else:
+                i, j = i + _STEPS[sym][0], j + _STEPS[sym][1]
+                if not (0 <= i <= k and 0 <= j <= nk):
+                    break
+        else:
+            found.append((term, e2))
+    top = max((term.dq for term, _ in found), default=0)
+    low = min((e2 // 2 for _, e2 in found), default=0)
+    coeffs = {}
+    for term, e2 in found:
+        word = tuple(sym for sym in term.word if sym in _STEPS)
+        ab = coeffs.setdefault(word, [0, 0])
+        ab[e2 % 2] += term.num * (q - 1) ** (top - term.dq) * q ** (
+            e2 // 2 - low)
+    unit = Fraction(q) ** low / (q - 1) ** top
+    return {w: ab for w, ab in coeffs.items() if ab[0] or ab[1]}, unit
+
+
+def test_term_plans_give_the_walked_coefficients():
+    # a plan's affine power of sqrt(q) and its box of strata stand for the
+    # walk of its word from each stratum: same coefficients, same exact
+    # unit, for every component of every id at every stratum, with k = 1,
+    # n - k odd, n = 2k, and q = 2, 3, 5
+    cases = 0
+    for q, n, k in ((2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 4, 2), (2, 5, 2),
+                    (2, 7, 3), (5, 5, 2), (2, 9, 4)):
+        for rid in relation_ids():
+            for name, terms in relation_components(rid, q, n, k):
+                expanded = _expand_terms(terms, q, n, k)
+                plans = _plans(expanded, k, n - k)
+                for s in itertools.product(range(k + 1), range(n - k + 1)):
+                    coeffs, (low, top) = _stratum_coefficients(plans, s, q)
+                    want = _walked_coefficients(expanded, s, q, n, k)
+                    assert (coeffs, Fraction(q) ** low / (q - 1) ** top) \
+                        == want, (q, n, k, name, s)
+                    cases += 1
+    assert cases == 6042
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_a_reported_value_is_built_from_its_exponents(q):
+    # (a + b*sqrt(q)) * q^low / (q-1)^top, low negative or not, top >= 0
+    for low, top, a, b in itertools.product(
+            range(-3, 4), range(4), (0, 1, -7, q ** 3 + 1), (0, -1, 5)):
+        num, den = q ** max(low, 0), q ** max(-low, 0) * (q - 1) ** top
+        want = QSqrtScalar(Fraction(a * num, den), Fraction(b * num, den), q)
+        assert str(_exact(a, b, low, top, q)) == str(want), (low, top, a, b)
+
+
+def test_a_holding_relation_builds_no_fraction(monkeypatch):
+    # units stay exponent pairs: only a reported violation becomes an exact
+    # value, so a relation that holds makes no Fraction at all
+    ctx = GeometryContext(3, 4, 2)
+    made = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for rid in relation_ids():
+        if rid != "REL-8P":
+            assert verify_relation(rid, ctx, "full").holds
+    assert made == []
+    assert not verify_relation("REL-8P", ctx, "full").holds
+    assert made  # the counter sees the values of the violations
 
 
 def _oracle_record(ctx, rid):
