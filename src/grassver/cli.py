@@ -28,6 +28,7 @@ from types import SimpleNamespace
 from .gf import enumerate_subspaces, gaussian_binomial
 from .geometry import (
     GeometryContext,
+    check_enumerable,
     cover_tallies,
     expected_stratum_size,
     stratum_sizes,
@@ -98,10 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_instance(q, n, k):
+def _validate_instance(q, n, k, what):
     # the library's own rules are checked by building the instance
     if q is None or n is None or k is None:
-        raise UsageError("q, n, k are required for this suite")
+        raise UsageError(f"{what} needs --q, --n and --k")
     if k > 25 or n > 25:
         raise UsageError(f"need n, k <= 25, got n={n}, k={k}")
 
@@ -248,9 +249,11 @@ def _verify_steps(args, ctx, i) -> list[tuple]:
     q, n, k, suite = ctx.q, ctx.n, ctx.k, args.suite
     steps, built = [], {}
     if suite in ("geometry", "all"):
+        _check_enumerable(q, n)
         steps.append((_run_geometry, built, q, n, k))
     if suite in ("algebra", "all"):
         if args.mode == "full":
+            _check_enumerable(q, n)
             steps.append((_run_algebra_full, built, q, n, k))
         elif 0 <= i <= min(k, n - k):
             steps.append((_run_algebra_columns, ctx, i))
@@ -296,7 +299,7 @@ def cmd_tables(out: _Output, inst) -> None:
 def cmd_enumerate(out: _Output, q, n, k) -> None:
     ctx = GeometryContext(q, n, k)
     sizes = stratum_sizes(ctx)
-    slash_below, back_below, _, _ = cover_tallies(ctx)
+    slash_below, back_below, *_ = cover_tallies(ctx)
     slash, back = sum(slash_below), sum(back_below)
     rows = [
         {"record": "stratum", "version": 1, "i": s.i, "j": s.j,
@@ -324,11 +327,26 @@ def cmd_enumerate(out: _Output, q, n, k) -> None:
         }]))
 
 
+def _check_enumerable(q, n):
+    """The library's refusal of an F_q^n too large to enumerate, as usage,
+    before any record is written."""
+    try:
+        check_enumerable(q, n)
+    except ValueError as exc:
+        raise UsageError(f"{exc}; the graph and entries suites and "
+                         f"--mode columns algebra do not enumerate") from None
+
+
 def _command(args) -> tuple:
     """The command function and its arguments; UsageError on bad input."""
     q, n, k = args.q, args.n, args.k
     if args.command == "verify" and args.suite == "all" and (
             (q, n, k) == (None, None, None)):
+        # the bundle runs full mode at instances of its own
+        for flag, given in (("--mode columns", args.mode == "columns"),
+                            ("--i", args.i is not None)):
+            if given:
+                raise UsageError(f"{flag} needs --q, --n and --k")
         # canonical bundle: smallest instances exercising every check
         inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
         built: dict = {}
@@ -338,10 +356,12 @@ def _command(args) -> tuple:
             (_run_geometry, built, 3, 4, 2),
             (_run_algebra_full, built, 3, 4, 2),
             (_run_graph, inst), (_run_entries, inst)],)
-    _validate_instance(q, n, k)
+    _validate_instance(q, n, k, f"--suite {args.suite}"
+                       if args.command == "verify" else args.command)
     try:
         ctx = GeometryContext(q, n, k, dims=())
         if args.command == "enumerate":
+            _check_enumerable(q, n)
             return cmd_enumerate, (q, n, k)
         i = args.i if args.i is not None else 2
         if args.command == "verify":

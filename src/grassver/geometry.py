@@ -7,10 +7,11 @@ raising j (a backslash cover).  The context also enumerates covers above and
 below a subspace, each written down as its canonical basis with no row
 reduction: a cover above adds a coset vector that is already a point
 modulo the rows (``kernels.insert_row``), and a hyperplane takes a
-functional scaled so that its last nonzero entry is 1.  ``covers_above``
-and ``covers_below`` split them into slash and backslash covers, for the
-evaluator's letters L1, L2, R1 and R2.  The cover counts of a full
-context come from ``cover_tallies`` instead, which visits each cover
+functional scaled so that its last nonzero entry is 1.  ``cover_groups``
+groups the covers above by their point modulo the subspace + y, the zero
+group being the slash covers (the evaluator's R1, the rest R2), and
+``covers_below`` splits the hyperplanes (L1, L2).  The cover counts of a
+full context come from ``cover_tallies`` instead, which visits each cover
 pair once, from its top: one hyperplane sweep per subspace, each
 hyperplane found by its canonical rows and counted at both ends.
 
@@ -131,14 +132,29 @@ _OWN_ZERO_OTHER = {
 }
 
 
+# a full context holds about 280 B per subspace (111 MiB for the 417,199
+# of F_2^8), so enumerating past this many could exhaust memory unchecked
+MAX_ENUMERATED = 500_000
+
+
+def check_enumerable(q: int, n: int) -> None:
+    """ValueError when F_q^n has more than ``MAX_ENUMERATED`` subspaces,
+    counted in closed form with no enumeration."""
+    count = sum(gaussian_binomial(n, d, q) for d in range(n + 1))
+    if count > MAX_ENUMERATED:
+        raise ValueError(f"F_{q}^{n} has {count:,} subspaces, more than "
+                         f"the {MAX_ENUMERATED:,} a full context enumerates")
+
+
 class GeometryContext:
     """Fixed (q, n, k, y), fully enumerated or lazy.
 
     With ``dims=None`` every subspace of F_q^n goes into ``elements``, in
-    dimension order, and ``id_by_rows`` gives its id by canonical rows.
-    ``dims=()`` builds a lazy context with no enumeration, enough for
-    local computations around given subspaces.  Immutable after
-    construction, the stratum table included; safe to share.
+    dimension order, and ``id_by_rows`` gives its id by canonical rows;
+    ``check_enumerable`` refuses an F_q^n too large for that.  ``dims=()``
+    builds a lazy context with no enumeration, enough for local
+    computations around given subspaces.  Immutable after construction,
+    the stratum table included; safe to share.
     """
 
     def __init__(self, q: int, n: int, k: int,
@@ -160,6 +176,8 @@ class GeometryContext:
         if dims not in (None, ()):
             raise ValueError(f"dims must be None (every dimension) or () "
                              f"(none), got {dims!r}")
+        if dims is None:
+            check_enumerable(q, n)
 
         # for y the span of the first k columns, dim(u ∩ y) is dim(u)
         # minus the rank of u's rows with those k lanes shifted out
@@ -281,27 +299,18 @@ class GeometryContext:
             for head in product(*choices):
                 yield head + tail
 
-    def covers_above(self, rows):
-        """The covers above rows, split into (slash, backslash): two lists
-        of canonical bases, each in ``superspaces_rows`` order."""
-        return self._split(self.intersection_dim_with_y(rows) + 1,
-                           (v for v, _ in self.superspaces_rows(rows)))
-
     def covers_below(self, rows):
         """The hyperplanes of rows, split into (slash, backslash): rows
         slash-covers those in the first list.  Each list is in
         ``hyperplanes_rows`` order."""
-        return self._split(self.intersection_dim_with_y(rows) - 1,
-                           self.hyperplanes_rows(rows))
-
-    def _split(self, i_slash, covers):
         # a cover pair is slash exactly when dim(·∩y) steps with dim
+        i_slash = self.intersection_dim_with_y(rows) - 1
         slash, back = [], []
-        for c in covers:
-            if self.intersection_dim_with_y(c) == i_slash:
-                slash.append(c)
+        for m in self.hyperplanes_rows(rows):
+            if self.intersection_dim_with_y(m) == i_slash:
+                slash.append(m)
             else:
-                back.append(c)
+                back.append(m)
         return slash, back
 
     def sum_with_y(self, rows):
@@ -312,11 +321,11 @@ class GeometryContext:
         return base
 
     def cover_groups(self, mrows):
-        """(covers, ends): the covers of a hyperplane m as canonical bases,
+        """(covers, ends): the covers of a subspace m as canonical bases,
         grouped by the point modulo V = m + y of the row they add, group
         after group, and the end of each group in covers.  The first group
-        is the zero point's, empty when y lies in m; each group is in
-        ``superspaces_rows`` order."""
+        is the zero point's: the slash covers of m, empty when y lies in
+        m; each group is in ``superspaces_rows`` order."""
         mod = self.sum_with_y(mrows)
         groups: dict[int, list] = {0: []}
         for urows, p in self.superspaces_rows(mrows, mod):
@@ -417,8 +426,9 @@ class CoverCountReport(NamedTuple):
 
 def cover_tallies(ctx: GeometryContext):
     """The four cover counts of every element of a fully enumerated
-    context, as four int lists indexed by element id: (slash below,
-    backslash below, slash above, backslash above).
+    context and the dim(u∩y) they were split by, as five int lists
+    indexed by element id: (slash below, backslash below, slash above,
+    backslash above, dim(u∩y)).
 
     Each cover pair m < u is visited once, from u: ``hyperplanes_rows``
     yields m's canonical basis, ``id_by_rows`` gives m's id, and the pair
@@ -454,14 +464,15 @@ def cover_tallies(ctx: GeometryContext):
                 back_above[mid] += 1
         slash_below[uid] = slash
         back_below[uid] = back
-    return slash_below, back_below, slash_above, back_above
+    return slash_below, back_below, slash_above, back_above, meet
 
 
 def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
     """Check the four cover counts for every enumerated element.
 
-    The counts come from ``cover_tallies``, which visits each cover pair
-    once; violations are reported in element id order.
+    The counts, and each element's stratum, come from ``cover_tallies``,
+    which visits each cover pair once; violations are reported in element
+    id order.
     """
     q, k, n = ctx.q, ctx.k, ctx.n
     expected = {
@@ -470,8 +481,9 @@ def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
         for i in range(k + 1) for j in range(n - k + 1)
     }
     violations = []
-    for u, observed in zip(ctx.elements, zip(*cover_tallies(ctx))):
-        s = ctx.stratum(u)
+    *tallies, meet = cover_tallies(ctx)
+    for u, i, observed in zip(ctx.elements, meet, zip(*tallies)):
+        s = Stratum(i, u.dim - i)
         if observed != expected[s]:
             violations.append(CoverCountViolation(u, s, observed,
                                                   expected[s]))

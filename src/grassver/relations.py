@@ -29,11 +29,12 @@ enumerated context (whose element ids the evaluator keeps) in batches of
 up to ``FULL_MODE_BATCH`` columns of one stratum, which share their
 coefficients and most of their neighbourhoods; columns mode checks the
 given columns one per batch, sweeping their neighbourhoods lazily, as
-given columns need not share neighbours.  The same-dimension letters at a
-subspace are read from the covers of its hyperplanes, which the evaluator
-sweeps and groups by point once per hyperplane and shares among every
-subspace over it; ``geometry.letter_split`` names the letter of each
-group.
+given columns need not share neighbours.  The evaluator sweeps and groups
+the covers above a subspace once (``GeometryContext.cover_groups``).  R1
+and R2 at z are z's own zero group and the rest; the same-dimension
+letters at z join the groups of z's hyperplanes, each named by
+``geometry.letter_split``; L1 and L2 split z's hyperplanes
+(``GeometryContext.covers_below``).
 """
 
 from __future__ import annotations
@@ -542,8 +543,8 @@ class ColumnEvaluator:
     each hyperplane's covers are swept, interned and grouped by their
     point modulo m + y once per evaluator (``GeometryContext.cover_groups``),
     and ``geometry.letter_split`` joins whole groups into the columns.
-    The cover letters read the slash or backslash covers below or above
-    (``GeometryContext.covers_below``/``covers_above``).
+    R1 and R2 are the zero group of the subspace's own covers and the rest;
+    L1 and L2 split its hyperplanes (``GeometryContext.covers_below``).
     """
 
     def __init__(self, ctx: GeometryContext):
@@ -552,7 +553,7 @@ class ColumnEvaluator:
         self.rows: list[tuple] = [u.rows for u in ctx.elements]  # id -> rows
         self._id: dict[tuple, int] = dict(ctx.id_by_rows)
         self._typed: dict[int, dict[str, tuple[int, ...]]] = {}
-        # hyperplane rows -> (ids, ends) of its covers (_cover_groups)
+        # subspace rows -> (ids, ends) of its covers (_cover_groups)
         self._groups: dict[tuple, tuple] = {}
         self._cols: dict[str, dict[int, tuple]] = {s: {} for s in _STEPS}
         self._strata: dict[int, Stratum] = {}  # id -> stratum, read once
@@ -566,7 +567,7 @@ class ColumnEvaluator:
         return z
 
     def _cover_groups(self, mrows) -> tuple:
-        """(ids, ends) of a hyperplane, swept once: the ids of its covers,
+        """(ids, ends) of a subspace, swept once: the ids of its covers,
         group after group as ``GeometryContext.cover_groups`` gives them,
         and the end of each group in ids."""
         entry = self._groups.get(mrows)
@@ -588,13 +589,13 @@ class ColumnEvaluator:
 
     def _column(self, sym: str, z: int) -> tuple[int, ...]:
         """Row ids of the nonzero (all 1) entries of column z of a letter."""
-        if sym in ("L1", "L2", "R1", "R2"):
-            # L: the covers below z, R: above; 1 the slash ones, 2 the rest
-            split = (self.ctx.covers_below if sym[0] == "L"
-                     else self.ctx.covers_above)
-            slash, back = split(self.rows[z])
-            return tuple(self.intern(w)
-                         for w in (slash if sym[1] == "1" else back))
+        if sym in ("R1", "R2"):
+            # the covers above z: the zero group is the slash ones
+            ids, ends = self._cover_groups(self.rows[z])
+            return ids[:ends[0]] if sym == "R1" else ids[ends[0]:]
+        if sym in ("L1", "L2"):
+            slash, back = self.ctx.covers_below(self.rows[z])
+            return tuple(map(self.intern, slash if sym == "L1" else back))
         cols = self.typed_columns(z)
         if sym == "F":
             return cols["F0"] + cols["F+"] + cols["F-"]

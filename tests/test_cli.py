@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -617,6 +618,57 @@ def test_instance_over_size_bound_exit_2(tmp_path, capsys):
     assert out == ""
     assert "need n, k <= 25, got n=26, k=2" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--mode", "columns"], "--mode columns"), (["--i", "5"], "--i")])
+def test_verify_refuses_an_instance_flag_without_an_instance(argv, flag,
+                                                             capsys):
+    # with no --q, --n, --k verify runs the bundle, which reads neither flag
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} needs --q, --n and "
+                                       f"--k\n")
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["tables"], "tables"),
+    (["enumerate", "--q", "2", "--n", "4"], "enumerate"),
+    (["verify", "--suite", "geometry", "--k", "2"], "--suite geometry"),
+])
+def test_a_missing_instance_is_named_for_the_command(argv, what, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {what} needs --q, --n and "
+                                       f"--k\n")
+
+
+TOO_LARGE = ("error: F_3^7 has 2,052,656 subspaces, more than the 500,000 a "
+             "full context enumerates; the graph and entries suites and "
+             "--mode columns algebra do not enumerate\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "columns"], ["verify", "--suite", "geometry"],
+    ["verify", "--suite", "algebra"], ["enumerate"]])
+def test_an_enumeration_too_large_is_refused_before_any_work(argv, tmp_path,
+                                                            capsys):
+    # F_3^7 would take about 550 MiB to enumerate: the count is read in
+    # closed form, and the run is refused before the output is opened
+    path = tmp_path / "out"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--q", "3", "--n", "7", "--k", "3",
+                         "--out", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out, err) == (2, "", TOO_LARGE)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("suite", ["algebra", "graph", "entries"])
+def test_the_suites_that_enumerate_nothing_are_planned_at_any_size(suite):
+    args = cli._build_parser().parse_args([
+        "verify", "--suite", suite, "--mode", "columns", "--q", "3",
+        "--n", "7", "--k", "3"])
+    command, (steps,) = cli._command(args)
+    assert command is cli.cmd_verify and len(steps) == 1
 
 
 DATA = Path(__file__).parent / "data" / "cli"

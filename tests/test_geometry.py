@@ -28,7 +28,7 @@ from grassver.geometry import (
     verify_cover_counts,
 )
 from grassver.grassmann import GrassmannInstance
-from grassver.relations import verify_relation
+from grassver.relations import column_evaluator, verify_relation
 
 
 @pytest.fixture(scope="module")
@@ -229,35 +229,58 @@ def test_letter_split_matches_pair_profile():
                 assert dict(swept) == expected
 
 
+def cover_kinds(ctx, u):
+    """(above, below): the covers above u and the hyperplanes of u, each
+    as a list of (rows, cover_kind) in sweep order."""
+    q, n = ctx.q, ctx.n
+    above = [(v, cover_kind(u, Subspace(q, n, v), ctx))
+             for v, _ in ctx.superspaces_rows(u.rows)]
+    below = [(w, cover_kind(Subspace(q, n, w), u, ctx))
+             for w in ctx.hyperplanes_rows(u.rows)]
+    assert all(kind is not None for _, kind in above + below)
+    return above, below
+
+
 def test_cover_split_matches_cover_kind():
-    # oracle: cover_kind on every cover the sweeps yield; each cover goes
-    # to the one list its kind names, and each list keeps the sweep order
-    for ctx in contexts_with_two_ys():
-        q, n = ctx.q, ctx.n
-        for u in ctx.elements:
-            above = [(v, cover_kind(u, Subspace(q, n, v), ctx))
-                     for v, _ in ctx.superspaces_rows(u.rows)]
-            below = [(w, cover_kind(Subspace(q, n, w), u, ctx))
-                     for w in ctx.hyperplanes_rows(u.rows)]
-            for split, covers in ((ctx.covers_above, above),
-                                  (ctx.covers_below, below)):
-                assert all(kind is not None for _, kind in covers)
-                assert split(u.rows) == tuple(
-                    [c for c, kind in covers if kind == want]
-                    for want in ("/", "\\"))
+    # oracle: cover_kind on every cover the sweeps yield.  The evaluator's
+    # R1 and R2 columns at u, read as rows, are the slash and backslash
+    # covers above u; covers_below gives the slash and backslash
+    # hyperplanes, each list in sweep order.  Every element of each full
+    # context, and every subspace of F_3^4 on a lazy one.
+    lazy = GeometryContext(3, 4, 2, y=Subspace.from_matrix(
+        OTHER_Y[3, 4, 2], 3), dims=())
+    for ctx in [*contexts_with_two_ys(), lazy]:
+        ev = column_evaluator(ctx)
+        subspaces = ctx.elements or [
+            u for d in range(5) for u in enumerate_subspaces(4, d, 3)]
+        for u in subspaces:
+            above, below = cover_kinds(ctx, u)
+            z = ev.intern(u.rows)
+            for sym, want in (("R1", "/"), ("R2", "\\")):
+                col = ev.apply_band_int(sym, {z: 1})
+                assert set(col.values()) <= {1}
+                assert sorted(ev.rows[r] for r in col) == sorted(
+                    c for c, kind in above if kind == want)
+            assert ctx.covers_below(u.rows) == tuple(
+                [c for c, kind in below if kind == want]
+                for want in ("/", "\\"))
 
 
 def test_cover_tallies_match_the_two_sided_split():
-    # oracle: the slash/backslash splits of each element's covers, swept
-    # from below (covers_above) and from above (covers_below)
+    # oracle: the slash/backslash split of each element's covers by
+    # cover_kind, swept from below (superspaces_rows) and from above
+    # (hyperplanes_rows); the fifth list is dim(u∩y)
     for ctx in contexts_with_two_ys():
         tallies = cover_tallies(ctx)
         assert all(len(t) == len(ctx.elements) for t in tallies)
         for uid, u in enumerate(ctx.elements):
-            below = ctx.covers_below(u.rows)
-            above = ctx.covers_above(u.rows)
+            above, below = cover_kinds(ctx, u)
             assert tuple(t[uid] for t in tallies) == (
-                len(below[0]), len(below[1]), len(above[0]), len(above[1]))
+                *(sum(kind == want for _, kind in below)
+                  for want in ("/", "\\")),
+                *(sum(kind == want for _, kind in above)
+                  for want in ("/", "\\")),
+                ctx.intersection_dim_with_y(u.rows))
 
 
 def counted_sweeps(monkeypatch):
@@ -284,6 +307,38 @@ def counted_sweeps(monkeypatch):
     return calls
 
 
+def counted_lookups(monkeypatch):
+    """Counts of the dim(u∩y) lookups and of the covers that
+    superspaces_rows yields, kept live while the test runs."""
+    counts = dict.fromkeys(("intersection_dim_with_y", "superspaces_rows"), 0)
+    real_meet = GeometryContext.intersection_dim_with_y
+    real_sweep = GeometryContext.superspaces_rows
+
+    def meet(self, rows):
+        counts["intersection_dim_with_y"] += 1
+        return real_meet(self, rows)
+
+    def sweep(self, *args):
+        for cover in real_sweep(self, *args):
+            counts["superspaces_rows"] += 1
+            yield cover
+
+    monkeypatch.setattr(GeometryContext, "intersection_dim_with_y", meet)
+    monkeypatch.setattr(GeometryContext, "superspaces_rows", sweep)
+    return counts
+
+
+def test_one_verify_run_sweeps_each_cover_above_once(monkeypatch, capsys):
+    # work-count guard: the evaluator reads R1 and R2 from the cover groups
+    # it keeps, and cover-counts reads the strata its tally looked up, so
+    # a default verify stays under these counts
+    counts = counted_lookups(monkeypatch)
+    assert cli.main(["verify", "--format", "records"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 82
+    assert 0 < counts["intersection_dim_with_y"] <= 3600
+    assert 0 < counts["superspaces_rows"] <= 1600
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
 def test_cover_counts_and_enumerate_sweep_each_pair_once(
         q, n, k, monkeypatch, capsys):
@@ -301,7 +356,7 @@ def test_cover_counts_and_enumerate_sweep_each_pair_once(
     assert "cover pairs:" in capsys.readouterr().out
     assert calls == once
     # the counters see a sweep above wherever one runs
-    ctx.covers_above(ctx.elements[0].rows)
+    ctx.cover_groups(ctx.elements[0].rows)
     assert calls["superspaces_rows"] == 1 and calls["insert_row"] > 0
 
 
@@ -516,3 +571,13 @@ def test_invalid_parameters():
         GeometryContext(3, kernels.MAX_COLUMNS + 1, 2, dims=())  # too wide
     with pytest.raises(ValueError):
         GeometryContext(2, 4, 2, y=Subspace.coordinate_span([0], 2, 4))
+
+
+def test_a_full_context_past_the_enumeration_bound_is_refused():
+    # counted in closed form: F_2^8 has 417,199 subspaces, F_3^7 2,052,656
+    geometry.check_enumerable(2, 8)
+    for q, n, count in [(3, 7, "2,052,656"), (2, 9, "8,283,458")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"F_{q}^{n} has {count} subspaces, more than the 500,000")):
+            GeometryContext(q, n, 3)
+        assert GeometryContext(q, n, 3, dims=()).elements == []
