@@ -8,7 +8,9 @@ the GRASSVER_ prefix (e.g. GRASSVER_Q=3); explicit flags win.
 Every input is checked, and the output (--out or stdout) opened, before
 any work starts.  Each check is written out as soon as it finishes, so a
 run that stops early keeps the checks it finished.  A skip record names
-what was not run and why; it is not a check.
+what was not run and why; it is not a check.  A full-mode algebra run
+over more than ``FULL_MODE_NOTE_SIZE`` subspaces says on stderr, before it
+starts, how many there are and that columns mode runs that size.
 
 Exit codes: 0 all checks pass; 1 at least one verification failure, or an
 exception inside a check (its FAIL record names the exception, the run
@@ -56,6 +58,9 @@ from .reports import (
 ENV_PREFIX = "GRASSVER_"
 SUITES = ("algebra", "geometry", "graph", "entries", "all")
 COLUMN_RELATIONS = tuple(f"REL-{t}" for t in range(1, 9)) + ("REL-8P",)
+# a full-mode algebra run over more subspaces than this says on stderr,
+# before it starts, that columns mode is the way to run its size
+FULL_MODE_NOTE_SIZE = 10_000
 
 
 class UsageError(Exception):
@@ -213,6 +218,14 @@ def _run_algebra_full(out: _Output, built, q, n, k):
                     "both" if holds else "neither"}
 
 
+def _note_full_size(out: _Output, q, n, count):
+    # stderr only: the records stay those of the run
+    print(f"note: full mode checks every column of all {count:,} "
+          f"subspaces of F_{q}^{n}; --mode columns --i I checks only the "
+          f"k-spaces at distance I from y and is the way to run this size",
+          file=sys.stderr)
+
+
 def _run_algebra_columns(out: _Output, ctx, i):
     q, n, k = ctx.q, ctx.n, ctx.k
     columns = [
@@ -253,7 +266,9 @@ def _verify_steps(args, ctx, i) -> list[tuple]:
         steps.append((_run_geometry, built, q, n, k))
     if suite in ("algebra", "all"):
         if args.mode == "full":
-            _check_enumerable(q, n)
+            count = _check_enumerable(q, n)
+            if count > FULL_MODE_NOTE_SIZE:
+                steps.append((_note_full_size, q, n, count))
             steps.append((_run_algebra_full, built, q, n, k))
         elif 0 <= i <= min(k, n - k):
             steps.append((_run_algebra_columns, ctx, i))
@@ -327,11 +342,11 @@ def cmd_enumerate(out: _Output, q, n, k) -> None:
         }]))
 
 
-def _check_enumerable(q, n):
-    """The library's refusal of an F_q^n too large to enumerate, as usage,
-    before any record is written."""
+def _check_enumerable(q, n) -> int:
+    """The number of subspaces of F_q^n; the library's refusal of an F_q^n
+    too large to enumerate, as usage, before any record is written."""
     try:
-        check_enumerable(q, n)
+        return check_enumerable(q, n)
     except ValueError as exc:
         raise UsageError(f"{exc}; the graph and entries suites and "
                          f"--mode columns algebra do not enumerate") from None

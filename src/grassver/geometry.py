@@ -32,8 +32,12 @@ its typed columns off the same split of the groups it keeps.
 Rows are the packed ints of ``kernels`` at every q.  dim(u ∩ y) is
 tabled once for each enumerated subspace, keyed by its canonical rows; any
 other basis gets it computed and kept nowhere, so a lazy context holds no
-per-subspace strata.  For the coordinate y it is read off the rank of u's
-rows with y's k lanes shifted out.
+per-subspace strata.  It is d minus the rank of u's rows modulo y: for
+the coordinate y those rows are u's with y's k lanes shifted out, for any
+other y u's rows reduced by y's canonical rows.  At q = 2 a lookup that
+misses the table takes that rank with ``rank2``'s XOR-basis loop written
+out in its own frame; the table fill and every q > 2 lookup go through
+``rank_rows``.
 """
 
 from __future__ import annotations
@@ -137,13 +141,14 @@ _OWN_ZERO_OTHER = {
 MAX_ENUMERATED = 500_000
 
 
-def check_enumerable(q: int, n: int) -> None:
-    """ValueError when F_q^n has more than ``MAX_ENUMERATED`` subspaces,
-    counted in closed form with no enumeration."""
+def check_enumerable(q: int, n: int) -> int:
+    """The number of subspaces of F_q^n, counted in closed form with no
+    enumeration; ValueError when it is more than ``MAX_ENUMERATED``."""
     count = sum(gaussian_binomial(n, d, q) for d in range(n + 1))
     if count > MAX_ENUMERATED:
         raise ValueError(f"F_{q}^{n} has {count:,} subspaces, more than "
                          f"the {MAX_ENUMERATED:,} a full context enumerates")
+    return count
 
 
 class GeometryContext:
@@ -186,7 +191,9 @@ class GeometryContext:
         self.elements: list[Subspace] = []
         self.id_by_rows: dict[tuple, int] = {}
         self.ids_by_dim: dict[int, range] = {}
-        # dim(u ∩ y) by canonical rows, for the enumerated u only
+        # dim(u ∩ y) by canonical rows, for the enumerated u only; filled
+        # through _meet_y, so wrapping the public lookup (to count or trace
+        # it) sees the lookups and not the fill
         self._strat_cache: dict[tuple, int] = {}
         for d in range(n + 1) if dims is None else ():
             start = len(self.elements)
@@ -202,10 +209,33 @@ class GeometryContext:
         """dim(u ∩ y) for packed basis rows: read from the table when u is
         enumerated and rows are its canonical basis, computed otherwise."""
         i = self._strat_cache.get(rows)
-        return self._meet_y(rows) if i is None else i
+        if i is not None:
+            return i
+        if self.q != 2:
+            return self._meet_y(rows)
+        # d - rank(u's rows modulo y), in this frame: the lookup is the
+        # geometry's most-called function.  Each row loses y's part (the
+        # coordinate y's k lanes shifted out, any other y's canonical rows
+        # cleared by pivot), then the XOR-basis loop of kernels.rank2
+        canonical, shift, yrows = self._canonical_y, self._past_y, self.y.rows
+        basis = []
+        for r in rows:
+            if canonical:
+                r >>= shift
+            else:
+                for v in yrows:
+                    if r & v & -v:
+                        r ^= v
+            for b in basis:
+                if r ^ b < r:
+                    r ^= b
+            if r:
+                basis.append(r)
+        return len(rows) - len(basis)
 
     def _meet_y(self, rows) -> int:
-        # d + k - dim(u + y), for any basis of u
+        # d + k - dim(u + y), for any basis of u: the table fill, and the
+        # lookup at q > 2
         if self._canonical_y:
             shift = self._past_y
             return len(rows) - rank_rows([r >> shift for r in rows], self.q)

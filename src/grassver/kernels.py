@@ -22,9 +22,11 @@ building sums.  ``insert_row`` adds such a point to the basis: it clears
 the point's pivot column from the rows and puts it in pivot order, with no
 reduction, so the cover sweeps call it directly on coset vectors that are
 points already.  ``extend_rows`` is the two in turn, and ``rref2``/
-``rrefp`` fold it over their rows (``gf`` re-exports it).  ``rank2``/
-``rankp`` count pivots by forward elimination alone, which is cheaper than
-a canonical basis when only the dimension is needed.
+``rrefp`` fold it over their rows (``gf`` re-exports it).  ``rank2``
+keeps an XOR basis and ``rankp`` counts pivots by forward elimination:
+either is cheaper than a canonical basis when only the dimension is
+needed.  ``GeometryContext.intersection_dim_with_y`` writes ``rank2``'s
+loop out once more, in its own frame.
 """
 
 from __future__ import annotations
@@ -182,17 +184,22 @@ def rref2(rows):
 
 
 def rank2(rows):
-    """GF(2) rank of bit-packed rows."""
-    piv = {}
+    """GF(2) rank of bit-packed rows.
+
+    An XOR basis: each row is reduced by the kept rows in the order kept,
+    each step clearing a kept row's top bit (``r ^ b < r`` exactly when r
+    has it), and kept if anything is left.  No kept row has the top bit of
+    an earlier one, so the kept rows are independent and a row in their
+    span reduces to zero.
+    """
+    basis = []
     for r in rows:
-        while r:
-            low = r & -r
-            b = piv.get(low)
-            if b is None:
-                piv[low] = r
-                break
-            r ^= b
-    return len(piv)
+        for b in basis:
+            if r ^ b < r:
+                r ^= b
+        if r:
+            basis.append(r)
+    return len(basis)
 
 
 def rrefp(rows, q):
@@ -216,8 +223,8 @@ def rankp(rows, q):
     """Rank over GF(q), q an odd prime, of packed rows with lanes in
     [0, q); ``rank2`` is the GF(2) kernel.
 
-    Forward elimination as ``rank2``, keyed by pivot lane, with each
-    stored row scaled to pivot entry 1.
+    Forward elimination keyed by pivot lane, with each stored row scaled
+    to pivot entry 1.
     """
     bits, mask, mult, shift, qmask, inverse = _LANES[q]
     piv = {}

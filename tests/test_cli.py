@@ -257,6 +257,35 @@ def test_graph_instance_boundaries(argv, code, err, capsys):
         assert (out, stderr) == ("", f"error: {err}\n")
 
 
+def test_a_big_full_mode_run_says_so_on_stderr_before_it_starts(
+        capsys, monkeypatch):
+    # the relations are not run: the stub records what stderr held when
+    # the full-mode run began
+    began = []
+
+    def algebra_full(out, built, q, n, k):
+        began.append(((q, n, k), capsys.readouterr().err))
+
+    monkeypatch.setattr(cli, "_run_algebra_full", algebra_full)
+    code, out, err = run(capsys, "verify", "--suite", "algebra", "--q", "2",
+                         "--n", "7", "--k", "3", "--format", "records")
+    assert (code, out, err) == (0, "", "")
+    [(instance, note)] = began
+    assert instance == (2, 7, 3)
+    assert note.count("\n") == 1 and note.endswith("\n")
+    assert "29,212 subspaces of F_2^7" in note
+    assert "--mode columns --i" in note
+    # below the size, and outside full-mode algebra, nothing is said
+    began.clear()
+    code, out, err = run(capsys, "verify", "--suite", "algebra", "--q", "2",
+                         "--n", "6", "--k", "3", "--format", "records")
+    assert (code, out, err, began) == (0, "", "", [((2, 6, 3), "")])
+    code, out, err = run(capsys, "verify", "--suite", "geometry", "--q", "2",
+                         "--n", "7", "--k", "3", "--format", "records")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 3
+
+
 def test_one_verify_run_sweeps_and_tallies_gamma_x_once(capsys,
                                                         monkeypatch):
     # the bundle's graph and entries suites share one instance, so Γ(x) is

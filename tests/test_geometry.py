@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -459,6 +460,109 @@ def test_intersection_dim_with_y_matches_the_rank_formula():
                         assert ctx.intersection_dim_with_y(basis) == want
 
 
+def seeded_basis(rows, rnd):
+    """Another basis of span(rows) at q = 2: each row plus a random subset
+    of the rows after it (a unit triangular change of basis), shuffled."""
+    out = []
+    for t, r in enumerate(rows):
+        for later in rows[t + 1:]:
+            if rnd.random() < 0.5:
+                r ^= later
+        out.append(r)
+    rnd.shuffle(out)
+    return tuple(out)
+
+
+def test_lazy_lookup_at_2_7_3_matches_the_rank_formula():
+    # oracle at the graph workload's shape: every 3-space of F_2^7 on a
+    # lazy context, on its canonical rows and on a seeded other basis,
+    # for the coordinate y, another coordinate span, and a y that holds
+    # no unit vector (so no coordinate span)
+    rnd = random.Random(7)
+    ys = [None, Subspace.coordinate_span([4, 5, 6], 2, 7),
+          Subspace.from_matrix([[1, 1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 1, 0, 0],
+                                [0, 0, 0, 1, 0, 1, 1]], 2)]
+    assert not any(ys[2].contains(Subspace.coordinate_span([j], 2, 7))
+                   for j in range(7))
+    spaces = list(enumerate_subspaces(7, 3, 2))
+    assert len(spaces) == 11811
+    for y in ys:
+        ctx = GeometryContext(2, 7, 3, y=y, dims=())
+        assert ctx._canonical_y == (y is None)
+        other = 0
+        for u in spaces:
+            want = 6 - rank_rows(u.rows + ctx.y.rows, 2)
+            assert ctx.intersection_dim_with_y(u.rows) == want
+            basis = seeded_basis(u.rows, rnd)
+            assert Subspace(2, 7, basis) == u
+            other += basis != u.rows
+            assert ctx.intersection_dim_with_y(basis) == want
+        assert other > len(spaces) // 2
+
+
+def test_q2_lookups_call_no_rank_kernel(monkeypatch):
+    # the lazy q = 2 lookup takes its rank in its own frame: with every
+    # rank function it could reach raising, it still answers, at the
+    # coordinate y and at OTHER_Y, on canonical and on mixed bases
+    cases = []
+    for y in (None, Subspace.from_matrix(OTHER_Y[2, 5, 2], 2)):
+        ctx = GeometryContext(2, 5, 2, y=y, dims=())
+        for d in range(6):
+            for u in enumerate_subspaces(5, d, 2):
+                want = d + 2 - rank_rows(u.rows + ctx.y.rows, 2)
+                cases += [(ctx, u.rows, want), (ctx, mixed_basis(u), want)]
+
+    def refuse(*args):
+        raise AssertionError("rank kernel called")
+
+    for module, name in ((geometry, "rank_rows"), (gf, "rank_rows"),
+                         (kernels, "rank2")):
+        monkeypatch.setattr(module, name, refuse)
+    assert all(ctx.intersection_dim_with_y(rows) == want
+               for ctx, rows, want in cases)
+    # the patch bites where a kernel is called: a q = 3 lookup
+    with pytest.raises(AssertionError, match="rank kernel called"):
+        GeometryContext(3, 4, 2, dims=()).intersection_dim_with_y((1,))
+
+
+def perp(u):
+    """u^⊥ under the dot product, from u's canonical basis: one vector per
+    free column f, e_f - sum_t r_t[f] e_{p_t}, p_t the pivot of row t;
+    each is orthogonal to every row, and they are n - d independent."""
+    q, n, m = u.q, u.n, u.basis_matrix()
+    pivots = [next(c for c, a in enumerate(r) if a) for r in m]
+    vectors = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for r, p in zip(m, pivots):
+            v[p] = -r[f] % q
+        vectors.append(v)
+    return Subspace.from_matrix(vectors, q, n)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2),
+                                   (2, 5, 1), (3, 5, 2)])
+def test_perp_maps_stratum_i_j_to_n_minus_k_minus_j_k_minus_i(q, n, k):
+    # oracle from plain linear algebra: u^⊥ ∩ y^⊥ = (u+y)^⊥, so with y^⊥
+    # as the reference (n-k)-space, u^⊥ lies in stratum (n-k-j, k-i)
+    ys = [Subspace.coordinate_span(range(k), q, n)]
+    if (q, n, k) in OTHER_Y:
+        ys.append(Subspace.from_matrix(OTHER_Y[q, n, k], q))
+    perps = {u: perp(u) for d in range(n + 1)
+             for u in enumerate_subspaces(n, d, q)}
+    for u, w in perps.items():
+        assert w.dim == n - u.dim
+        assert perp(w) == u
+    for y in ys:
+        for dims in (None, ()):
+            ctx = GeometryContext(q, n, k, y=y, dims=dims)
+            dual = GeometryContext(q, n, n - k, y=perp(y), dims=dims)
+            for u, w in perps.items():
+                i, j = ctx.stratum(u)
+                assert dual.stratum(w) == (n - k - j, k - i)
+
+
 def test_stratum_table_holds_the_enumerated_subspaces_only():
     # a lazy context tables no stratum, whatever sweeps it runs
     ctx = GeometryContext(2, 7, 3, dims=())
@@ -575,7 +679,7 @@ def test_invalid_parameters():
 
 def test_a_full_context_past_the_enumeration_bound_is_refused():
     # counted in closed form: F_2^8 has 417,199 subspaces, F_3^7 2,052,656
-    geometry.check_enumerable(2, 8)
+    assert geometry.check_enumerable(2, 8) == 417_199
     for q, n, count in [(3, 7, "2,052,656"), (2, 9, "8,283,458")]:
         with pytest.raises(ValueError, match=re.escape(
                 f"F_{q}^{n} has {count} subspaces, more than the 500,000")):
