@@ -47,16 +47,17 @@ from .relations import relation_ids, verify_relation
 from .reports import (
     CHECKS_CSV_HEADER,
     check_record,
-    skip_record,
-    csv_lines,
     format_check,
-    records_to_ndjson,
-    table_to_csv,
-    table_to_text,
+    format_enumeration,
+    format_table,
+    record,
+    skip_record,
 )
 
 ENV_PREFIX = "GRASSVER_"
 SUITES = ("algebra", "geometry", "graph", "entries", "all")
+MODES = ("full", "columns")
+FORMATS = ("text", "csv", "records")
 COLUMN_RELATIONS = tuple(f"REL-{t}" for t in range(1, 9)) + ("REL-8P",)
 # a full-mode algebra run over more subspaces than this says on stderr,
 # before it starts, that columns mode is the way to run its size
@@ -69,7 +70,7 @@ class UsageError(Exception):
 
 def _env(name: str):
     # argparse converts a string default with the option's type, so a bad
-    # value here is refused like a bad flag
+    # int here is refused like a bad flag; _command checks a bad choice
     return os.environ.get(ENV_PREFIX + name)
 
 
@@ -90,13 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--suite", choices=SUITES,
                            default=_env("SUITE") or "all")
             p.add_argument(
-                "--mode", choices=("full", "columns"),
+                "--mode", choices=MODES,
                 default=_env("MODE") or "full",
                 help="full enumerates every subspace of F_q^n (29,212 at "
                      "q=2, n=7) and checks every column; columns checks only "
                      "the k-spaces at distance i from y, walking covers "
                      "lazily, and is the way to run instances of that size")
-        p.add_argument("--format", choices=("text", "csv", "records"),
+        p.add_argument("--format", choices=FORMATS,
                        dest="output_format",
                        default=_env("FORMAT") or "text")
         p.add_argument("--out", dest="output_path",
@@ -303,43 +304,20 @@ def cmd_tables(out: _Output, inst) -> None:
                          ("edge-type triples", count_edge_types)):
         report = table(inst)
         out.failed += not report.holds
-        if out.format == "text":
-            out.write(table_to_text(report, title) + "\n")
-        elif out.format == "csv":
-            out.write(table_to_csv(report))
-        else:
-            out.write(records_to_ndjson([report.to_record()]))
+        out.write(format_table(report, title, out.format))
 
 
 def cmd_enumerate(out: _Output, q, n, k) -> None:
     ctx = GeometryContext(q, n, k)
-    sizes = stratum_sizes(ctx)
+    strata = [record("stratum", i=s.i, j=s.j, size=m,
+                     closed_form=expected_stratum_size(s.i, s.j, ctx))
+              for s, m in sorted(stratum_sizes(ctx).items())]
+    out.failed += sum(r["size"] != r["closed_form"] for r in strata)
     slash_below, back_below, *_ = cover_tallies(ctx)
-    slash, back = sum(slash_below), sum(back_below)
-    rows = [
-        {"record": "stratum", "version": 1, "i": s.i, "j": s.j,
-         "size": m, "closed_form": expected_stratum_size(s.i, s.j, ctx)}
-        for s, m in sorted(sizes.items())
-    ]
-    out.failed += sum(r["size"] != r["closed_form"] for r in rows)
-    if out.format == "text":
-        lines = [f"P_q(n) at (q,n,k)=({q},{n},{k}): "
-                 f"{len(ctx.elements)} subspaces"]
-        lines += [f"  |P_{{{r['i']},{r['j']}}}| = {r['size']} "
-                  f"(closed form {r['closed_form']})" for r in rows]
-        lines.append(f"  cover pairs: {slash} slash, {back} backslash")
-        out.write("\n".join(lines) + "\n")
-    elif out.format == "csv":
-        out.write(csv_lines([("i", "j", "size", "closed_form")] + [
-            (r["i"], r["j"], r["size"], r["closed_form"]) for r in rows]))
-    else:
-        out.write(records_to_ndjson(rows + [{
-            "record": "enumeration-summary", "version": 1,
-            "instance": [q, n, k],
-            "total": len(ctx.elements),
-            "slash_cover_pairs": slash,
-            "backslash_cover_pairs": back,
-        }]))
+    out.write(format_enumeration(strata + [record(
+        "enumeration-summary", instance=[q, n, k], total=len(ctx.elements),
+        slash_cover_pairs=sum(slash_below),
+        backslash_cover_pairs=sum(back_below))], out.format))
 
 
 def _check_enumerable(q, n) -> int:
@@ -354,6 +332,13 @@ def _check_enumerable(q, n) -> int:
 
 def _command(args) -> tuple:
     """The command function and its arguments; UsageError on bad input."""
+    for dest, name, choices in (("suite", "SUITE", SUITES),
+                                ("mode", "MODE", MODES),
+                                ("output_format", "FORMAT", FORMATS)):
+        if vars(args).get(dest, choices[0]) not in choices:
+            raise UsageError(f"{ENV_PREFIX}{name}: invalid choice: "
+                             f"{vars(args)[dest]!r} (choose from "
+                             f"{', '.join(choices)})")
     q, n, k = args.q, args.n, args.k
     if args.command == "verify" and args.suite == "all" and (
             (q, n, k) == (None, None, None)):

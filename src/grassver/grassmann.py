@@ -29,6 +29,7 @@ from .geometry import (
     LETTER_OF_PAIR, PAIR_PROFILES, AdjacentProfile, GeometryContext,
     pair_profile, letter_split)
 from .kernels import lanes
+from .reports import cell_name, cell_value, record
 
 # the five classes of Γ(x), by the names the reports print
 ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
@@ -453,22 +454,14 @@ class TableReport(NamedTuple):
         return not self.mismatches and not self.inequitable
 
     def to_record(self) -> dict:
-        def key(c):
-            return "|".join(c) if isinstance(c, tuple) else c
-
-        def cell(v):
-            return list(v) if isinstance(v, tuple) else v
-
-        return {
-            "record": f"{self.kind}-table",
-            "version": 1,
-            "instance": list(self.instance),
-            "holds": self.holds,
-            "observed": {key(c): cell(v) for c, v in self.observed.items()},
-            "expected": {key(c): cell(v) for c, v in self.expected.items()},
-            "mismatches": [key(c) for c in self.mismatches],
-            "inequitable": [key(c) for c in self.inequitable],
-        }
+        observed, expected = (
+            {cell_name(c): cell_value(v, "records") for c, v in cells.items()}
+            for cells in (self.observed, self.expected))
+        return record(
+            f"{self.kind}-table", instance=list(self.instance),
+            holds=self.holds, observed=observed, expected=expected,
+            mismatches=[cell_name(c) for c in self.mismatches],
+            inequitable=[cell_name(c) for c in self.inequitable])
 
 
 def structure_constants(inst: GrassmannInstance) -> TableReport:

@@ -17,10 +17,11 @@ its word stays inside the strata on a box of them, so a stratum's
 coefficients are a filter and integer sums.  Scaled per stratum by a unit
 q^low / (q-1)^top, kept as the exponent pair (low, top), the coefficients
 are integers a + b*sqrt(q) and the residual is a pair of integer vectors;
-only reported violations become exact values (``_exact``).  The evaluator
-looks up the stratum of each column id once.  Columns are checked in
-batches of one stratum, and a batch's word vectors live while it is
-checked, so suffixes shared by its words are applied once.  A vector maps
+only reported violations become exact values, formatted from Fractions
+(``_exact``), not with the ``scalars`` reference.  The evaluator looks up
+the stratum of each column id once.  Columns are checked in batches of one
+stratum, and a batch's word vectors live while it is checked, so suffixes
+shared by its words are applied once.  A vector maps
 the ids the evaluator gives the subspaces it visits to packed ints with
 one signed lane per column of the batch, wide enough for any entry of the
 residual (``_lane_bits``), so one pass of a word applies it to every
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 from .geometry import GeometryContext, Stratum, letter_split
 from .gf import Subspace, format_rows, qint
-from .scalars import QSqrtScalar
+from .reports import record
 
 MAX_VIOLATIONS = 25  # reports stay readable; holds-flag still exact
 # columns of one stratum that full mode checks together, one lane each;
@@ -355,17 +356,12 @@ class RelationReport(NamedTuple):
         return not self.violations
 
     def to_record(self) -> dict:
-        return {
-            "record": "relation-report",
-            "version": 1,
-            "relation_id": self.relation_id,
-            "instance": list(self.instance),
-            "mode": self.mode,
-            "holds": self.holds,
-            "checked_columns": self.checked_columns,
-            "violations": [v._asdict() for v in self.violations],
-            "violations_truncated": self.truncated,
-        }
+        return record(
+            "relation-report", relation_id=self.relation_id,
+            instance=list(self.instance), mode=self.mode, holds=self.holds,
+            checked_columns=self.checked_columns,
+            violations=[v._asdict() for v in self.violations],
+            violations_truncated=self.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +457,10 @@ def _stratum_coefficients(plans, stratum, q: int):
     return {w: ab for w, ab in coeffs.items() if ab[0] or ab[1]}, (low, top)
 
 
-def _exact(a: int, b: int, low: int, top: int, q: int) -> QSqrtScalar:
-    """The value (a + b*sqrt(q)) * q^low / (q-1)^top."""
+def _exact(a: int, b: int, low: int, top: int, q: int) -> str:
+    """The value (a + b*sqrt(q)) * q^low / (q-1)^top, as "A + B*sqrt(q)"."""
     unit = Fraction(q) ** low / (q - 1) ** top
-    return QSqrtScalar(a * unit, b * unit, q)
+    return f"{a * unit} + {b * unit}*sqrt({q})"
 
 
 class LaneOverflowError(ArithmeticError):
@@ -733,7 +729,7 @@ def verify_relation(relation_id: str, ctx: GeometryContext,
     # only the reported entries become exact values
     violations = [
         RelationViolation(names[t], ref(r), ref(c),
-                          str(_exact(a, b, low, top, q)))
+                          _exact(a, b, low, top, q))
         for t, r, c, a, b, (low, top) in kept[:MAX_VIOLATIONS]]
     return RelationReport(relation_id, (q, n, k), mode, checked, violations,
                           len(kept) > MAX_VIOLATIONS)

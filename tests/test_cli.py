@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -12,12 +13,13 @@ from types import SimpleNamespace
 import pytest
 
 import grassver
-from grassver import cli
+from grassver import cli, reports
 from grassver.cli import main
 from grassver.geometry import GeometryContext, verify_cover_counts
-from grassver.grassmann import GrassmannInstance, structure_constants
+from grassver.grassmann import (
+    GrassmannInstance, structure_constants, verify_entry_table)
 from grassver.relations import verify_relation
-from grassver.reports import check_record, format_check_line
+from grassver.reports import check_record, format_check
 
 
 def run(capsys, *argv):
@@ -516,11 +518,11 @@ def test_enumerate_cover_pairs_match_closed_forms(q, n, k, capsys):
 
 def test_check_record_and_line_format():
     rec = check_record("algebra", "REL-1", (2, 4, 2), True, 0.1234)
-    line = format_check_line(rec)
-    assert line == "PASS algebra:REL-1 (2,4,2) 0.12s"
+    line = format_check(rec, "text")
+    assert line == "PASS algebra:REL-1 (2,4,2) 0.12s\n"
     rec = check_record("graph", "orbit-sizes", (2, 7, 3, 2), False, 1.0,
                        {"why": "x"})
-    assert format_check_line(rec).startswith("FAIL graph:orbit-sizes")
+    assert format_check(rec, "text").startswith("FAIL graph:orbit-sizes")
     assert rec["detail"] == {"why": "x"}
 
 
@@ -752,6 +754,72 @@ def test_bad_env_value_exit_2(capsys, monkeypatch):
     assert code == 2
     assert "invalid int value: 'two'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["SUITE", "MODE", "FORMAT"])
+def test_a_bad_env_choice_is_refused_before_any_output(name, capsys,
+                                                       monkeypatch):
+    # argparse checks choices only for flags given, not for defaults
+    monkeypatch.setenv(f"GRASSVER_{name}", "bogus")
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "4",
+                         "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: GRASSVER_{name}: invalid choice: "
+                          "'bogus'")
+    # with no instance, the variable is named, not a --suite bogus
+    code, out, err = run(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert f"GRASSVER_{name}" in err
+
+
+def test_an_explicit_flag_replaces_a_bad_env_choice(capsys, monkeypatch):
+    monkeypatch.setenv("GRASSVER_SUITE", "bogus")
+    code, out, err = run(capsys, "verify", "--suite", "graph", "--q", "2",
+                         "--n", "7", "--k", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith("3/3 checks passed\n")
+
+
+def test_every_record_kind_carries_the_one_header(capsys, monkeypatch):
+    monkeypatch.setattr(reports, "RECORD_VERSION", 2)
+    recs = []
+    for argv in (["verify", "--q", "2", "--n", "4", "--k", "2"],
+                 ["tables", "--q", "2", "--n", "7", "--k", "3"],
+                 ["enumerate", "--q", "2", "--n", "4", "--k", "2"]):
+        code, out, _ = run(capsys, *argv, "--format", "records")
+        assert code == 0
+        recs += [json.loads(line) for line in out.splitlines()]
+    inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
+    recs += [verify_entry_table(inst).to_record(),
+             verify_relation("REL-1", GeometryContext(2, 4, 2)).to_record()]
+    versions = {}
+    for rec in recs:
+        versions.setdefault(rec["record"], set()).add(rec["version"])
+    assert versions == dict.fromkeys(
+        ["check", "skip", "structure-constants-table", "edge-types-table",
+         "entry-table-table", "relation-report", "stratum",
+         "enumeration-summary"], {2})
+
+
+def test_no_module_but_reports_writes_the_record_header():
+    # a "record" or "version" key, as a dict literal key, a keyword or an
+    # item assignment, is written by reports.record alone
+    header = {"record", "version"}
+    for src in Path(grassver.__file__).parent.glob("*.py"):
+        if src.name == "reports.py":
+            continue
+        keys = []
+        for node in ast.walk(ast.parse(src.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict):
+                keys += [k.value for k in node.keys
+                         if isinstance(k, ast.Constant)]
+            elif isinstance(node, ast.Call):
+                keys += [kw.arg for kw in node.keywords]
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.slice, ast.Constant)):
+                keys.append(node.slice.value)
+        assert not header & set(keys), src.name
 
 
 def test_python_m_grassver_runs_the_cli(capsys):

@@ -563,6 +563,38 @@ def test_perp_maps_stratum_i_j_to_n_minus_k_minus_j_k_minus_i(q, n, k):
                 assert dual.stratum(w) == (n - k - j, k - i)
 
 
+# the letter whose column at u^⊥ (about y^⊥) is the ⊥-image of a letter's
+# column at u (about y): ⊥ turns the covers above u into hyperplanes of u^⊥
+DUAL_LETTER = {"R1": "L2", "R2": "L1", "L1": "R2", "L2": "R1",
+               "R": "R", "L": "L", "F0": "F0", "F+": "F-", "F-": "F+",
+               "F": "F"}
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 2), (3, 4, 2),
+                                   (2, 5, 1), (3, 5, 2)])
+def test_perp_maps_each_letter_column_to_its_dual_letters(q, n, k):
+    # oracle from plain linear algebra: ⊥ reverses containment and maps
+    # stratum (i, j) about y to (n-k-j, k-i) about y^⊥ (the test above),
+    # so it carries each letter's column at u, read off the evaluator's
+    # sweeps, onto the dual letter's column at u^⊥ in the context of
+    # (q, n, n-k, y^⊥); every element of each full context
+    ys = [Subspace.coordinate_span(range(k), q, n)]
+    if (q, n, k) in OTHER_Y:
+        ys.append(Subspace.from_matrix(OTHER_Y[q, n, k], q))
+    for y in ys:
+        ctx = GeometryContext(q, n, k, y=y)
+        dual_ctx = GeometryContext(q, n, n - k, y=perp(y))
+        ev, dual = column_evaluator(ctx), column_evaluator(dual_ctx)
+        perps = {u.rows: perp(u).rows for u in ctx.elements}
+        for u in ctx.elements:
+            z, w = ev.intern(u.rows), dual.intern(perps[u.rows])
+            for sym, dual_sym in DUAL_LETTER.items():
+                image = sorted(perps[ev.rows[r]] for r in ev._column(sym, z))
+                assert image == sorted(
+                    dual.rows[r] for r in dual._column(dual_sym, w)), (
+                        sym, u)
+
+
 def test_stratum_table_holds_the_enumerated_subspaces_only():
     # a lazy context tables no stratum, whatever sweeps it runs
     ctx = GeometryContext(2, 7, 3, dims=())
