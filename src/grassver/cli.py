@@ -27,7 +27,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .gf import enumerate_subspaces, gaussian_binomial
+from .gf import gaussian_binomial
 from .geometry import (
     GeometryContext,
     check_enumerable,
@@ -69,9 +69,9 @@ class UsageError(Exception):
 
 
 def _env(name: str):
-    # argparse converts a string default with the option's type, so a bad
-    # int here is refused like a bad flag; _command checks a bad choice
-    return os.environ.get(ENV_PREFIX + name)
+    # an empty value is unset; argparse converts a string default with the
+    # option's type, refusing a bad int as a bad flag; _command checks choices
+    return os.environ.get(ENV_PREFIX + name) or None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,10 +229,7 @@ def _note_full_size(out: _Output, q, n, count):
 
 def _run_algebra_columns(out: _Output, ctx, i):
     q, n, k = ctx.q, ctx.n, ctx.k
-    columns = [
-        u.rows for u in enumerate_subspaces(n, k, q)
-        if ctx.intersection_dim_with_y(u.rows) == k - i
-    ]
+    columns = ctx.rows_at_distance(i)
     for rid in COLUMN_RELATIONS:
         with out.check("algebra", f"{rid}-columns", (q, n, k)) as c:
             rep = verify_relation(rid, ctx, "columns", columns=columns)

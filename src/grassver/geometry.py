@@ -15,7 +15,7 @@ full context come from ``cover_tallies`` instead, which visits each cover
 pair once, from its top: one hyperplane sweep per subspace, each
 hyperplane found by its canonical rows and counted at both ends.
 
-Every classification against y lives here.  Besides the cover split, an
+Every computation that reads y lives here.  Besides the cover split, an
 adjacent pair (u, z) of equal dimension gets the cover kinds of (u+z over
 u, u+z over z, u over u∩z, z over u∩z), which fix its F-class and its
 letter: the one of F0, F+, F-, R, L whose column at z holds u
@@ -27,7 +27,10 @@ groups m's covers by point once for every z over m, and
 ``letter_split`` joins the neighbours of z from whole groups: it builds
 no basis of u+z and looks up no stratum per neighbour.  ``grassmann``
 reads its orbits off that split at x, and the evaluator in ``relations``
-its typed columns off the same split of the groups it keeps.
+its typed columns off the same split of the groups it keeps.  The clique
+tally of Γ(x) reads w∩y for the hyperplanes w of a cover as keys
+(``hyperplane_meets``), and the default x and the columns of columns
+mode are chosen here (``first_at_distance``, ``rows_at_distance``).
 
 Rows are the packed ints of ``kernels`` at every q.  dim(u ∩ y) is
 tabled once for each enumerated subspace, keyed by its canonical rows; any
@@ -52,6 +55,7 @@ from .gf import (
     extend_rows,
     format_rows,
     gaussian_binomial,
+    intersect_rows,
     qint,
     rank_rows,
     sum_rows,
@@ -350,6 +354,67 @@ class GeometryContext:
             base = extend_rows(base, r, self.q)
         return base
 
+    def hyperplane_meets(self, srows):
+        """(w, key) for each hyperplane w of S = span(srows), in
+        ``hyperplanes_rows`` order, the key telling w∩y apart: None when w
+        holds S∩y (S backslash-covers w), else the coordinates in S/w of
+        a basis of S∩y, scaled so that the first nonzero one is 1.
+
+        S/w is a line, and w∩y is the kernel of S∩y -> S/w, so two w meet
+        y alike exactly when their coordinates agree up to a scalar.  The
+        coordinate of b is read at the one pivot column of S (the first
+        bit of its pivot lane) that w lacks: b less each row of w times
+        b's entry at that row's pivot lies in S and is zero on every other
+        pivot column of S, so it is its entry there times that row of S.
+        """
+        q, layout = self.q, lanes(self.q)
+        mask, inverse = layout.mask, layout.inverse
+        meet = intersect_rows(srows, self.y.rows, self.n, q)  # S∩y
+        spivots = 0
+        for r in srows:
+            spivots |= r & -r
+        for wrows in self.hyperplanes_rows(srows):
+            wpivots = 0
+            for r in wrows:
+                wpivots |= r & -r
+            at = (spivots & ~wpivots).bit_length() - 1
+            # (pivot of a row of w, the row's entry at column at)
+            terms = [((r & -r).bit_length() - 1, (r >> at) & mask)
+                     for r in wrows if (r >> at) & mask]
+            coords = []
+            for b in meet:
+                c = (b >> at) & mask
+                for pivot, a in terms:
+                    c -= a * ((b >> pivot) & mask)
+                coords.append(c % q)
+            lead = next((c for c in coords if c), 0)
+            yield wrows, (tuple(c * inverse[lead] % q for c in coords)
+                          if lead else None)
+
+    def first_at_distance(self, i: int) -> Subspace:
+        """A k-space at distance i from y, so in stratum (k-i, i): the
+        first k-i basis rows of y and the first i unit vectors that extend
+        a basis of y.  ValueError for i outside [0, min(k, n-k)]."""
+        q, n, k = self.q, self.n, self.k
+        if not 0 <= i <= min(k, n - k):
+            raise ValueError(f"no k-space is at distance {i} from y: need "
+                             f"0 <= i <= min(k, n-k) = {min(k, n - k)}")
+        span, outside = self.y.rows, []
+        for j in range(n):
+            if len(outside) == i:
+                break
+            e = Subspace.coordinate_span([j], q, n).rows[0]
+            grown = extend_rows(span, e, q)
+            if len(grown) > len(span):
+                span, outside = grown, outside + [e]
+        return Subspace(q, n, self.y.rows[:k - i] + tuple(outside))
+
+    def rows_at_distance(self, i: int) -> list:
+        """The canonical rows of every k-space at distance i from y, in
+        ``enumerate_subspaces`` order."""
+        return [u.rows for u in enumerate_subspaces(self.n, self.k, self.q)
+                if self.intersection_dim_with_y(u.rows) == self.k - i]
+
     def cover_groups(self, mrows):
         """(covers, ends): the covers of a subspace m as canonical bases,
         grouped by the point modulo V = m + y of the row they add, group
@@ -415,8 +480,6 @@ def cover_kind(u: Subspace, v: Subspace, ctx: GeometryContext) -> str | None:
 def pair_profile(u: Subspace, z: Subspace,
                  ctx: GeometryContext) -> AdjacentProfile:
     """Cover-kind profile of a same-dimension adjacent pair."""
-    from .gf import intersect_rows
-
     if u.dim != z.dim:
         raise ValueError("pair_profile requires equal dimensions")
     mrows = intersect_rows(u.rows, z.rows, ctx.n, ctx.q)

@@ -9,8 +9,9 @@ structure constants, typed-edge counts, and the (w,x)-entries of the nine
 products of F0, F+, F-.  Every class is read, not computed: a neighbour w
 of x is in B, C, A0, A+ or A- exactly when it lies in the column at x of
 R, L, F0, F+ or F-, so the five classes are ``geometry.letter_split``
-at x, and the profile of a pair and the F-class that names the edge types
-come from ``geometry`` too.
+at x, and the profile of a pair, the F-class that names the edge types,
+the keys of w∩y and the default x come from ``geometry`` too: this module
+reads nothing of y itself.
 
 Every brute-force count also checks constancy across the class (the
 equitable-partition property), so a single aggregate could not mask a
@@ -22,13 +23,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .gf import (
-    Subspace, dim_intersect, enumerate_subspaces, extend_rows, intersect_rows,
-    qint)
+from .gf import Subspace, dim_intersect, enumerate_subspaces, qint
 from .geometry import (
     LETTER_OF_PAIR, PAIR_PROFILES, AdjacentProfile, GeometryContext,
     pair_profile, letter_split)
-from .kernels import lanes
 from .reports import cell_name, cell_value, record
 
 # the five classes of Γ(x), by the names the reports print
@@ -127,55 +125,39 @@ _COVER_SLOT = {
     (up, same): _TRIPLE.index(AdjacentProfile.from_dims(
         1, 1, 1 + (not up), 1 - (not same)).f_class()[1])
     for up in (True, False) for same in (True, False)}
-# the level of a class, dim(w∩y) - dim(x∩y) for its members w, by the key
-# of the profile of (w, x): i_w - i_x = [w's point is 0] - [x's point is 0]
-_LEVEL = {_ORBIT_OF[LETTER_OF_PAIR[prof]]: zero_w - zero_x
-          for (zero_w, zero_x, _), prof in PAIR_PROFILES.items()}
 
 
 class GrassmannInstance:
-    """A fixed (ctx, x, y) with 1 < ∂(x,y) < k and n > 2k >= 6.
+    """A fixed (ctx, x) with 1 < ∂(x,y) < k and n > 2k >= 6, y being
+    ctx's reference space.
 
-    x defaults to the span of the first k-i basis rows of y and the first
-    i unit vectors that extend a basis of y.
+    x defaults to ``GeometryContext.first_at_distance(i)``; a given x has
+    the distance of its stratum.
     """
 
     def __init__(self, ctx: GeometryContext, i: int | None = None,
                  x: Subspace | None = None):
-        q, n, k = ctx.q, ctx.n, ctx.k
+        n, k = ctx.n, ctx.k
         if not (n > 2 * k >= 6):
             raise ValueError(f"need n > 2k >= 6, got n={n}, k={k}")
         self.ctx = ctx
-        self.y = ctx.y
         if x is not None:
-            d = graph_distance(x, self.y, ctx)
+            if x.dim != k:
+                raise ValueError("graph vertices must be k-spaces")
+            d = ctx.stratum(x).j
             if i is not None and d != i:
                 raise ValueError(f"x is at distance {d}, expected {i}")
             i = d
         elif i is None:
             raise ValueError("either x or the distance i is required")
-        # checked before the default x is built: it has k rows only then
+        # checked before the default x is built, so a bad i gets this message
         if not 1 < i < k:
             raise ValueError(f"need 1 < i < k, got i={i}, k={k}")
-        self.x = self._default_x(i) if x is None else x
+        self.x = ctx.first_at_distance(i) if x is None else x
         self.i = i
         self._orbits: dict | None = None
         self._groups: list = []  # cover_groups of x's hyperplanes
         self._counts: tuple | None = None
-
-    def _default_x(self, i: int) -> Subspace:
-        # y need not be a coordinate span: extend its basis by unit vectors
-        q, n, k = self.ctx.q, self.ctx.n, self.ctx.k
-        span, outside = self.y.rows, []
-        for j in range(n):
-            if len(outside) == i:
-                break
-            e = Subspace.coordinate_span([j], q, n).rows[0]
-            grown = extend_rows(span, e, q)
-            if len(grown) > len(span):
-                span = grown
-                outside.append(e)
-        return Subspace(q, n, self.y.rows[:k - i] + tuple(outside))
 
     @property
     def instance(self) -> tuple[int, int, int, int]:
@@ -225,19 +207,18 @@ class GrassmannInstance:
 
         So the count of w into class N is (its cover group's tally over
         h, less w itself) + (its tally over S, less its tally over the
-        covers of h in S).  dim(S∩y) is read off the point of S modulo
-        x + y and dim(w∩y) off w's class, so no stratum but x's is asked
-        for; w∩y, where it is a hyperplane of S∩y, is keyed by
-        ``_meet_key``.  Each member is looked up twice, once in its cover
-        group and once in its S, and its state is kept in flat lists
-        indexed by member.
+        covers of h in S).  Whether w holds S∩y, and w∩y where it does
+        not, come as the keys of ``GeometryContext.hyperplane_meets``, so
+        no stratum is asked for.  Each member is looked up twice, once in
+        its cover group and once in its S, and its state is kept in flat
+        lists indexed by member.
         """
         if self._counts is None:
             self._counts = self._count_neighbors()
         return self._counts
 
     def _count_neighbors(self) -> tuple[dict, dict]:
-        ctx, q, xrows = self.ctx, self.ctx.q, self.x.rows
+        ctx, xrows = self.ctx, self.x.rows
         orbits = self.orbit_partition()
         index: dict[tuple, int] = {}  # a member's rows -> its place
         cls: list[int] = []  # a member's class, by place in ORBIT_ORDER
@@ -281,28 +262,19 @@ class GrassmannInstance:
                     grp[w] = len(groups)
                 groups.append((h, adjacent, typed))
 
-        yrows, i_x = self.y.rows, ctx.intersection_dim_with_y(xrows)
-        level = [i_x + _LEVEL[name] for name in ORBIT_ORDER]  # dim(w∩y)
         signatures = [set() for _ in ORBIT_ORDER]  # per class
-        for srows, p in ctx.superspaces_rows(xrows, ctx.sum_with_y(xrows)):
-            i_s = i_x + (not p)
-            meet = intersect_rows(srows, yrows, ctx.n, q)  # S∩y
-            spivots = 0
-            for r in srows:
-                spivots |= r & -r
+        for srows, _ in ctx.superspaces_rows(xrows):
             # class tallies over S (scope None) and over the covers of
             # each h in S (scope h): of all members, of those on one
             # level, and of those with one w∩y (key None: S∩y ⊆ w)
             by_class, by_level, by_meet = (
                 defaultdict(lambda: [0] * 5) for _ in range(3))
             members = []
-            for wrows in ctx.hyperplanes_rows(srows):
+            for wrows, key in ctx.hyperplane_meets(srows):
                 if wrows == xrows:
                     continue
                 w = index[wrows]
-                c, h = cls[w], groups[grp[w]][0]
-                up = level[c] == i_s
-                key = None if up else _meet_key(wrows, spivots, meet, q)
+                c, h, up = cls[w], groups[grp[w]][0], key is None
                 members.append((w, c, h, up, key))
                 for scope in (None, h):
                     by_class[scope][c] += 1
@@ -333,39 +305,6 @@ class GrassmannInstance:
                     edge_types.setdefault(cell, set()).add(
                         typed[3 * nn:3 * nn + 3])
         return adjacency, edge_types
-
-
-def _meet_key(wrows, spivots, meet, q):
-    """w∩y for a k-space w of a cover S of x that does not hold S∩y: the
-    coordinates in S/w of ``meet``, a basis of S∩y, scaled so that the
-    first nonzero one is 1.
-
-    S/w is a line, and w∩y is the kernel of S∩y -> S/w, a hyperplane of
-    S∩y: two such w give the same kernel exactly when their coordinate
-    tuples agree up to a scalar.  The coordinate of b is read at the one
-    pivot column of S (``spivots``, the first bit of each pivot lane) that
-    w lacks: b less each row of w times b's entry at that row's pivot lies
-    in S and is zero on every other pivot column of S, so it is its entry
-    there times the row of S with that pivot.
-    """
-    mask = lanes(q).mask
-    wpivots = 0
-    for r in wrows:
-        wpivots |= r & -r
-    at = (spivots & ~wpivots).bit_length() - 1
-    terms = []  # (pivot of a row of w, the row's entry at column at)
-    for r in wrows:
-        a = (r >> at) & mask
-        if a:
-            terms.append(((r & -r).bit_length() - 1, a))
-    coords = []
-    for b in meet:
-        c = (b >> at) & mask
-        for pivot, a in terms:
-            c -= a * ((b >> pivot) & mask)
-        coords.append(c % q)
-    scale = lanes(q).inverse[next(c for c in coords if c)]
-    return tuple(c * scale % q for c in coords)
 
 
 def classify_orbit(w: Subspace, inst: GrassmannInstance) -> str:

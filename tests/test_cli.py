@@ -756,6 +756,27 @@ def test_bad_env_value_exit_2(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["Q", "N", "K", "I"])
+def test_an_empty_env_number_is_unset(name, capsys, monkeypatch):
+    # GRASSVER_I= grassver verify runs the bundle; an empty value was once
+    # refused as "invalid int value: ''"
+    monkeypatch.setenv(f"GRASSVER_{name}", "")
+    code, out, err = run(capsys, "verify", "--format", "records")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 82
+
+
+@pytest.mark.parametrize("name", ["SUITE", "MODE", "FORMAT", "OUT"])
+def test_an_empty_env_choice_is_unset(name, capsys, monkeypatch):
+    argv = ("verify", "--q", "2", "--n", "4", "--k", "2")
+    unset = run(capsys, *argv)
+    monkeypatch.setenv(f"GRASSVER_{name}", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, mask_seconds(out), err) == (
+        unset[0], mask_seconds(unset[1]), unset[2])
+    assert code == 0 and out.endswith("checks passed\n")
+
+
 @pytest.mark.parametrize("name", ["SUITE", "MODE", "FORMAT"])
 def test_a_bad_env_choice_is_refused_before_any_output(name, capsys,
                                                        monkeypatch):

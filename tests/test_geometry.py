@@ -1,8 +1,10 @@
+import ast
 import os
 import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,9 @@ from grassver.geometry import (
     verify_cover_counts,
 )
 from grassver.grassmann import GrassmannInstance
-from grassver.relations import column_evaluator, verify_relation
+from grassver.relations import (
+    _DIAGONALS, FULL_MODE_BATCH, _expand_terms, column_evaluator,
+    relation_components, relation_ids, verify_relation)
 
 
 @pytest.fixture(scope="module")
@@ -525,6 +529,29 @@ def test_q2_lookups_call_no_rank_kernel(monkeypatch):
         GeometryContext(3, 4, 2, dims=()).intersection_dim_with_y((1,))
 
 
+def test_the_k_spaces_at_distance_i_from_y():
+    # oracle: dim(u∩y) = 2k - rank(u + y), at the coordinate y and at
+    # OTHER_Y; the default x is one of them, and no k-space lies at a
+    # distance outside [0, min(k, n-k)]
+    for (q, n, k), rows in OTHER_Y.items():
+        for y in (None, Subspace.from_matrix(rows, q)):
+            ctx = GeometryContext(q, n, k, y=y, dims=())
+            yrows = ctx.y.rows
+            kspaces = [u.rows for u in enumerate_subspaces(n, k, q)]
+            top = min(k, n - k)
+            for i in range(top + 1):
+                want = [u for u in kspaces
+                        if 2 * k - rank_rows(u + yrows, q) == k - i]
+                assert ctx.rows_at_distance(i) == want
+                assert len(want) == expected_stratum_size(k - i, i, ctx)
+                x = ctx.first_at_distance(i)
+                assert x.rows in want
+                assert ctx.stratum(x) == Stratum(k - i, i)
+            for i in (-1, top + 1):
+                with pytest.raises(ValueError, match=f"distance {i} from y"):
+                    ctx.first_at_distance(i)
+
+
 def perp(u):
     """u^⊥ under the dot product, from u's canonical basis: one vector per
     free column f, e_f - sum_t r_t[f] e_{p_t}, p_t the pivot of row t;
@@ -593,6 +620,120 @@ def test_perp_maps_each_letter_column_to_its_dual_letters(q, n, k):
                 assert image == sorted(
                     dual.rows[r] for r in dual._column(dual_sym, w)), (
                         sym, u)
+
+
+# ⊥ on the diagonal letters and the central elements: K1 scales the
+# column of a u in stratum (i, j) by sqrt(q)^(k-2i), as K2 scales the
+# column of u^⊥, in stratum (n-k-j, k-i) of (q, n, n-k); and O1 (resp. O2)
+# expanded at (q, n, k) maps letter by letter onto O2 (resp. O1) expanded
+# at (q, n, n-k)
+DUAL_SYMBOL = {**DUAL_LETTER, "K1": "K2", "K2": "K1", "K1i": "K2i",
+               "K2i": "K1i", "O0": "O0", "O1": "O2", "O2": "O1"}
+
+# the registry's ⊥-dual map: the component at (q, n, n-k) that is the image
+# of each component at (q, n, k), up to sign (ROADMAP item 13); a
+# commutator [a,b] maps to the registered one of [a',b'] and [b',a']
+DUAL_PAIRS = [("REL-2", "REL-3"), ("REL-5", "REL-6"), ("REL-F+", "REL-F-"),
+              ("REL-F0A", "REL-F0B"), ("REL-FC+", "REL-FC-"),
+              ("REL-A2(iii)", "REL-A2(iv)"), ("REL-A3(i)", "REL-A3(iv)"),
+              ("REL-A3(ii)", "REL-A3(iii)")] + [
+    (f"REL-A1({a})", f"REL-A1({b})") for a, b in (
+        ("i", "viii"), ("ii", "vii"), ("iii", "vi"), ("iv", "v"))]
+SELF_DUAL = ["REL-1", "REL-4", "REL-FC0", "REL-A2(i)", "REL-A2(ii)",
+             "REL-A4"]
+NO_DUAL = ["REL-7", "REL-8", "REL-8P"]
+
+
+def dual_terms(terms, q, n, k):
+    """The ⊥-image of a component at (q, n, k), as Terms at (q, n, n-k):
+    its central elements expanded at (q, n, k), then each letter mapped."""
+    return [t._replace(word=tuple(DUAL_SYMBOL[s] for s in t.word))
+            for t in _expand_terms(terms, q, n, k)]
+
+
+def operator_form(terms, q, n, k):
+    """A component's operator at (q, n, k) as word -> (a, b), its
+    coefficient a + b*sqrt(q): central elements expanded, each run of
+    diagonal letters sorted (they commute), like words summed and zero
+    sums left out."""
+    form = {}
+    for t in _expand_terms(terms, q, n, k):
+        word, run = [], []
+        for sym in t.word + (None,):
+            if sym in _DIAGONALS:
+                run.append(sym)
+                continue
+            word += sorted(run) + ([sym] if sym else [])
+            run = []
+        ab = form.setdefault(tuple(word), [0, 0])
+        ab[t.half % 2] += (t.num * Fraction(q) ** (t.half // 2)
+                           / (q - 1) ** t.dq)
+    return {w: tuple(ab) for w, ab in form.items() if any(ab)}
+
+
+def expected_registry_duals():
+    expected = {a: b for a, b in DUAL_PAIRS} | {b: a for a, b in DUAL_PAIRS}
+    expected |= {rid: rid for rid in SELF_DUAL}
+    expected |= {rid: None for rid in NO_DUAL}
+    for rid in ("REL-CENT", "REL-COMM"):
+        names = [name for name, _ in relation_components(rid, 2, 4, 2)]
+        for name in names:
+            a, b = (DUAL_SYMBOL[s] for s in name[1:-1].split(","))
+            expected[name] = next(c for c in (f"[{a},{b}]", f"[{b},{a}]")
+                                  if c in names)
+    return expected
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 7, 3), (3, 7, 3), (2, 9, 4),
+                                   (5, 5, 2)])
+def test_perp_maps_the_registry_onto_its_dual_instance(q, n, k):
+    # each component at (q, n, k), mapped by ⊥, is up to sign the
+    # component of the registry at (q, n, n-k) that DUAL_PAIRS, SELF_DUAL
+    # and the commutator rule name, and no other; REL-7, REL-8 and REL-8P
+    # map to none
+    registry = {name: operator_form(terms, q, n, n - k)
+                for rid in relation_ids()
+                for name, terms in relation_components(rid, q, n, n - k)}
+    found = {}
+    for rid in relation_ids():
+        for name, terms in relation_components(rid, q, n, k):
+            form = operator_form(dual_terms(terms, q, n, k), q, n, n - k)
+            minus = {w: (-a, -b) for w, (a, b) in form.items()}
+            found[name] = [other for other, f in registry.items()
+                           if f in (form, minus)]
+    assert found == {name: [] if dual is None else [dual]
+                     for name, dual in expected_registry_duals().items()}
+    assert (len(found), sum(map(bool, found.values()))) == (57, 54)
+
+
+def full_residuals(ctx, components):
+    """(row rows, column rows) -> the exact value (a, b) of a + b*sqrt(q),
+    for every nonzero residual entry of the components in full mode."""
+    ev = column_evaluator(ctx)
+    q = ctx.q
+    out = {}
+    for _, r, x, a, b, (low, top) in ev.residuals(
+            components, range(len(ctx.elements)), FULL_MODE_BATCH):
+        unit = Fraction(q) ** low / (q - 1) ** top
+        out[ev.rows[r], ev.rows[x]] = (a * unit, b * unit)
+    return out
+
+
+@pytest.mark.parametrize("q,n,k,entries", [(2, 5, 2, 1230),
+                                           (3, 4, 2, 984)])
+def test_perp_maps_rel_8p_residuals_onto_its_duals(q, n, k, entries):
+    # REL-8P fails; its residual entry at (u, x) equals, exactly, the
+    # residual entry of its ⊥-image at (u^⊥, x^⊥) in (q, n, n-k, y^⊥)
+    y = Subspace.coordinate_span(range(k), q, n)
+    ctx = GeometryContext(q, n, k, y=y)
+    dual_ctx = GeometryContext(q, n, n - k, y=perp(y))
+    ((name, terms),) = relation_components("REL-8P", q, n, k)
+    perps = {u.rows: perp(u).rows for u in ctx.elements}
+    residual = full_residuals(ctx, [(name, terms)])
+    assert len(residual) == entries
+    dual = full_residuals(dual_ctx, [(name, dual_terms(terms, q, n, k))])
+    assert dual == {(perps[r], perps[x]): value
+                    for (r, x), value in residual.items()}
 
 
 def test_stratum_table_holds_the_enumerated_subspaces_only():
@@ -717,3 +858,28 @@ def test_a_full_context_past_the_enumeration_bound_is_refused():
                 f"F_{q}^{n} has {count} subspaces, more than the 500,000")):
             GeometryContext(q, n, 3)
         assert GeometryContext(q, n, 3, dims=()).elements == []
+
+
+def test_no_module_but_geometry_reads_y():
+    # every computation that reads the reference space y is made in
+    # geometry: no other module reads an attribute y, calls sum_with_y or
+    # passes a modulo to superspaces_rows
+    def reads_of_y(src):
+        found = []
+        for node in ast.walk(ast.parse(src.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "y", "sum_with_y"):
+                found.append(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "superspaces_rows"
+                  and (len(node.args) > 1 or node.keywords)):
+                found.append("modulo")
+        return found
+
+    for src in Path(geometry.__file__).parent.glob("*.py"):
+        if src.name == "geometry.py":
+            # the check finds what it looks for
+            assert {"y", "sum_with_y", "modulo"} <= set(reads_of_y(src))
+        else:
+            assert reads_of_y(src) == [], src.name

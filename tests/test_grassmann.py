@@ -203,7 +203,7 @@ def test_a_cell_that_is_never_observed_fails_the_table(inst273,
 
 def test_edge_type_requires_adjacency(inst273):
     x = inst273.x
-    y = inst273.y
+    y = inst273.ctx.y
     with pytest.raises(ValueError):
         edge_type(x, y, inst273)  # distance 2
 
@@ -479,22 +479,23 @@ def test_swapped_f0_and_f_minus_in_a_cover_fail_the_bucket_walk(
 @pytest.mark.parametrize("q,y", [(2, None), (3, None)] + _NON_COORDINATE_Y,
                          ids=["2-7-3", "3-7-3", "2-7-3-y", "3-7-3-y"])
 def test_meet_key_splits_a_cover_as_intersect_rows_does(q, y):
-    # inside each cover S of x, the k-spaces w that do not hold S∩y have
-    # the same _meet_key exactly when they have the same w∩y
+    # inside each cover S of x, hyperplane_meets keys a k-space w None
+    # exactly when w holds S∩y, and gives the others the same key exactly
+    # when they have the same w∩y
     ctx = GeometryContext(q, 7, 3, dims=(), y=None if y is None
                           else Subspace.from_matrix(y, q))
     xrows, yrows = GrassmannInstance(ctx, i=2).x.rows, ctx.y.rows
     checked = 0
     for srows, _ in ctx.superspaces_rows(xrows):
         meet = intersect_rows(srows, yrows, 7, q)
-        spivots = 0
-        for r in srows:
-            spivots |= r & -r
+        swept = list(ctx.hyperplane_meets(srows))
+        assert [w for w, _ in swept] == list(ctx.hyperplanes_rows(srows))
         by_key, by_meet = {}, {}
-        for wrows in ctx.hyperplanes_rows(srows):
-            if ctx.intersection_dim_with_y(wrows) == len(meet):
+        for wrows, key in swept:
+            holds = len(intersect_rows(wrows, yrows, 7, q)) == len(meet)
+            assert (key is None) == holds
+            if holds:
                 continue
-            key = grassmann._meet_key(wrows, spivots, meet, q)
             by_key.setdefault(key, set()).add(wrows)
             by_meet.setdefault(intersect_rows(wrows, yrows, 7, q),
                                set()).add(wrows)
@@ -624,8 +625,8 @@ def test_instance_validation():
 
 @pytest.mark.parametrize("i", [0, 1, 3, 4, 5])
 def test_a_distance_outside_the_range_is_refused_by_its_range(i):
-    # the range is checked before the default x is built, which for i > k
-    # would not be a k-space
+    # the range is checked before the default x is built, which refuses
+    # i > k with a message of its own
     ctx = GeometryContext(2, 7, 3, dims=())
     with pytest.raises(ValueError) as err:
         GrassmannInstance(ctx, i=i)
@@ -662,9 +663,8 @@ def recorded_strata(ctx):
 
 
 def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
-    # the letter split and the bucket walk read each pair off points modulo
-    # m + y, so no stratum of a (dim z + 1)-space u+z is ever asked for;
-    # the split asks for no stratum at all
+    # the letter split and the clique tally read each pair off points
+    # modulo m + y and keys of w∩y, so neither asks for any stratum
     for q, n, k in [(2, 7, 3), (3, 5, 2)]:
         ctx = GeometryContext(q, n, k, dims=())
         asked = recorded_strata(ctx)
@@ -677,7 +677,7 @@ def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
     inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
     asked = recorded_strata(inst.ctx)
     inst.neighbor_counts()
-    assert asked and 4 not in {len(rows) for rows in asked}
+    assert asked == []
 
 
 def recorded_sweeps(monkeypatch):
@@ -706,8 +706,8 @@ def recorded_sweeps(monkeypatch):
 def test_neighbor_counts_sweep_each_cover_of_x_once(q, n, k, i,
                                                     monkeypatch):
     # work-count guard: past the orbit split, one sweep above x and one
-    # sweep below each cover of x, and no sweep per member of Γ(x); dim(S∩y)
-    # comes from S's point modulo x + y, so no (k+1)-space is looked up
+    # sweep below each cover of x, and no sweep per member of Γ(x); whether
+    # a member holds S∩y comes from its key, so no stratum is looked up
     inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
     inst.orbit_partition()
     covers = [s for s, _ in inst.ctx.superspaces_rows(inst.x.rows)]
@@ -716,7 +716,7 @@ def test_neighbor_counts_sweep_each_cover_of_x_once(q, n, k, i,
     inst.neighbor_counts()
     assert calls["superspaces_rows"] == [inst.x.rows]
     assert calls["hyperplanes_rows"] == covers
-    assert asked == [inst.x.rows]
+    assert asked == []
 
 
 def test_bfs_stops_once_every_hyperplane_is_expanded(monkeypatch):
