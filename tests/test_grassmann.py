@@ -67,6 +67,18 @@ def test_distance_matches_bfs_all_pairs_262():
             assert dist[v.rows] == graph_distance(src, v, ctx)
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 6, 3), (3, 4, 2), (2, 5, 3)])
+def test_distance_formula_holds_at_n_at_most_2k(q, n, k):
+    # k - dim(u∩v) is the path length whether n = 2k or n < 2k
+    ctx = GeometryContext(q, n, k, dims=())
+    verts = list(enumerate_subspaces(n, k, q))
+    for src in random.Random(3).sample(verts, 3):
+        dist = bfs_distances(src, ctx)
+        assert len(dist) == len(verts)
+        for v in verts:
+            assert dist[v.rows] == graph_distance(src, v, ctx)
+
+
 def _vertex_bfs(src_rows, adjacency):
     """Plain BFS over a vertex -> neighbors map."""
     dist = {src_rows: 0}
@@ -611,6 +623,28 @@ def test_bfs_refuses_a_source_that_is_not_a_k_space():
         bfs_distances(Subspace.coordinate_span([0, 1], 2, 7), ctx)
 
 
+@pytest.mark.parametrize("other", [
+    Subspace.coordinate_span([0, 1], 3, 5), Subspace(2, 6, (2, 32))])
+def test_distances_refuse_a_vertex_of_another_ambient_space(other,
+                                                            monkeypatch):
+    # before the check, the BFS from either gave 376 "vertices" of J_2(5,2),
+    # which has 155, and graph_distance answered 2 for two F_3^5 planes
+    ctx = GeometryContext(2, 5, 2, dims=())
+    here = Subspace.coordinate_span([0, 1], 2, 5)
+    counted = []
+    monkeypatch.setattr(grassmann, "_count_subspaces",
+                        lambda *args: counted.append(args))
+    calls = recorded_sweeps(monkeypatch)
+    match = "subspace from a different ambient space"
+    with pytest.raises(ValueError, match=match):
+        bfs_distances(other, ctx)
+    for u, v in ((other, here), (here, other), (other, other)):
+        with pytest.raises(ValueError, match=match):
+            graph_distance(u, v, ctx)
+    assert counted == []
+    assert calls["hyperplanes_rows"] == calls["superspaces_rows"] == []
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         GrassmannInstance(GeometryContext(2, 5, 2, dims=()), i=2)  # n<=2k
@@ -681,9 +715,8 @@ def test_typed_sweeps_build_no_sum_of_adjacent_pairs():
 
 
 def recorded_sweeps(monkeypatch):
-    """The rows each cover sweep is called on from now on, by sweep, and
-    the number of hyperplanes yielded."""
-    calls = {"hyperplanes_rows": [], "superspaces_rows": [], "yielded": 0}
+    """The rows each cover sweep is called on from now on, by sweep."""
+    calls = {"hyperplanes_rows": [], "superspaces_rows": []}
     real_above = GeometryContext.superspaces_rows
     real_below = GeometryContext.hyperplanes_rows
 
@@ -693,9 +726,7 @@ def recorded_sweeps(monkeypatch):
 
     def below(self, rows):
         calls["hyperplanes_rows"].append(rows)
-        for mrows in real_below(self, rows):
-            calls["yielded"] += 1
-            yield mrows
+        return real_below(self, rows)
 
     monkeypatch.setattr(GeometryContext, "superspaces_rows", above)
     monkeypatch.setattr(GeometryContext, "hyperplanes_rows", below)
@@ -719,19 +750,23 @@ def test_neighbor_counts_sweep_each_cover_of_x_once(q, n, k, i,
     assert asked == []
 
 
-def test_bfs_stops_once_every_hyperplane_is_expanded(monkeypatch):
-    # at (2,7,3) the vertices below distance k number 1 + 210 + 3920 =
-    # 4,131 of 11,811; only their hyperplanes may be enumerated
+def test_bfs_stops_once_every_vertex_has_its_distance(monkeypatch):
+    # distances are final when first set, so the search returns as soon as
+    # all 11,811 vertices of (2,7,3) have one: 1,611 of the 2,667
+    # hyperplanes are expanded, each once
     ctx = GeometryContext(2, 7, 3, dims=())
     src = Subspace.coordinate_span([0, 1, 2], 2, 7)
     vertices = gaussian_binomial(7, 3, 2)
     calls = recorded_sweeps(monkeypatch)
     dist = bfs_distances(src, ctx)
-    assert len(dist) == vertices
-    below = sum(1 for d in dist.values() if d < ctx.k)
-    assert below == 4131
-    assert calls["yielded"] <= below * qint(ctx.k, 2)
-    # mutation: told there is one (k-1)-space, the search stops after
-    # expanding it and the reach check fails
-    monkeypatch.setattr(grassmann, "_count_subspaces", lambda n, d, q: 1)
-    assert len(bfs_distances(src, ctx)) < vertices
+    assert len(dist) == vertices == 11811
+    expanded = calls["superspaces_rows"]
+    assert len(set(expanded)) == len(expanded)
+    assert len(expanded) < gaussian_binomial(7, 2, 2) == 2667
+    # mutation: told there are 31 vertices, as many as have a distance
+    # after the first expansion, the search stops there and the reach
+    # check fails
+    monkeypatch.setattr(grassmann, "_count_subspaces", lambda n, d, q: 31)
+    expanded.clear()
+    assert len(bfs_distances(src, ctx)) == 31 < vertices
+    assert len(expanded) == 1
