@@ -5,11 +5,13 @@ its stratum (i, j) with i = dim(u ∩ y) and j = dim(u) - i.  A subspace v
 covering u does so in exactly one of two ways: raising i (a slash cover) or
 raising j (a backslash cover).  The context also enumerates covers above and
 below a subspace, each written down as its canonical basis with no row
-reduction: a cover above adds a coset vector that is already a point
-modulo the rows (``kernels.insert_row``), and a hyperplane takes a
-functional scaled so that its last nonzero entry is 1.  ``cover_groups``
-groups the covers above by their point modulo the subspace + y, the zero
-group being the slash covers (the evaluator's R1, the rest R2), and
+reduction: the covers above are built as one list, lead column by lead
+column, since every coset vector with its first nonzero entry at one
+free column gives the same pattern of basis (``superspaces_rows``), and
+a hyperplane takes a functional scaled so that its last nonzero entry
+is 1.  ``cover_groups`` groups the covers above by the point modulo the
+subspace + y of the vector each adds, the zero group being the slash
+covers (the evaluator's R1, the rest R2), and
 ``covers_below`` splits the hyperplanes (L1, L2).  The cover counts of a
 full context come from ``cover_tallies`` instead, which visits each cover
 pair once, from its top: one hyperplane sweep per subspace, each
@@ -46,7 +48,7 @@ out in its own frame; the table fill and every q > 2 lookup go through
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple
 
 from .gf import (
@@ -61,8 +63,7 @@ from .gf import (
     sum_rows,
     validate_field_order,
 )
-from .kernels import (
-    MAX_COLUMNS, insert_row, lanes, reduce_lanes, reduce_row)
+from .kernels import MAX_COLUMNS, lanes, reduce_lanes, reduce_row
 
 
 class Stratum(NamedTuple):
@@ -163,7 +164,10 @@ class GeometryContext:
     ``check_enumerable`` refuses an F_q^n too large for that.  ``dims=()``
     builds a lazy context with no enumeration, enough for local
     computations around given subspaces.  Immutable after construction,
-    the stratum table included; safe to share.
+    the stratum table included; safe to share.  ``companions`` holds what
+    other modules build once per context (the column evaluator, the
+    operator set), keyed by class: each holds the context, and so lives
+    exactly as long as it does.
     """
 
     def __init__(self, q: int, n: int, k: int,
@@ -190,7 +194,11 @@ class GeometryContext:
 
         # for y the span of the first k columns, dim(u ∩ y) is dim(u)
         # minus the rank of u's rows with those k lanes shifted out
-        self._past_y = k * lanes(q).bits
+        self._lanes = lanes(q)
+        bits = self._lanes.bits
+        self._past_y = k * bits
+        # the first bit of every column's lane, where a pivot bit sits
+        self._lane_starts = sum(1 << (j * bits) for j in range(n))
 
         self.elements: list[Subspace] = []
         self.id_by_rows: dict[tuple, int] = {}
@@ -199,6 +207,7 @@ class GeometryContext:
         # through _meet_y, so wrapping the public lookup (to count or trace
         # it) sees the lookups and not the fill
         self._strat_cache: dict[tuple, int] = {}
+        self.companions: dict[type, object] = {}
         for d in range(n + 1) if dims is None else ():
             start = len(self.elements)
             for u in enumerate_subspaces(n, d, q):
@@ -264,48 +273,72 @@ class GeometryContext:
 
     # -- covers ----------------------------------------------------------
 
-    def superspaces_rows(self, rows, modulo=()):
-        """All covers above: canonical bases of the (d+1)-spaces over rows.
+    def superspaces_rows(self, rows) -> list:
+        """All covers above: the canonical bases of the (d+1)-spaces over
+        rows, each once, as one list (``_covers_above``)."""
+        return self._covers_above(rows)[0]
 
-        Enumerates one coset representative w per cover and yields (cover
-        rows, w).  Each w is supported on the non-pivot columns of ``rows``
-        and its first nonzero entry is 1, so it is already its own point
-        modulo them: ``insert_row`` adds it with no reduction, and each
-        cover appears once.  Given canonical rows ``modulo``, it yields the
-        point of w modulo their span (``reduce_row``) in place of w.
+    def _covers_above(self, rows, modulo=None):
+        """(covers, points): the covers above rows, and given canonical
+        rows ``modulo``, the point modulo their span (``reduce_row``) of
+        the coset vector each cover adds, else no points.
+
+        A cover adds one coset vector w: zero on every pivot column of
+        ``rows`` and first nonzero entry 1, so w is its own point modulo
+        them.  The ws with their first nonzero entry at one free column f
+        (the lead, taken from the last free column back) are e_f plus
+        each vector on the free columns right of f, in lexicographic
+        order (``tails``).  Every such cover has one pattern of basis: the
+        rows with pivot before f, each with its entry at f cleared by w,
+        then w, then the rows with pivot after f, which are zero at f
+        already.  So a lead takes one list per row with a nonzero entry
+        at f and a repeat of every other row, zipped into bases; no basis
+        is reduced.  At q = 2 the point is linear in w, and the tails of
+        a lead are 0 and then every w of the leads before, in order, so
+        the points follow the same walk.
         """
-        n, q = self.n, self.q
-        if q == 2:
-            pivmask = 0
+        q = self.q
+        _, mask, mult, shift, qmask, _ = self._lanes
+        free = self._lane_starts
+        for r in rows:
+            free ^= r & -r
+        covers: list = []
+        points: list = []
+        tails = [0]
+        while free:
+            low = 1 << (free.bit_length() - 1)  # the lead's first bit
+            free ^= low
+            ws = [low + t for t in tails]
+            cols: list = []
             for r in rows:
-                pivmask |= r & -r
-            free_bit = [1 << j for j in range(n) if not (pivmask >> j) & 1]
-            # the point is linear in w at q = 2, so it follows the walk
-            point = ([reduce_row(modulo, b, q) for b in free_bit]
-                     if modulo else free_bit)
-            # Gray-code order: mask m differs from m-1 in bit ctz(m)
-            w = p = 0
-            for m in range(1, 1 << len(free_bit)):
-                t = (m & -m).bit_length() - 1
-                w ^= free_bit[t]
-                p ^= point[t]
-                yield insert_row(rows, w, q), p
-        else:
-            bits = lanes(q).bits
-            pivots = {(r & -r).bit_length() - 1 for r in rows}
-            free = [j * bits for j in range(n) if j * bits not in pivots]
-            # the points with first nonzero entry at free[lead], the lead
-            # taken from the last free column back, each in lexicographic
-            # order of its entries right of the lead (``tails``)
-            tails = [0]
-            for lead in range(len(free) - 1, -1, -1):
-                at = free[lead]
-                for t in tails:
-                    w = (1 << at) + t
-                    yield (insert_row(rows, w, q),
-                           reduce_row(modulo, w, q) if modulo else w)
-                if lead:
-                    tails = [(a << at) + t for a in range(q) for t in tails]
+                if r & -r > low:
+                    break
+                if not r & mask * low:
+                    cols.append(repeat(r))
+                elif q == 2:
+                    cols.append([r ^ w for w in ws])
+                else:
+                    # r - c w, as r + (q - c) w with every lane reduced
+                    c = (r // low) & mask
+                    cols.append([t - q * (((t * mult) >> shift) & qmask)
+                                 for t in [r + (q - c) * w for w in ws]])
+            cols.append(ws)
+            cols += map(repeat, rows[len(cols) - 1:])
+            covers += zip(*cols)
+            if modulo is not None:
+                if q == 2:
+                    p = reduce_row(modulo, low, 2)
+                    later = [p ^ t for t in points]
+                    points.append(p)
+                    points += later
+                else:
+                    points += [reduce_row(modulo, w, q) for w in ws]
+            if free:
+                if q == 2:
+                    tails += ws
+                else:
+                    tails = [a * low + t for a in range(q) for t in tails]
+        return covers, points
 
     def hyperplanes_rows(self, rows):
         """All covers below: canonical bases of the (d-1)-spaces under rows.
@@ -421,9 +454,9 @@ class GeometryContext:
         after group, and the end of each group in covers.  The first group
         is the zero point's: the slash covers of m, empty when y lies in
         m; each group is in ``superspaces_rows`` order."""
-        mod = self.sum_with_y(mrows)
+        above, points = self._covers_above(mrows, self.sum_with_y(mrows))
         groups: dict[int, list] = {0: []}
-        for urows, p in self.superspaces_rows(mrows, mod):
+        for urows, p in zip(above, points):
             group = groups.get(p)
             if group is None:
                 groups[p] = [urows]

@@ -56,7 +56,7 @@ def vertex_neighbors_rows(zrows, ctx: GeometryContext):
     """Neighbors of a vertex, generated through its hyperplanes: each
     appears once, as a cover of the unique hyperplane it shares."""
     for mrows in ctx.hyperplanes_rows(zrows):
-        for urows, _ in ctx.superspaces_rows(mrows):
+        for urows in ctx.superspaces_rows(mrows):
             if urows != zrows:
                 yield urows
 
@@ -91,10 +91,10 @@ def bfs_distances(u: Subspace, ctx: GeometryContext) -> dict:
                 if mrows in expanded:
                     continue
                 expanded.add(mrows)
-                for wrows, _ in ctx.superspaces_rows(mrows):
-                    if wrows not in dist:
-                        dist[wrows] = d
-                        nxt.append(wrows)
+                fresh = [w for w in ctx.superspaces_rows(mrows)
+                         if w not in dist]
+                dist.update(dict.fromkeys(fresh, d))
+                nxt += fresh
                 if len(dist) == vertices:
                     return dist
         frontier = nxt
@@ -270,7 +270,7 @@ class GrassmannInstance:
                 groups.append((h, adjacent, typed))
 
         signatures = [set() for _ in ORBIT_ORDER]  # per class
-        for srows, _ in ctx.superspaces_rows(xrows):
+        for srows in ctx.superspaces_rows(xrows):
             # class tallies over S (scope None) and over the covers of
             # each h in S (scope h): of all members, of those on one
             # level, and of those with one w∩y (key None: S∩y ⊆ w)

@@ -20,8 +20,10 @@ a vector modulo a canonical basis (reduced by the rows whose pivot it
 hits, first nonzero entry 1), which the typed sweeps compare instead of
 building sums.  ``insert_row`` adds such a point to the basis: it clears
 the point's pivot column from the rows and puts it in pivot order, with no
-reduction, so the cover sweeps call it directly on coset vectors that are
-points already.  ``extend_rows`` is the two in turn, and ``rref2``/
+reduction.  The sweep of covers above
+(``GeometryContext.superspaces_rows``) writes that row operation out
+itself, for all the coset vectors of one lead column at once, and calls
+no kernel.  ``extend_rows`` is the two in turn, and ``rref2``/
 ``rrefp`` fold it over their rows (``gf`` re-exports it).  ``rank2``
 keeps an XOR basis and ``rankp`` counts pivots by forward elimination:
 either is cheaper than a canonical basis when only the dimension is

@@ -18,7 +18,6 @@ each as its word's matrix, diagonal letters included, times its scalar.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 from .geometry import GeometryContext, pair_profile
@@ -162,7 +161,7 @@ class OperatorSet:
         one = QSqrtScalar.from_int(1, ctx.q)
         for uid, u in enumerate(ctx.elements):
             i_u = ctx.intersection_dim_with_y(u.rows)
-            for vrows, _ in ctx.superspaces_rows(u.rows):
+            for vrows in ctx.superspaces_rows(u.rows):
                 vid = ctx.id_by_rows[vrows]
                 if ctx.intersection_dim_with_y(vrows) == i_u + 1:
                     l1.setdefault(uid, {})[vid] = one
@@ -253,14 +252,9 @@ class OperatorSet:
         return acc
 
 
-_OPSETS: "weakref.WeakKeyDictionary[GeometryContext, OperatorSet]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def operator_set(ctx: GeometryContext) -> OperatorSet:
-    ops = _OPSETS.get(ctx)
+    """Shared operator set per context, held among its companions."""
+    ops = ctx.companions.get(OperatorSet)
     if ops is None:
-        ops = OperatorSet(ctx)
-        _OPSETS[ctx] = ops
+        ops = ctx.companions[OperatorSet] = OperatorSet(ctx)
     return ops

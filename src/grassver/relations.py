@@ -544,8 +544,7 @@ class ColumnEvaluator:
     """
 
     def __init__(self, ctx: GeometryContext):
-        # weakly, so that the context can key _EVALUATORS and still be freed
-        self.ctx = weakref.proxy(ctx)
+        self.ctx = ctx
         self.rows: list[tuple] = [u.rows for u in ctx.elements]  # id -> rows
         self._id: dict[tuple, int] = dict(ctx.id_by_rows)
         self._typed: dict[int, dict[str, tuple[int, ...]]] = {}
@@ -660,17 +659,22 @@ class ColumnEvaluator:
             yield from run(s, xs)
 
 
+# every live context's shared evaluator, both held weakly, so that tracing
+# can read the evaluators' caches
 _EVALUATORS: "weakref.WeakKeyDictionary[GeometryContext, ColumnEvaluator]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def column_evaluator(ctx: GeometryContext) -> ColumnEvaluator:
-    """Shared evaluator per context, so typed sweeps are cached across calls."""
-    ev = _EVALUATORS.get(ctx)
+    """Shared evaluator per context, so typed sweeps are cached across
+    calls.  The context holds it among its companions and it holds the
+    context, so an evaluator outlives no context it reads, and a dropped
+    context frees both."""
+    ev = ctx.companions.get(ColumnEvaluator)
     if ev is None:
-        ev = ColumnEvaluator(ctx)
-        _EVALUATORS[ctx] = ev
+        ev = ctx.companions[ColumnEvaluator] = ColumnEvaluator(ctx)
+        _EVALUATORS[ctx] = weakref.proxy(ev)
     return ev
 
 

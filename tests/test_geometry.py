@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ def test_every_cover_has_exactly_one_kind(ctx242):
         if u.dim == ctx.n:
             continue
         i_u = ctx.intersection_dim_with_y(u.rows)
-        for vrows, _ in ctx.superspaces_rows(u.rows):
+        for vrows in ctx.superspaces_rows(u.rows):
             i_v = ctx.intersection_dim_with_y(vrows)
             assert i_v in (i_u, i_u + 1)
 
@@ -93,9 +94,9 @@ def test_cover_count_closed_forms_spot(ctx242):
         1 for m in ctx242.hyperplanes_rows(u.rows)
         if ctx242.intersection_dim_with_y(m) == 0)
     assert slash_below == 2
-    above = list(ctx242.superspaces_rows(u.rows))
+    above = ctx242.superspaces_rows(u.rows)
     slash_above = sum(
-        1 for v, _ in above if ctx242.intersection_dim_with_y(v) == 2)
+        1 for v in above if ctx242.intersection_dim_with_y(v) == 2)
     assert slash_above == 1
     assert len(above) - slash_above == 2
 
@@ -115,7 +116,7 @@ def test_superspace_and_hyperplane_counts(ctx242):
     for u in ctx242.elements:
         d = u.dim
         if d < ctx242.n:
-            assert (len(list(ctx242.superspaces_rows(u.rows)))
+            assert (len(ctx242.superspaces_rows(u.rows))
                     == qint(ctx242.n - d, 2))
         if d > 0:
             assert (len(list(ctx242.hyperplanes_rows(u.rows)))
@@ -124,24 +125,69 @@ def test_superspace_and_hyperplane_counts(ctx242):
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3)])
 def test_superspaces_rows_yields_each_cover_once(q, n):
-    # oracle: containment of vector sets over a filtered enumeration
+    # oracle: containment of vector sets over a filtered enumeration; each
+    # basis is built canonical, so it is its own full reduction
     ctx = GeometryContext(q, n, 1, dims=())
     spaces = {d: [(u, frozenset(u.vectors()))
                   for u in enumerate_subspaces(n, d, q)]
               for d in range(n + 1)}
     for d in range(n):
         for u, uvecs in spaces[d]:
-            pivots = [gf._unpack_row(r, n, q).index(1) for r in u.rows]
-            yielded = []
-            for vrows, w in ctx.superspaces_rows(u.rows):
-                yielded.append(vrows)
-                entries = gf._unpack_row(w, n, q)
-                assert any(entries) and not any(entries[p] for p in pivots)
-                assert Subspace(q, n, vrows).contains_vector(w)
+            built = ctx.superspaces_rows(u.rows)
             expected = {v.rows for v, vvecs in spaces[d + 1]
                         if uvecs <= vvecs}
-            assert len(yielded) == len(set(yielded))
-            assert set(yielded) == expected
+            assert len(built) == len(set(built)) == qint(n - d, q)
+            assert set(built) == expected
+            assert all(rref_rows(v, q) == v for v in built)
+
+
+def coset_vectors(rows, q, n):
+    """Every vector on the non-pivot columns of canonical rows whose first
+    nonzero entry is 1: one per cover above rows."""
+    pivots = [gf._unpack_row(r, n, q).index(1) for r in rows]
+    free = [j for j in range(n) if j not in pivots]
+    for entries in product(range(q), repeat=len(free)):
+        if any(entries) and next(e for e in entries if e) == 1:
+            vec = [0] * n
+            for j, e in zip(free, entries):
+                vec[j] = e
+            yield gf._pack_row(vec, q)
+
+
+def covers_point_by_point(ctx, rows, modulo):
+    """(cover, point modulo ``modulo``) per coset vector w: the cover
+    built by reduce_row then insert_row on w, as the sweep above once
+    built each one."""
+    q = ctx.q
+    return [(kernels.insert_row(rows, kernels.reduce_row(rows, w, q), q),
+             kernels.reduce_row(modulo, w, q))
+            for w in coset_vectors(rows, q, ctx.n)]
+
+
+def test_lead_column_builder_matches_point_by_point_covers():
+    # oracle: the old construction, one insert_row per coset vector; the
+    # builder gives the same covers, each once, and the same cover groups
+    # at the coordinate y and at OTHER_Y
+    for q, n in [(2, 6), (3, 4), (5, 3)]:
+        ctx = GeometryContext(q, n, 1, dims=())
+        for d in range(n + 1):
+            for u in enumerate_subspaces(n, d, q):
+                built = ctx.superspaces_rows(u.rows)
+                old = [v for v, _ in covers_point_by_point(ctx, u.rows, ())]
+                assert len(built) == len(set(built)) == len(old)
+                assert set(built) == set(old)
+    for ctx in contexts_with_two_ys():
+        for u in ctx.elements:
+            covers, ends = ctx.cover_groups(u.rows)
+            groups = {}
+            for v, p in covers_point_by_point(
+                    ctx, u.rows, ctx.sum_with_y(u.rows)):
+                groups.setdefault(p, set()).add(v)
+            zero = groups.pop(0, set())
+            assert set(covers[:ends[0]]) == zero and ends[0] == len(zero)
+            assert sorted(map(sorted, groups.values())) == sorted(
+                sorted(covers[start:end])
+                for start, end in zip(ends, ends[1:]))
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (5, 3)])
@@ -239,7 +285,7 @@ def cover_kinds(ctx, u):
     as a list of (rows, cover_kind) in sweep order."""
     q, n = ctx.q, ctx.n
     above = [(v, cover_kind(u, Subspace(q, n, v), ctx))
-             for v, _ in ctx.superspaces_rows(u.rows)]
+             for v in ctx.superspaces_rows(u.rows)]
     below = [(w, cover_kind(Subspace(q, n, w), u, ctx))
              for w in ctx.hyperplanes_rows(u.rows)]
     assert all(kind is not None for _, kind in above + below)
@@ -289,47 +335,46 @@ def test_cover_tallies_match_the_two_sided_split():
 
 
 def counted_sweeps(monkeypatch):
-    """Counts of the calls to both cover sweeps and to insert_row, kept
-    live while the test runs."""
-    calls = dict.fromkeys(
-        ("hyperplanes_rows", "superspaces_rows", "insert_row"), 0)
-    for name in ("hyperplanes_rows", "superspaces_rows"):
-        real = getattr(GeometryContext, name)
+    """Counts of the calls to both cover sweeps (the one above is
+    _covers_above, which superspaces_rows and cover_groups call) and of
+    the covers it builds, kept live while the test runs."""
+    calls = dict.fromkeys(("hyperplanes_rows", "_covers_above", "covers"), 0)
+    real_below = GeometryContext.hyperplanes_rows
+    real_above = GeometryContext._covers_above
 
-        def sweep(self, *args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(self, *args, **kwargs)
+    def below(self, rows):
+        calls["hyperplanes_rows"] += 1
+        return real_below(self, rows)
 
-        monkeypatch.setattr(GeometryContext, name, sweep)
-    real_insert = kernels.insert_row
+    def above(self, rows, modulo=None):
+        calls["_covers_above"] += 1
+        covers, points = real_above(self, rows, modulo)
+        calls["covers"] += len(covers)
+        return covers, points
 
-    def insert(*args):
-        calls["insert_row"] += 1
-        return real_insert(*args)
-
-    for module in (kernels, geometry):
-        monkeypatch.setattr(module, "insert_row", insert)
+    monkeypatch.setattr(GeometryContext, "hyperplanes_rows", below)
+    monkeypatch.setattr(GeometryContext, "_covers_above", above)
     return calls
 
 
 def counted_lookups(monkeypatch):
-    """Counts of the dim(u∩y) lookups and of the covers that
-    superspaces_rows yields, kept live while the test runs."""
-    counts = dict.fromkeys(("intersection_dim_with_y", "superspaces_rows"), 0)
+    """Counts of the dim(u∩y) lookups and of the covers above that
+    _covers_above builds, kept live while the test runs."""
+    counts = dict.fromkeys(("intersection_dim_with_y", "covers_above"), 0)
     real_meet = GeometryContext.intersection_dim_with_y
-    real_sweep = GeometryContext.superspaces_rows
+    real_sweep = GeometryContext._covers_above
 
     def meet(self, rows):
         counts["intersection_dim_with_y"] += 1
         return real_meet(self, rows)
 
-    def sweep(self, *args):
-        for cover in real_sweep(self, *args):
-            counts["superspaces_rows"] += 1
-            yield cover
+    def sweep(self, rows, modulo=None):
+        covers, points = real_sweep(self, rows, modulo)
+        counts["covers_above"] += len(covers)
+        return covers, points
 
     monkeypatch.setattr(GeometryContext, "intersection_dim_with_y", meet)
-    monkeypatch.setattr(GeometryContext, "superspaces_rows", sweep)
+    monkeypatch.setattr(GeometryContext, "_covers_above", sweep)
     return counts
 
 
@@ -341,7 +386,7 @@ def test_one_verify_run_sweeps_each_cover_above_once(monkeypatch, capsys):
     assert cli.main(["verify", "--format", "records"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 82
     assert 0 < counts["intersection_dim_with_y"] <= 3600
-    assert 0 < counts["superspaces_rows"] <= 1600
+    assert 0 < counts["covers_above"] <= 1600
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2)])
@@ -352,7 +397,7 @@ def test_cover_counts_and_enumerate_sweep_each_pair_once(
     calls = counted_sweeps(monkeypatch)
     ctx = GeometryContext(q, n, k)
     once = {"hyperplanes_rows": sum(1 for u in ctx.elements if u.dim),
-            "superspaces_rows": 0, "insert_row": 0}
+            "_covers_above": 0, "covers": 0}
     assert verify_cover_counts(ctx).holds
     assert calls == once
     calls.update(dict.fromkeys(calls, 0))
@@ -362,7 +407,7 @@ def test_cover_counts_and_enumerate_sweep_each_pair_once(
     assert calls == once
     # the counters see a sweep above wherever one runs
     ctx.cover_groups(ctx.elements[0].rows)
-    assert calls["superspaces_rows"] == 1 and calls["insert_row"] > 0
+    assert calls["_covers_above"] == 1 and calls["covers"] == qint(n, q)
 
 
 @pytest.mark.parametrize("slash", [True, False])
@@ -863,7 +908,7 @@ def test_a_full_context_past_the_enumeration_bound_is_refused():
 def test_no_module_but_geometry_reads_y():
     # every computation that reads the reference space y is made in
     # geometry: no other module reads an attribute y, calls sum_with_y or
-    # passes a modulo to superspaces_rows
+    # passes a modulo to the cover builder (_covers_above)
     def reads_of_y(src):
         found = []
         for node in ast.walk(ast.parse(src.read_text(encoding="utf-8"))):
@@ -872,7 +917,7 @@ def test_no_module_but_geometry_reads_y():
                 found.append(node.attr)
             elif (isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "superspaces_rows"
+                  and node.func.attr == "_covers_above"
                   and (len(node.args) > 1 or node.keywords)):
                 found.append("modulo")
         return found

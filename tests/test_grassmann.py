@@ -498,7 +498,7 @@ def test_meet_key_splits_a_cover_as_intersect_rows_does(q, y):
                           else Subspace.from_matrix(y, q))
     xrows, yrows = GrassmannInstance(ctx, i=2).x.rows, ctx.y.rows
     checked = 0
-    for srows, _ in ctx.superspaces_rows(xrows):
+    for srows in ctx.superspaces_rows(xrows):
         meet = intersect_rows(srows, yrows, 7, q)
         swept = list(ctx.hyperplane_meets(srows))
         assert [w for w, _ in swept] == list(ctx.hyperplanes_rows(srows))
@@ -720,9 +720,9 @@ def recorded_sweeps(monkeypatch):
     real_above = GeometryContext.superspaces_rows
     real_below = GeometryContext.hyperplanes_rows
 
-    def above(self, rows, *args):
+    def above(self, rows):
         calls["superspaces_rows"].append(rows)
-        return real_above(self, rows, *args)
+        return real_above(self, rows)
 
     def below(self, rows):
         calls["hyperplanes_rows"].append(rows)
@@ -741,7 +741,7 @@ def test_neighbor_counts_sweep_each_cover_of_x_once(q, n, k, i,
     # a member holds S∩y comes from its key, so no stratum is looked up
     inst = GrassmannInstance(GeometryContext(q, n, k, dims=()), i=i)
     inst.orbit_partition()
-    covers = [s for s, _ in inst.ctx.superspaces_rows(inst.x.rows)]
+    covers = inst.ctx.superspaces_rows(inst.x.rows)
     calls = recorded_sweeps(monkeypatch)
     asked = recorded_strata(inst.ctx)
     inst.neighbor_counts()

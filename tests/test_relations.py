@@ -212,18 +212,34 @@ def test_banded_columns_mode_needs_no_enumeration():
 
 
 def test_evaluators_are_freed_with_their_contexts():
-    # the shared evaluator must not keep its context (the cache key) alive
+    # the shared evaluator and operator set must not keep their context
+    # alive, nor outlive it
     gc.collect()
     before = len(_EVALUATORS)
     refs = []
     for _ in range(5):
         ctx = GeometryContext(2, 4, 2)
         assert verify_relation("REL-1", ctx, "full").holds
-        refs.append(weakref.ref(ctx))
+        refs += map(weakref.ref, (ctx, column_evaluator(ctx),
+                                  operator_set(ctx)))
     del ctx
     gc.collect()
-    assert [r() for r in refs] == [None] * 5
+    assert [r() for r in refs] == [None] * 15
     assert len(_EVALUATORS) - before == 0
+
+
+def test_an_evaluator_keeps_its_context_alive():
+    # regression: the evaluator held its context weakly, so one built on
+    # a context that nothing else kept raised ReferenceError at its first
+    # sweep; the same evaluator is shared while the context lives
+    ev = column_evaluator(GeometryContext(2, 5, 2))
+    gc.collect()
+    columns = ev.typed_columns(ev.intern(ev.ctx.elements[20].rows))
+    assert sorted(columns) == ["F+", "F-", "F0", "L", "R"]
+    assert column_evaluator(ev.ctx) is ev
+    ops = operator_set(GeometryContext(2, 4, 2))
+    gc.collect()
+    assert ops.get("R1").nnz() > 0
 
 
 def test_column_evaluator_band_application_matches_matrix(contexts):
@@ -315,9 +331,9 @@ def test_typed_columns_do_not_depend_on_visit_order(q, n, k, y):
 
 
 def counted_sweeps(ctx):
-    """Counts, from now on, the calls of ctx's cover sweep and of its
-    cover grouping (which runs one sweep)."""
-    calls = {"superspaces_rows": 0, "cover_groups": 0}
+    """Counts, from now on, the calls of ctx's cover builder (which every
+    sweep above runs) and of its cover grouping (which runs one)."""
+    calls = {"_covers_above": 0, "cover_groups": 0}
 
     def counted(name):
         method = getattr(ctx, name)
@@ -344,7 +360,7 @@ def test_typed_columns_sweep_each_hyperplane_once(instance):
         ev.typed_columns(zid)
         visits += ctx.hyperplanes_rows(ctx.elements[zid].rows)
     assert len(set(visits)) < len(visits)
-    assert calls == {"superspaces_rows": len(set(visits)),
+    assert calls == {"_covers_above": len(set(visits)),
                      "cover_groups": len(set(visits))}
     # the other caller of the split: Γ(x) is one grouped sweep per
     # hyperplane of x, taken once per instance; the graph tables reuse
@@ -354,7 +370,7 @@ def test_typed_columns_sweep_each_hyperplane_once(instance):
     inst.orbit_partition()
     inst.neighbor_counts()
     hyperplanes = qint(3, instance[0])
-    assert calls == {"superspaces_rows": hyperplanes + 1,
+    assert calls == {"_covers_above": hyperplanes + 1,
                      "cover_groups": hyperplanes}
 
 
