@@ -9,6 +9,7 @@ from .gf import (
     subspace_intersect,
     subspace_sum,
 )
+from .closed import intersection_numbers
 from .geometry import (
     GeometryContext,
     Stratum,
@@ -21,7 +22,6 @@ from .grassmann import (
     count_edge_types,
     edge_type,
     graph_distance,
-    intersection_numbers,
     structure_constants,
     verify_entry_table,
 )

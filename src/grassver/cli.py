@@ -27,12 +27,12 @@ import sys
 import time
 from types import SimpleNamespace
 
+from . import closed
 from .gf import gaussian_binomial
 from .geometry import (
     GeometryContext,
     check_enumerable,
     cover_tallies,
-    expected_stratum_size,
     stratum_sizes,
     verify_cover_counts,
 )
@@ -181,8 +181,7 @@ def _run_geometry(out: _Output, built, q, n, k):
     with out.check("geometry", "stratum-sizes", (q, n, k)) as c:
         sizes = stratum_sizes(ctx)
         c.passed = all(
-            expected_stratum_size(s.i, s.j, ctx) == m
-            for s, m in sizes.items()
+            closed.stratum_size(q, n, k, *s) == m for s, m in sizes.items()
         ) and sum(sizes.values()) == len(ctx.elements)
     with out.check("geometry", "cover-counts", (q, n, k)) as c:
         rep = verify_cover_counts(ctx)
@@ -307,7 +306,7 @@ def cmd_tables(out: _Output, inst) -> None:
 def cmd_enumerate(out: _Output, q, n, k) -> None:
     ctx = GeometryContext(q, n, k)
     strata = [record("stratum", i=s.i, j=s.j, size=m,
-                     closed_form=expected_stratum_size(s.i, s.j, ctx))
+                     closed_form=closed.stratum_size(q, n, k, *s))
               for s, m in sorted(stratum_sizes(ctx).items())]
     out.failed += sum(r["size"] != r["closed_form"] for r in strata)
     slash_below, back_below, *_ = cover_tallies(ctx)

@@ -51,6 +51,7 @@ from bisect import bisect_right
 from itertools import product, repeat
 from typing import NamedTuple
 
+from . import closed
 from .gf import (
     Subspace,
     enumerate_subspaces,
@@ -58,7 +59,6 @@ from .gf import (
     format_rows,
     gaussian_binomial,
     intersect_rows,
-    qint,
     rank_rows,
     sum_rows,
     validate_field_order,
@@ -534,12 +534,8 @@ class CoverCountViolation(NamedTuple):
 
 
 class CoverCountReport(NamedTuple):
-    """Per-element check of the four stratum cover counts.
-
-    For u in stratum (i, j) the expected counts are:
-    slash-covers q^j [i] elements, backslash-covers [j] elements,
-    slash-covered by [k-i], backslash-covered by q^(k-i) [n-k-j].
-    """
+    """Per-element check of the four stratum cover counts against
+    ``closed.cover_counts``."""
 
     instance: tuple[int, int, int]
     checked: int
@@ -601,11 +597,8 @@ def verify_cover_counts(ctx: GeometryContext) -> CoverCountReport:
     id order.
     """
     q, k, n = ctx.q, ctx.k, ctx.n
-    expected = {
-        Stratum(i, j): (q**j * qint(i, q), qint(j, q), qint(k - i, q),
-                        q ** (k - i) * qint(n - k - j, q))
-        for i in range(k + 1) for j in range(n - k + 1)
-    }
+    expected = {Stratum(i, j): closed.cover_counts(q, n, k, i, j)
+                for i in range(k + 1) for j in range(n - k + 1)}
     violations = []
     *tallies, meet = cover_tallies(ctx)
     for u, i, observed in zip(ctx.elements, meet, zip(*tallies)):
@@ -624,12 +617,3 @@ def stratum_sizes(ctx: GeometryContext) -> dict[Stratum, int]:
         sizes[s] = sizes.get(s, 0) + 1
     return sizes
 
-
-def expected_stratum_size(i: int, j: int, ctx: GeometryContext) -> int:
-    """|P_{i,j}| in closed form (independent cross-check for reports)."""
-    q, n, k = ctx.q, ctx.n, ctx.k
-    return (
-        gaussian_binomial(k, i, q)
-        * gaussian_binomial(n - k, j, q)
-        * q ** ((k - i) * j)
-    )

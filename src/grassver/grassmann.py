@@ -4,14 +4,14 @@ Vertices are the k-spaces; two are adjacent when their intersection has
 dimension k-1, and the distance is k - dim(u∩v).  Relative to a fixed pair
 (x, y) at distance 1 < i < k, the neighbors of x split into five classes
 (B, C, A0, A+, A-); this module counts everything about them by direct
-enumeration and compares against the closed-form tables: orbit sizes,
-structure constants, typed-edge counts, and the (w,x)-entries of the nine
-products of F0, F+, F-.  Every class is read, not computed: a neighbour w
-of x is in B, C, A0, A+ or A- exactly when it lies in the column at x of
-R, L, F0, F+ or F-, so the five classes are ``geometry.letter_split``
-at x, and the profile of a pair, the F-class that names the edge types,
-the keys of w∩y and the default x come from ``geometry`` too: this module
-reads nothing of y itself.
+enumeration and compares against the closed forms of ``closed``: orbit
+sizes, structure constants, typed-edge counts, and the (w,x)-entries of
+the nine products of F0, F+, F-.  Every class is read, not computed: a
+neighbour w of x is in B, C, A0, A+ or A- exactly when it lies in the
+column at x of R, L, F0, F+ or F-, so the five classes are
+``geometry.letter_split`` at x, and the profile of a pair, the F-class
+that names the edge types, the keys of w∩y and the default x come from
+``geometry`` too: this module reads nothing of y itself.
 
 Every brute-force count also checks constancy across the class (the
 equitable-partition property), so a single aggregate could not mask a
@@ -23,14 +23,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .gf import Subspace, dim_intersect, enumerate_subspaces, qint
+from . import closed
+from .closed import ENTRY_PRODUCTS, ORBIT_ORDER
+from .gf import Subspace, dim_intersect, enumerate_subspaces
 from .geometry import (
     LETTER_OF_PAIR, PAIR_PROFILES, AdjacentProfile, GeometryContext,
     pair_profile, letter_split)
 from .reports import cell_name, cell_value, record
-
-# the five classes of Γ(x), by the names the reports print
-ORBIT_ORDER = ("B", "C", "A0", "A+", "A-")
 
 # the class of a neighbour w of x, by the letter whose column at x holds w
 _ORBIT_OF = {"R": "B", "L": "C", "F0": "A0", "F+": "A+", "F-": "A-"}
@@ -106,15 +105,6 @@ def _count_subspaces(n: int, d: int, q: int) -> int:
     return sum(1 for _ in enumerate_subspaces(n, d, q))
 
 
-def intersection_numbers(i: int, ctx: GeometryContext) -> tuple[int, int]:
-    """(b_i, c_i) of J_q(n,k) in closed form."""
-    q, n, k = ctx.q, ctx.n, ctx.k
-    if not 0 <= i <= k:
-        raise ValueError(f"distance {i} outside [0, {k}]")
-    b = q ** (2 * i + 1) * qint(k - i, q) * qint(n - k - i, q)
-    return b, qint(i, q) ** 2
-
-
 # An F-class "F" + t names the A-class "A" + t and the edge type t, whose
 # place in a (0, +, -) triple is its place in _TRIPLE
 _TRIPLE = "0+-"
@@ -145,8 +135,7 @@ class GrassmannInstance:
     def __init__(self, ctx: GeometryContext, i: int | None = None,
                  x: Subspace | None = None):
         n, k = ctx.n, ctx.k
-        if not (n > 2 * k >= 6):
-            raise ValueError(f"need n > 2k >= 6, got n={n}, k={k}")
+        closed.check_graph_range(n, k)
         self.ctx = ctx
         if x is not None:
             if x.dim != k:
@@ -158,8 +147,7 @@ class GrassmannInstance:
         elif i is None:
             raise ValueError("either x or the distance i is required")
         # checked before the default x is built, so a bad i gets this message
-        if not 1 < i < k:
-            raise ValueError(f"need 1 < i < k, got i={i}, k={k}")
+        closed.check_graph_range(n, k, i)
         self.x = ctx.first_at_distance(i) if x is None else x
         self.i = i
         self._orbits: dict | None = None
@@ -323,45 +311,11 @@ def classify_orbit(w: Subspace, inst: GrassmannInstance) -> str:
 
 
 def expected_orbit_sizes(inst: GrassmannInstance) -> dict[str, int]:
-    q, n, k = inst.ctx.q, inst.ctx.n, inst.ctx.k
-    i = inst.i
-    b_i, c_i = intersection_numbers(i, inst.ctx)
-    return {
-        "B": b_i,
-        "C": c_i,
-        "A0": (q - 1) * qint(i, q) ** 2,
-        "A+": q ** (i + 1) * qint(i, q) * qint(n - k - i, q),
-        "A-": q ** (i + 1) * qint(i, q) * qint(k - i, q),
-    }
+    return closed.orbit_sizes(*inst.instance)
 
 
 # ---------------------------------------------------------------------------
 # structure constants
-
-
-def closed_structure_constants(q, n, k, i) -> dict:
-    """The 5x5 table: (O, N) -> #{z in N adjacent to a vertex of O}."""
-
-    def qi(m):
-        return qint(m, q)
-
-    rows = {
-        "B": (q ** (i + 1) * qi(k - i) + q ** (i + 1) * qi(n - k - i) - q - 1,
-              0, 0, q * qi(i), q * qi(i)),
-        "C": (0, 2 * q * qi(i - 1), 2 * q**i - q - 1,
-              q ** (i + 1) * qi(n - k - i), q ** (i + 1) * qi(k - i)),
-        "A0": (0, 2 * qi(i) - 1, 2 * q**i - q - 2,
-               q ** (i + 1) * qi(n - k - i), q ** (i + 1) * qi(k - i)),
-        "A+": (q ** (i + 1) * qi(k - i), qi(i), (q - 1) * qi(i),
-               q * qi(n - k) - q - 1, 0),
-        "A-": (q ** (i + 1) * qi(n - k - i), qi(i), (q - 1) * qi(i),
-               0, q * qi(k) - q - 1),
-    }
-    return {
-        (o, nn): rows[o][t]
-        for o in ORBIT_ORDER
-        for t, nn in enumerate(ORBIT_ORDER)
-    }
 
 
 class TableReport(NamedTuple):
@@ -414,7 +368,7 @@ def structure_constants(inst: GrassmannInstance) -> TableReport:
     """Count, for every w in every class O, its neighbors per class N."""
     return TableReport.from_cells(
         "structure-constants", inst.instance,
-        closed_structure_constants(*inst.instance),
+        closed.structure_constants(*inst.instance),
         sorted(inst.neighbor_counts()[0].items()))
 
 
@@ -442,66 +396,15 @@ def edge_type(w: Subspace, z: Subspace,
     return f[1]
 
 
-def closed_edge_type_table(q, n, k, i) -> dict:
-    """(O, N) -> (type-0, type-+, type--) counts per source vertex."""
-
-    def qi(m):
-        return qint(m, q)
-
-    table = {
-        (o, nn): (0, 0, 0) for o in ORBIT_ORDER for nn in ORBIT_ORDER
-    }
-    table[("B", "B")] = (2 * q ** (i + 1) - q - 1,
-                         q ** (i + 2) * qi(n - k - i - 1),
-                         q ** (i + 2) * qi(k - i - 1))
-    table[("C", "C")] = (0, q * qi(i - 1), q * qi(i - 1))
-    table[("A0", "A0")] = (2 * q**i - q - 2, 0, 0)
-    table[("A0", "A+")] = (0, q ** (i + 1) * qi(n - k - i), 0)
-    table[("A0", "A-")] = (0, 0, q ** (i + 1) * qi(k - i))
-    table[("A+", "A0")] = (0, (q - 1) * qi(i), 0)
-    table[("A+", "A+")] = ((q - 1) * qi(i), q * qi(n - k) - q**i - q, 0)
-    table[("A-", "A0")] = (0, 0, (q - 1) * qi(i))
-    table[("A-", "A-")] = ((q - 1) * qi(i), 0, q * qi(k) - q**i - q)
-    return table
-
-
 def count_edge_types(inst: GrassmannInstance) -> TableReport:
     """Per-source typed-edge counts over all ordered class pairs."""
     return TableReport.from_cells(
-        "edge-types", inst.instance, closed_edge_type_table(*inst.instance),
+        "edge-types", inst.instance, closed.edge_type_table(*inst.instance),
         sorted(inst.neighbor_counts()[1].items()))
 
 
 # ---------------------------------------------------------------------------
 # entries of the nine F-products
-
-ENTRY_PRODUCTS = (
-    ("F0", "F0"), ("F0", "F+"), ("F0", "F-"),
-    ("F+", "F0"), ("F+", "F+"), ("F+", "F-"),
-    ("F-", "F0"), ("F-", "F+"), ("F-", "F-"),
-)
-
-
-def closed_entry_table(q, n, k, i) -> dict:
-    """Product word -> (value at A0, at A+, at A-) for the (w,x)-entry."""
-
-    def qi(m):
-        return qint(m, q)
-
-    g = (q - 1) * qi(i)
-    return {
-        ("F0", "F0"): (2 * q**i - q - 2, 0, 0),
-        ("F0", "F+"): (0, g, 0),
-        ("F0", "F-"): (0, 0, g),
-        ("F+", "F0"): (0, g, 0),
-        ("F+", "F+"): (q ** (i + 1) * qi(n - k - i),
-                       q * qi(n - k) - q**i - q, 0),
-        ("F+", "F-"): (0, 0, 0),
-        ("F-", "F0"): (0, 0, g),
-        ("F-", "F+"): (0, 0, 0),
-        ("F-", "F-"): (q ** (i + 1) * qi(k - i), 0,
-                       q * qi(k) - q**i - q),
-    }
 
 
 def verify_entry_table(inst: GrassmannInstance) -> TableReport:
@@ -513,7 +416,7 @@ def verify_entry_table(inst: GrassmannInstance) -> TableReport:
     w is read, so constancy over each class is checked too.
     """
     edge_types = inst.neighbor_counts()[1]
-    expected_by_word = closed_entry_table(*inst.instance)
+    expected_by_word = closed.entry_table(*inst.instance)
     per_cell: dict[tuple, set] = {}
     expected = {}
     for a, b in ENTRY_PRODUCTS:

@@ -47,8 +47,9 @@ import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import closed
 from .geometry import GeometryContext, Stratum, letter_split
-from .gf import Subspace, format_rows, qint
+from .gf import Subspace, format_rows
 from .reports import record
 
 MAX_VIOLATIONS = 25  # reports stay readable; holds-flag still exact
@@ -468,15 +469,6 @@ class LaneOverflowError(ArithmeticError):
     bound was wrong, a fault of the evaluator and never of the input."""
 
 
-def _letter_degree(q: int, n: int) -> int:
-    """D: no letter's column, and no letter's row, has more than D
-    entries, so a word of length l has at most D^l paths between two
-    subspaces.  A d-space has [d] covers below, [n-d] above and
-    q*[d]*[n-d] neighbours of its own dimension."""
-    return max(max(qint(d, q), qint(n - d, q),
-                   q * qint(d, q) * qint(n - d, q)) for d in range(n + 1))
-
-
 def _lane_bits(stratum_coeffs, degree: int) -> int:
     """Bits of a signed lane that holds every entry of every residual of
     one stratum, given each component's (coeffs, unit) there: with at
@@ -625,7 +617,7 @@ class ColumnEvaluator:
         q, n, k = ctx.q, ctx.n, ctx.k
         plans = [_plans(_expand_terms(terms, q, n, k), k, n - k)
                  for _, terms in components]
-        degree = _letter_degree(q, n)
+        degree = closed.letter_degree(q, n)
         strata = self._strata
         by_stratum: dict = {}  # stratum -> (coefficients, lane bits)
         filling: dict = {}  # stratum -> columns of its next batch

@@ -11,13 +11,12 @@ import time
 
 import pytest
 
+from grassver import closed
 from grassver.gf import dim_intersect, enumerate_subspaces, gaussian_binomial
 from grassver.geometry import GeometryContext, verify_cover_counts
 from grassver.grassmann import (
     GrassmannInstance,
     bfs_distances,
-    closed_edge_type_table,
-    closed_structure_constants,
     count_edge_types,
     expected_orbit_sizes,
     graph_distance,
@@ -147,7 +146,7 @@ def test_criterion_06_structure_constants():
         rep = structure_constants(inst)
         assert rep.holds and not rep.inequitable
         assert len(rep.expected) == 25
-        assert rep.observed == closed_structure_constants(2, 7, 3, 2)
+        assert rep.observed == closed.structure_constants(2, 7, 3, 2)
         return "25 cells equitable and exact"
 
     _run("criterion-06-structure-constants", 120, body)
@@ -158,7 +157,7 @@ def test_criterion_07_edge_type_tables():
         inst = GrassmannInstance(GeometryContext(2, 7, 3, dims=()), i=2)
         rep = count_edge_types(inst)
         assert rep.holds and not rep.inequitable
-        assert rep.observed == closed_edge_type_table(2, 7, 3, 2)
+        assert rep.observed == closed.edge_type_table(2, 7, 3, 2)
         obs = rep.observed
         assert obs[("B", "B")] == (13, 16, 0)
         assert obs[("C", "C")] == (0, 2, 2)

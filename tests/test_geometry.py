@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from grassver import cli, geometry, gf, kernels
+from grassver import cli, closed, geometry, gf, kernels
 from grassver.gf import (
     Subspace,
     enumerate_subspaces,
@@ -25,7 +25,6 @@ from grassver.geometry import (
     Stratum,
     cover_kind,
     cover_tallies,
-    expected_stratum_size,
     pair_profile,
     letter_split,
     stratum_sizes,
@@ -106,7 +105,7 @@ def test_stratum_sizes_closed_form(q, n, k):
     ctx = GeometryContext(q, n, k)
     sizes = stratum_sizes(ctx)
     for s, count in sizes.items():
-        assert expected_stratum_size(s.i, s.j, ctx) == count
+        assert closed.stratum_size(q, n, k, *s) == count
     assert sum(sizes.values()) == len(ctx.elements)
     # strata partition P: i <= k, j <= n-k
     assert all(0 <= s.i <= k and 0 <= s.j <= n - k for s in sizes)
@@ -588,7 +587,7 @@ def test_the_k_spaces_at_distance_i_from_y():
                 want = [u for u in kspaces
                         if 2 * k - rank_rows(u + yrows, q) == k - i]
                 assert ctx.rows_at_distance(i) == want
-                assert len(want) == expected_stratum_size(k - i, i, ctx)
+                assert len(want) == closed.stratum_size(q, n, k, k - i, i)
                 x = ctx.first_at_distance(i)
                 assert x.rows in want
                 assert ctx.stratum(x) == Stratum(k - i, i)
@@ -788,7 +787,7 @@ def test_stratum_table_holds_the_enumerated_subspaces_only():
     for u in enumerate_subspaces(7, 3, 2):
         i = ctx.intersection_dim_with_y(u.rows)
         by_stratum[i] = by_stratum.get(i, 0) + 1
-    assert by_stratum == {i: expected_stratum_size(i, 3 - i, ctx)
+    assert by_stratum == {i: closed.stratum_size(2, 7, 3, i, 3 - i)
                           for i in range(4)}
     assert ctx._strat_cache == {}
     z = Subspace.coordinate_span([0, 3, 4], 2, 7)
@@ -836,8 +835,7 @@ def test_lazy_sweep_by_stratum_keeps_no_memory():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     count, grown = map(int, proc.stdout.split())
-    lazy = GeometryContext(2, 7, 3, dims=())
-    assert count == expected_stratum_size(1, 2, lazy)
+    assert count == closed.stratum_size(2, 7, 3, 1, 2)
     assert grown < 64 * 1024
 
 

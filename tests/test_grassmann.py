@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from grassver import grassmann
+from grassver import closed, grassmann
 from grassver.gf import (
     Subspace, enumerate_subspaces, gaussian_binomial, intersect_rows, qint,
     rank_rows)
@@ -21,13 +21,10 @@ from grassver.grassmann import (
     TableReport,
     bfs_distances,
     classify_orbit,
-    closed_entry_table,
-    closed_structure_constants,
     count_edge_types,
     edge_type,
     expected_orbit_sizes,
     graph_distance,
-    intersection_numbers,
     structure_constants,
     verify_entry_table,
     vertex_neighbors_rows,
@@ -123,12 +120,11 @@ def test_distance_matches_bfs_sampled_273():
 
 
 def test_intersection_numbers_closed_form():
-    ctx = GeometryContext(2, 7, 3, dims=())
-    assert intersection_numbers(0, ctx) == (210, 0)
-    assert intersection_numbers(2, ctx) == (96, 9)
-    assert intersection_numbers(1, ctx)[1] == 1
+    assert closed.intersection_numbers(2, 7, 3, 0) == (210, 0)
+    assert closed.intersection_numbers(2, 7, 3, 2) == (96, 9)
+    assert closed.intersection_numbers(2, 7, 3, 1)[1] == 1
     with pytest.raises(ValueError):
-        intersection_numbers(4, ctx)
+        closed.intersection_numbers(2, 7, 3, 4)
 
 
 def test_orbit_sizes(inst273):
@@ -172,7 +168,7 @@ def _pairwise_structure_constants(inst):
             per_cell.setdefault((o, nn), set()).add(c)
     return TableReport.from_cells(
         "structure-constants", inst.instance,
-        closed_structure_constants(*inst.instance), sorted(per_cell.items()))
+        closed.structure_constants(*inst.instance), sorted(per_cell.items()))
 
 
 def test_structure_constants_equal_pairwise_count(inst273):
@@ -191,7 +187,7 @@ def test_structure_constants_table(inst273):
     assert report.holds
     assert report.observed == report.expected
     # spot values from the closed-form table at q=2, i=2
-    table = closed_structure_constants(2, 7, 3, 2)
+    table = closed.structure_constants(2, 7, 3, 2)
     assert table[("B", "C")] == 0
     assert table[("C", "A0")] == 5  # 2q^i - q - 1
     assert table[("A+", "B")] == 8  # q^(i+1)[k-i]
@@ -297,7 +293,7 @@ def _evaluator_entry_table(inst):
         o: [ev.intern(rows) for rows in orbits[o]]
         for o in ("A0", "A+", "A-")
     }
-    expected_by_word = closed_entry_table(*inst.instance)
+    expected_by_word = closed.entry_table(*inst.instance)
     expected = {
         (f"{a}{b}", o): expected_by_word[(a, b)][t]
         for a, b in ENTRY_PRODUCTS
@@ -542,7 +538,8 @@ def test_every_orbit_member_has_the_class_classify_orbit_gives(q, y):
     assert not ctx._canonical_y
     inst = GrassmannInstance(ctx, i=2)
     orbits = inst.orbit_partition()
-    assert sum(map(len, orbits.values())) == intersection_numbers(0, ctx)[0]
+    b_0 = closed.intersection_numbers(q, 7, 3, 0)[0]
+    assert sum(map(len, orbits.values())) == b_0
     for label, members in orbits.items():
         assert members
         for rows in members:
