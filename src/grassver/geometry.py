@@ -424,14 +424,19 @@ class GeometryContext:
             yield wrows, (tuple(c * inverse[lead] % q for c in coords)
                           if lead else None)
 
+    def _check_distance(self, i: int) -> None:
+        """Refuse a distance from y that no k-space has."""
+        top = min(self.k, self.n - self.k)
+        if not 0 <= i <= top:
+            raise ValueError(f"no k-space is at distance {i} from y: need "
+                             f"0 <= i <= min(k, n-k) = {top}")
+
     def first_at_distance(self, i: int) -> Subspace:
         """A k-space at distance i from y, so in stratum (k-i, i): the
         first k-i basis rows of y and the first i unit vectors that extend
         a basis of y.  ValueError for i outside [0, min(k, n-k)]."""
         q, n, k = self.q, self.n, self.k
-        if not 0 <= i <= min(k, n - k):
-            raise ValueError(f"no k-space is at distance {i} from y: need "
-                             f"0 <= i <= min(k, n-k) = {min(k, n - k)}")
+        self._check_distance(i)
         span, outside = self.y.rows, []
         for j in range(n):
             if len(outside) == i:
@@ -444,7 +449,9 @@ class GeometryContext:
 
     def rows_at_distance(self, i: int) -> list:
         """The canonical rows of every k-space at distance i from y, in
-        ``enumerate_subspaces`` order."""
+        ``enumerate_subspaces`` order.  ValueError for i outside
+        [0, min(k, n-k)]."""
+        self._check_distance(i)
         return [u.rows for u in enumerate_subspaces(self.n, self.k, self.q)
                 if self.intersection_dim_with_y(u.rows) == self.k - i]
 

@@ -108,20 +108,50 @@ def _count_subspaces(n: int, d: int, q: int) -> int:
 # An F-class "F" + t names the A-class "A" + t and the edge type t, whose
 # place in a (0, +, -) triple is its place in _TRIPLE
 _TRIPLE = "0+-"
-# that place for an edge between two covers of a hyperplane h of x that
-# are equidistant from y, by the key of PAIR_PROFILES: the covers' points
-# modulo h + y are their cover groups (see neighbor_counts)
-_TYPE_SLOT = {key: _TRIPLE.index(prof.f_class()[1])
-              for key, prof in PAIR_PROFILES.items() if key[0] == key[1]}
-# that place for an edge wz between equidistant k-spaces of a cover S of x
-# with w∩x ≠ z∩x, by (S∩y ⊆ w, w∩y = z∩y).  Then S = w+z, so dim(S∩y) is
-# dim(w∩y) or one more; and m = w∩z meets y in w∩y when w∩y = z∩y, else in
-# a hyperplane of it.  S∩y ⊆ w makes w∩y = S∩y = z∩y, so the entry for
-# (True, False) is only ever given a count of 0.
-_COVER_SLOT = {
-    (up, same): _TRIPLE.index(AdjacentProfile.from_dims(
-        1, 1, 1 + (not up), 1 - (not same)).f_class()[1])
-    for up in (True, False) for same in (True, False)}
+# The place of the type of an edge between two members of a clique of Γ(x)
+# that are equidistant from y, when both are keyed None, keyed alike or
+# keyed apart (one keyed None is never equidistant with one keyed else).
+# Over a hyperplane h of x the key is the cover group, the point modulo
+# h + y, None for zero: read off PAIR_PROFILES, (-, 0, +).
+_OVER_H = tuple(_TRIPLE.index(PAIR_PROFILES[key].f_class()[1]) for key in (
+    (True, True, True), (False, False, True), (False, False, False)))
+# In a cover S of x it is w∩y's key from hyperplane_meets, None when w
+# holds S∩y, so dim(· ∩ y) of (w, z, S, w∩z) is (1, 1, 1, 1), (1, 1, 2, 1)
+# or (1, 1, 2, 0) up to a constant: (+, 0, -), _OVER_H with F+ and F-
+# swapped, as the ⊥-duality of the two families swaps them.
+_IN_S = tuple(_TRIPLE.index(AdjacentProfile.from_dims(
+    1, 1, i_s, i_m).f_class()[1]) for i_s, i_m in ((1, 1), (2, 1), (2, 0)))
+
+# A member's 20 counts, packed _WIDTH bits to a field so that tallies add
+# as ints: field nn holds its neighbours in class nn, and field
+# 5 + 5 * t + nn its edges into class nn of the type at place t
+_WIDTH = 64
+_FIELD_MASK = (1 << _WIDTH) - 1
+
+
+def _tally(clique, slots) -> dict:
+    """The packed counts that a member of a clique of Γ(x) gets from the
+    other members, by the member's (key, class).  ``clique`` gives the
+    members as (class, key) pairs, and ``slots`` is ``_OVER_H`` or
+    ``_IN_S``.  Members with one key and class get the same counts, so
+    these are worked out once."""
+    per_key: dict = {}  # key -> its members per class, packed
+    for c, key in clique:
+        per_key[key] = per_key.get(key, 0) + (1 << _WIDTH * c)
+    total = sum(per_key.values())
+    keyed = total - per_key.get(None, 0)
+    none, alike, apart = (_WIDTH * (5 + 5 * t) for t in slots)
+    out = {}
+    for key, own in per_key.items():
+        mine = none if key is None else alike
+        counts = total + (own << mine)
+        if key is not None:
+            counts += (keyed - own) << apart
+        for c in range(5):
+            if own >> _WIDTH * c & _FIELD_MASK:
+                unit = 1 << _WIDTH * c  # less the member itself
+                out[key, c] = counts - unit - (unit << mine)
+    return out
 
 
 class GrassmannInstance:
@@ -181,32 +211,23 @@ class GrassmannInstance:
         number of neighbors of w in class N, and of the triple of typed
         edges (0, +, -) from w to class N; two dicts, cached.
 
-        Every edge wz inside Γ(x) lies in exactly one of two families of
-        cliques, and each member's counts are read off class tallies of
-        the cliques that hold it; no pair is visited.
+        Γ(x) is the q-clique extension of the [k]×[n-k] grid, so every
+        edge wz lies in a clique of one of the grid's two directions, and
+        each member's counts are read off the ``_tally`` of the cliques
+        that hold it; no pair is visited.
 
-        1. w∩x = z∩x = h: the covers of a hyperplane h of x other than x,
-           any two of which meet exactly in h.  An equidistant pair gets
-           its type from the cover groups of h (the points modulo h + y)
-           that ``orbit_partition`` swept: both in the zero group gives
-           F-, the same other group F0, two other groups F+ (``_TYPE_SLOT``).
-        2. w∩x ≠ z∩x: then z∩x and z∩w are two distinct hyperplanes of z
-           (were they one, z∩x would lie in w and be w∩x), so z = z∩x +
-           z∩w lies in S = w + x, a cover of x; and any two k-spaces of S
-           are adjacent.  Each member w lies in the one
-           cover w + x, so the pairs of k-spaces of each cover S other
-           than x, less the pairs sharing their hyperplane of x, are all
-           the other edges, each once.  An equidistant pair is F+ when
-           S∩y ⊆ w, else F0 when w∩y = z∩y and F- otherwise
-           (``_COVER_SLOT``).
+        1. The covers of a hyperplane h of x other than x, keyed by the
+           cover groups that ``orbit_partition`` swept: the edges with
+           w∩x = z∩x = h.
+        2. The k-spaces of a cover S of x other than x, any two of which
+           are adjacent, keyed by ``GeometryContext.hyperplane_meets``.
+           When w∩x ≠ z∩x, z∩x and z∩w are two hyperplanes of z, so z lies
+           in S = w + x.  Less the covers of each h in S, which family 1
+           holds, these cliques give every other edge once.
 
-        So the count of w into class N is (its cover group's tally over
-        h, less w itself) + (its tally over S, less its tally over the
-        covers of h in S).  Whether w holds S∩y, and w∩y where it does
-        not, come as the keys of ``GeometryContext.hyperplane_meets``, so
-        no stratum is asked for.  Each member is looked up twice, once in
-        its cover group and once in its S, and its state is kept in flat
-        lists indexed by member.
+        So w's counts are its tally over h, plus its tally over S, less its
+        tally over the covers of h in S.  The two families are ⊥-duals,
+        and their slots ``_OVER_H`` and ``_IN_S`` swap F+ with F-.
         """
         if self._counts is None:
             self._counts = self._count_neighbors()
@@ -215,90 +236,46 @@ class GrassmannInstance:
     def _count_neighbors(self) -> tuple[dict, dict]:
         ctx, xrows = self.ctx, self.x.rows
         orbits = self.orbit_partition()
-        index: dict[tuple, int] = {}  # a member's rows -> its place
-        cls: list[int] = []  # a member's class, by place in ORBIT_ORDER
-        for o, name in enumerate(ORBIT_ORDER):
-            for rows in orbits[name]:
-                index[rows] = len(cls)
-                cls.append(o)
-        grp = [0] * len(cls)  # a member's cover group, by place in groups
-        # per cover group: (place of h among x's hyperplanes, counts of
-        # a member into each class, its typed counts), from family 1
-        groups = []
-        minus, same, other = (_TYPE_SLOT[key] for key in (
-            (True, True, True), (False, False, True), (False, False, False)))
+        cls = {rows: o for o, name in enumerate(ORBIT_ORDER)
+               for rows in orbits[name]}
+        placed = {}  # a member -> (its class, its h, its tally over h)
         for h, (covers, ends) in enumerate(self._groups):
-            parts, start = [], 0
-            for end in ends:  # the members of a group share their class
-                parts.append([index[rows] for rows in covers[start:end]
-                              if rows != xrows])
+            clique, start = [], 0  # (member, class, key)
+            for t, end in enumerate(ends):
+                clique += [(rows, cls[rows], t or None)
+                           for rows in covers[start:end] if rows != xrows]
                 start = end
-            over_h, off_zero = [0] * 5, [0] * 5  # class tallies
-            for t, ids in enumerate(parts):
-                if ids:
-                    over_h[cls[ids[0]]] += len(ids)
-                    if t:
-                        off_zero[cls[ids[0]]] += len(ids)
-            for t, ids in enumerate(parts):
-                if not ids:
-                    continue
-                c = cls[ids[0]]
-                adjacent = over_h[:]
-                adjacent[c] -= 1
-                typed = [0] * 15
-                if t:  # a nonzero point: i_w = i_h
-                    for nn, count in enumerate(off_zero):
-                        typed[3 * nn + other] = count
-                    typed[3 * c + other] -= len(ids)
-                    typed[3 * c + same] = len(ids) - 1
-                else:  # the zero point: i_w = i_h + 1
-                    typed[3 * c + minus] = len(ids) - 1
-                for w in ids:
-                    grp[w] = len(groups)
-                groups.append((h, adjacent, typed))
+            over_h = _tally([(c, key) for _, c, key in clique], _OVER_H)
+            # one tuple per (key, class), shared by its members
+            shared = {(key, c): (c, h, counts)
+                      for (key, c), counts in over_h.items()}
+            for rows, c, key in clique:
+                placed[rows] = shared[key, c]
 
         signatures = [set() for _ in ORBIT_ORDER]  # per class
         for srows in ctx.superspaces_rows(xrows):
-            # class tallies over S (scope None) and over the covers of
-            # each h in S (scope h): of all members, of those on one
-            # level, and of those with one w∩y (key None: S∩y ⊆ w)
-            by_class, by_level, by_meet = (
-                defaultdict(lambda: [0] * 5) for _ in range(3))
-            members = []
-            for wrows, key in ctx.hyperplane_meets(srows):
-                if wrows == xrows:
-                    continue
-                w = index[wrows]
-                c, h, up = cls[w], groups[grp[w]][0], key is None
-                members.append((w, c, h, up, key))
-                for scope in (None, h):
-                    by_class[scope][c] += 1
-                    by_level[scope, up][c] += 1
-                    by_meet[scope, key][c] += 1
-            for w, c, h, up, key in members:
-                _, adjacent, typed = groups[grp[w]]
-                adjacent, typed = adjacent[:], typed[:]
-                in_s, in_h = by_class[None], by_class[h]
-                level_s, level_h = by_level[None, up], by_level[h, up]
-                meet_s, meet_h = by_meet[None, key], by_meet[h, key]
-                alike, unlike = _COVER_SLOT[up, True], _COVER_SLOT[up, False]
-                for nn in range(5):
-                    adjacent[nn] += in_s[nn] - in_h[nn]
-                    paired = meet_s[nn] - meet_h[nn]
-                    typed[3 * nn + alike] += paired
-                    typed[3 * nn + unlike] += (level_s[nn] - level_h[nn]
-                                               - paired)
-                signatures[c].add((tuple(adjacent), tuple(typed)))
+            members = [placed[rows] + (key,)  # (class, h, over h, key)
+                       for rows, key in ctx.hyperplane_meets(srows)
+                       if rows != xrows]
+            in_s = _tally([(c, key) for c, _, _, key in members], _IN_S)
+            by_h = defaultdict(list)  # the sub-clique of the covers of h
+            for c, h, _, key in members:
+                by_h[h].append((c, key))
+            in_h = {h: _tally(sub, _IN_S) for h, sub in by_h.items()}
+            for c, h, over_h, key in members:
+                signatures[c].add(over_h + in_s[key, c] - in_h[h][key, c])
 
         adjacency: dict[tuple, set] = {}
         edge_types: dict[tuple, set] = {}
         for o, sigs in enumerate(signatures):
-            for adjacent, typed in sigs:
+            for packed in sigs:
+                counts = [packed >> _WIDTH * f & _FIELD_MASK
+                          for f in range(20)]
                 for nn, name in enumerate(ORBIT_ORDER):
                     cell = (ORBIT_ORDER[o], name)
-                    adjacency.setdefault(cell, set()).add(adjacent[nn])
+                    adjacency.setdefault(cell, set()).add(counts[nn])
                     edge_types.setdefault(cell, set()).add(
-                        typed[3 * nn:3 * nn + 3])
+                        tuple(counts[5 + nn::5]))
         return adjacency, edge_types
 
 

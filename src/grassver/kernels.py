@@ -6,9 +6,15 @@ GF(2) row is a bitmask, and at q > 2 enough guard bits that a row
 operation ``r + c*w`` (c < q) or a scaling ``c*v`` never carries into the
 next lane.  One lane-wise Barrett step, ``reduce_lanes``, brings every lane
 back to [0, q) after such an operation; the kernels below write that step
-out in place, since they are the sweeps' inner loops.  Every kernel
-expects lanes in [0, q); ``gf._pack_row`` is where residues are reduced
-mod q.
+out in place, since they are the sweeps' inner loops.  Its constants are
+mult = ceil(2^shift / q) for the least shift with top * e < 2^shift, where
+e = mult*q - 2^shift and top = q*q - q is the largest lane value.  That
+condition proves the step exact: for t = a*q + r <= top, with 0 <= r < q,
+t * mult / 2^shift = a + (r + t*e / 2^shift) / q, and r + t*e / 2^shift
+< q, so the floor is a = t // q.  It is checked once per shift, not once
+per lane value, so a layout costs O(log q) steps past its table of
+inverses.  Every kernel expects lanes in [0, q); ``gf._pack_row`` is where
+residues are reduced mod q.
 
 The pivot of a nonzero row is the lane of its lowest set bit, and a
 canonical row's pivot entry is 1, so ``r & -r`` is the first bit of its
@@ -80,7 +86,8 @@ def _layout(q: int) -> Lanes:
     shift = 1
     while True:
         mult = -(-(1 << shift) // q)
-        if all((t * mult) >> shift == t // q for t in range(top + 1)):
+        # top * e < 2^shift proves the step exact (see the module docstring)
+        if top * (mult * q - (1 << shift)) < 1 << shift:
             break
         shift += 1
     bits = (top * mult).bit_length()

@@ -693,6 +693,25 @@ def test_an_enumeration_too_large_is_refused_before_any_work(argv, tmp_path,
     assert not path.exists()
 
 
+def test_a_large_prime_field_is_refused_in_seconds():
+    # the count of subspaces refuses the run only once the lane layout of
+    # q = 1,000,003 is built, so that layout must not take a pass over its
+    # q^2 - q + 1 lane values; a process of its own, since a built layout
+    # is kept
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassver", "enumerate", "--q", "1000003",
+         "--n", "3", "--k", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        "error: F_1000003^3 has 2,000,014,000,028 subspaces"), proc.stderr
+
+
 @pytest.mark.parametrize("suite", ["algebra", "graph", "entries"])
 def test_the_suites_that_enumerate_nothing_are_planned_at_any_size(suite):
     args = cli._build_parser().parse_args([

@@ -575,8 +575,8 @@ def test_q2_lookups_call_no_rank_kernel(monkeypatch):
 
 def test_the_k_spaces_at_distance_i_from_y():
     # oracle: dim(u∩y) = 2k - rank(u + y), at the coordinate y and at
-    # OTHER_Y; the default x is one of them, and no k-space lies at a
-    # distance outside [0, min(k, n-k)]
+    # OTHER_Y; the default x is one of them, and a distance outside
+    # [0, min(k, n-k)] is refused by both, since no k-space lies there
     for (q, n, k), rows in OTHER_Y.items():
         for y in (None, Subspace.from_matrix(rows, q)):
             ctx = GeometryContext(q, n, k, y=y, dims=())
@@ -592,8 +592,11 @@ def test_the_k_spaces_at_distance_i_from_y():
                 assert x.rows in want
                 assert ctx.stratum(x) == Stratum(k - i, i)
             for i in (-1, top + 1):
-                with pytest.raises(ValueError, match=f"distance {i} from y"):
-                    ctx.first_at_distance(i)
+                for at_distance in (ctx.first_at_distance,
+                                    ctx.rows_at_distance):
+                    with pytest.raises(ValueError,
+                                       match=f"distance {i} from y"):
+                        at_distance(i)
 
 
 def perp(u):

@@ -12,7 +12,8 @@ from grassver import closed, grassmann
 from grassver.gf import (
     Subspace, enumerate_subspaces, gaussian_binomial, intersect_rows, qint,
     rank_rows)
-from grassver.geometry import PAIR_PROFILES, GeometryContext, letter_split
+from grassver.geometry import (
+    PAIR_PROFILES, AdjacentProfile, GeometryContext, letter_split)
 from grassver.kernels import reduce_row
 from grassver.grassmann import (
     ENTRY_PRODUCTS,
@@ -456,14 +457,14 @@ def test_clique_tallies_equal_the_bucket_walk_at_a_non_coordinate_y(q, y):
 
 
 def test_a_kept_same_h_pair_fails_the_bucket_walk(monkeypatch):
-    # mutation: family 2 counts the covers of w∩x inside w + x too, which
-    # family 1 counts already
+    # mutation: family 2 keeps the pairs of a cover S of x that share their
+    # hyperplane of x, which family 1 counts already
     src = textwrap.dedent(inspect.getsource(
         GrassmannInstance._count_neighbors))
-    kept = "adjacent[nn] += in_s[nn] - in_h[nn]"
+    kept = "over_h + in_s[key, c] - in_h[h][key, c]"
     assert src.count(kept) == 1
     namespace = dict(vars(grassmann))
-    exec(src.replace(kept, "adjacent[nn] += in_s[nn]"), namespace)
+    exec(src.replace(kept, "over_h + in_s[key, c]"), namespace)
     monkeypatch.setattr(GrassmannInstance, "_count_neighbors",
                         namespace["_count_neighbors"])
     inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
@@ -471,17 +472,53 @@ def test_a_kept_same_h_pair_fails_the_bucket_walk(monkeypatch):
     assert not structure_constants(inst).holds
 
 
-def test_swapped_f0_and_f_minus_in_a_cover_fail_the_bucket_walk(
-        monkeypatch):
-    # mutation: inside a cover S of x, an equidistant pair off S∩y with
-    # one w∩y typed F- and one with two typed F0
-    slots = grassmann._COVER_SLOT
-    f0, minus = slots[False, True], slots[False, False]
-    monkeypatch.setitem(slots, (False, True), minus)
-    monkeypatch.setitem(slots, (False, False), f0)
+def _swapped(slots, a, b):
+    """A slot triple with the places of edge types a and b swapped."""
+    place = {t: "0+-".index(t) for t in "0+-"}
+    place[a], place[b] = place[b], place[a]
+    return tuple(place["0+-"[s]] for s in slots)
+
+
+def _assert_swapped_slots_fail_the_bucket_walk(monkeypatch, family, a, b):
+    # mutation: one family of cliques types its edges of types a and b the
+    # other way round
+    slots = getattr(grassmann, family)
+    monkeypatch.setattr(grassmann, family, _swapped(slots, a, b))
     inst = GrassmannInstance(GeometryContext(2, 8, 3, dims=()), i=2)
     assert inst.neighbor_counts() != _bucket_walk_counts(inst)
     assert not count_edge_types(inst).holds
+
+
+def test_swapped_f0_and_f_minus_in_a_cover_fail_the_bucket_walk(
+        monkeypatch):
+    # inside a cover S of x: a pair off S∩y with one w∩y typed F-, and one
+    # with two typed F0
+    _assert_swapped_slots_fail_the_bucket_walk(monkeypatch, "_IN_S", "0", "-")
+
+
+def test_swapped_f_plus_and_f_minus_over_h_fail_the_bucket_walk(
+        monkeypatch):
+    # over a hyperplane h of x: a pair in the zero group typed F+, and a
+    # pair in two other groups typed F-
+    _assert_swapped_slots_fail_the_bucket_walk(
+        monkeypatch, "_OVER_H", "+", "-")
+
+
+def test_slot_triples_are_read_off_the_pair_profiles_and_are_duals():
+    # (both keyed None, keyed alike, keyed apart): over h the keys are
+    # points modulo h + y, so the pair's PAIR_PROFILES key; in a cover S of
+    # x, dim(· ∩ y) of (w, z, S, w∩z) is (1, 1, 1, 1), (1, 1, 2, 1) or
+    # (1, 1, 2, 0) less a constant
+    place = "0+-".index
+    assert grassmann._OVER_H == tuple(
+        place(PAIR_PROFILES[key].f_class()[1]) for key in (
+            (True, True, True), (False, False, True), (False, False, False)))
+    assert grassmann._IN_S == tuple(
+        place(AdjacentProfile.from_dims(1, 1, i_s, i_m).f_class()[1])
+        for i_s, i_m in ((1, 1), (2, 1), (2, 0)))
+    assert ["0+-"[s] for s in grassmann._OVER_H] == ["-", "0", "+"]
+    # ⊥-duality swaps the two families and F+ with F-
+    assert _swapped(grassmann._OVER_H, "+", "-") == grassmann._IN_S
 
 
 @pytest.mark.parametrize("q,y", [(2, None), (3, None)] + _NON_COORDINATE_Y,

@@ -241,6 +241,28 @@ def test_reduce_lanes_reduces_every_lane_value_at_every_position(kernels, q):
             v % q for v in values]
 
 
+def _searched_barrett_constants(q):
+    """(shift, mult) with the least shift for which (t * mult) >> shift
+    is t // q at every lane value t: the oracle for ``lanes``."""
+    top = q * q - q
+    shift = 1
+    while True:
+        mult = -(-(1 << shift) // q)
+        if all((t * mult) >> shift == t // q for t in range(top + 1)):
+            return shift, mult
+        shift += 1
+
+
+def test_barrett_constants_are_those_the_search_finds(kernels):
+    # lanes(q) tests one inequality per shift; the search tries every lane
+    # value, so it is run only below 400
+    primes = [p for p in range(3, 400) if all(p % d for d in range(2, p))]
+    assert len(primes) == 77
+    for q in primes:
+        layout = kernels._layout(q)
+        assert (layout.shift, layout.mult) == _searched_barrett_constants(q)
+
+
 @given(q=st.sampled_from(PRIMES), data=st.data())
 def test_pack_row_round_trips(kernels, q, data):
     row = data.draw(st.lists(st.integers(-3 * q, 3 * q), max_size=12))
