@@ -267,11 +267,9 @@ def _verify_steps(args, ctx, i) -> list[tuple]:
             if count > FULL_MODE_NOTE_SIZE:
                 steps.append((_note_full_size, q, n, count))
             steps.append((_run_algebra_full, built, q, n, k))
-        elif 0 <= i <= min(k, n - k):
-            steps.append((_run_algebra_columns, ctx, i))
         else:
-            raise UsageError(f"columns mode needs 0 <= i <= min(k, n-k) = "
-                             f"{min(k, n - k)}, got i={i}")
+            closed.check_distance(n, k, i)
+            steps.append((_run_algebra_columns, ctx, i))
     graph = {s: run for s, run in (("graph", _run_graph),
                                    ("entries", _run_entries))
              if suite in (s, "all")}

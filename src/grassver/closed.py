@@ -5,7 +5,8 @@ Each takes (q, n, k), then i or a stratum (i, j) where it needs one
 reads [m] as ``gf.qint(m, q)``; nothing here enumerates.  The ranges
 claimed: the stratum sizes and cover counts relative to a k-space y at
 every stratum (i, j) with i <= k and j <= n-k; the intersection numbers
-of J_q(n,k) at 0 <= i <= min(k, n-k); and the orbit sizes of Γ(x) and
+of J_q(n,k) at 0 <= i <= min(k, n-k) (``check_distance``, which
+``geometry`` and the CLI call too); and the orbit sizes of Γ(x) and
 its structure-constant, edge-type and entry tables, for x at distance i
 from y, at n > 2k >= 6 and 1 < i < k (``check_graph_range``).
 """
@@ -52,11 +53,18 @@ def check_graph_range(n, k, i=None) -> None:
         raise ValueError(f"need 1 < i < k, got i={i}, k={k}")
 
 
+def check_distance(n, k, i) -> None:
+    """Refuse a distance i that no two k-spaces of F_q^n are at: J_q(n,k)
+    has diameter min(k, n-k)."""
+    top = min(k, n - k)
+    if not 0 <= i <= top:
+        raise ValueError(f"need a distance 0 <= i <= min(k, n-k) = {top}, "
+                         f"got i={i}")
+
+
 def intersection_numbers(q, n, k, i) -> tuple[int, int]:
     """(b_i, c_i) of J_q(n,k), at every distance i of the graph."""
-    if not 0 <= i <= min(k, n - k):
-        raise ValueError(f"distance {i} outside [0, min(k, n-k)] = "
-                         f"[0, {min(k, n - k)}]")
+    check_distance(n, k, i)
     return (q ** (2 * i + 1) * qint(k - i, q) * qint(n - k - i, q),
             qint(i, q) ** 2)
 

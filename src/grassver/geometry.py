@@ -424,19 +424,12 @@ class GeometryContext:
             yield wrows, (tuple(c * inverse[lead] % q for c in coords)
                           if lead else None)
 
-    def _check_distance(self, i: int) -> None:
-        """Refuse a distance from y that no k-space has."""
-        top = min(self.k, self.n - self.k)
-        if not 0 <= i <= top:
-            raise ValueError(f"no k-space is at distance {i} from y: need "
-                             f"0 <= i <= min(k, n-k) = {top}")
-
     def first_at_distance(self, i: int) -> Subspace:
         """A k-space at distance i from y, so in stratum (k-i, i): the
         first k-i basis rows of y and the first i unit vectors that extend
         a basis of y.  ValueError for i outside [0, min(k, n-k)]."""
         q, n, k = self.q, self.n, self.k
-        self._check_distance(i)
+        closed.check_distance(n, k, i)
         span, outside = self.y.rows, []
         for j in range(n):
             if len(outside) == i:
@@ -451,7 +444,7 @@ class GeometryContext:
         """The canonical rows of every k-space at distance i from y, in
         ``enumerate_subspaces`` order.  ValueError for i outside
         [0, min(k, n-k)]."""
-        self._check_distance(i)
+        closed.check_distance(self.n, self.k, i)
         return [u.rows for u in enumerate_subspaces(self.n, self.k, self.q)
                 if self.intersection_dim_with_y(u.rows) == self.k - i]
 
@@ -486,22 +479,26 @@ def letter_split(z, groups) -> dict[str, list]:
     rows, or an id).  Each u is found once, as a cover of m = u∩z other
     than z, and gets the letter of its group (``_OWN_ZERO_OTHER``): the
     group holding z stands for z's point, and that point is zero exactly
-    when it is the first group.
+    when it is the first group.  The three letters of a hyperplane are
+    distinct, so each reads at most five slices of its covers, whatever
+    the number of groups: z's group less z, the zero group when z is not
+    in it, and the groups after the zero group but z's.  Every column
+    keeps the covers in sweep order, hyperplane after hyperplane.
     """
     letters: dict[str, list] = {"F0": [], "F+": [], "F-": [], "R": [], "L": []}
     for covers, ends in groups:
         at = covers.index(z)
         own = bisect_right(ends, at)
         mine, zero, rest = _OWN_ZERO_OTHER[own == 0]
-        start = 0
-        for t, end in enumerate(ends):
-            if t == own:  # every cover of z's group but z
-                col = letters[mine]
-                col += covers[start:at]
-                col += covers[at + 1:end]
-            else:
-                letters[rest if t else zero] += covers[start:end]
-            start = end
+        start, end = ends[own - 1] if own else 0, ends[own]
+        col = letters[mine]  # z's group less z
+        col += covers[start:at]
+        col += covers[at + 1:end]
+        col = letters[rest]  # the groups after the zero group, z's excepted
+        if own:
+            letters[zero] += covers[:ends[0]]
+            col += covers[ends[0]:start]
+        col += covers[end:]
     return letters
 
 

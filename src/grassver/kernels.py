@@ -12,9 +12,9 @@ e = mult*q - 2^shift and top = q*q - q is the largest lane value.  That
 condition proves the step exact: for t = a*q + r <= top, with 0 <= r < q,
 t * mult / 2^shift = a + (r + t*e / 2^shift) / q, and r + t*e / 2^shift
 < q, so the floor is a = t // q.  It is checked once per shift, not once
-per lane value, so a layout costs O(log q) steps past its table of
-inverses.  Every kernel expects lanes in [0, q); ``gf._pack_row`` is where
-residues are reduced mod q.
+per lane value, so a layout costs O(log q) steps, and each inverse mod q
+is computed when a kernel first needs it.  Every kernel expects lanes in
+[0, q); ``gf._pack_row`` is where residues are reduced mod q.
 
 The pivot of a nonzero row is the lane of its lowest set bit, and a
 canonical row's pivot entry is 1, so ``r & -r`` is the first bit of its
@@ -59,7 +59,23 @@ class Lanes(NamedTuple):
     mult: int
     shift: int
     quotient_mask: int
-    inverse: tuple  # inverse[c] = c^-1 mod q, for c in 1..q-1
+    inverse: _Inverses  # inverse[c] = c^-1 mod q, for c in 1..q-1
+
+
+class _Inverses(dict):
+    """c -> c^-1 mod q, each computed on first use: a layout costs no
+    table of all q residues, so a field too large to enumerate is refused
+    before any such table is built."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, c):
+        inv = self[c] = pow(c, -1, self.q)
+        return inv
 
 
 class _Layouts(dict):
@@ -79,7 +95,7 @@ def lanes(q: int) -> Lanes:
 
 
 def _layout(q: int) -> Lanes:
-    inverse = (0,) + tuple(pow(c, -1, q) for c in range(1, q))
+    inverse = _Inverses(q)
     if q == 2:
         return Lanes(1, 1, 0, 0, 0, inverse)
     top = q * q - q  # the largest lane value a row operation produces

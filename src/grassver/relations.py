@@ -509,13 +509,19 @@ def _word_vector(word: tuple, memo: dict, apply):
 
 def _residual(coeffs: dict, memo: dict, apply) -> list:
     """Nonzero entries (row, a, b) of one batch's scaled residual."""
-    acc: dict = {}
+    acc_a: dict = {}
+    acc_b: dict = {}
     for word, (ca, cb) in coeffs.items():
-        for r, c in _word_vector(word, memo, apply).items():
-            ab = acc.setdefault(r, [0, 0])
-            ab[0] += ca * c
-            ab[1] += cb * c
-    return [(r, a, b) for r, (a, b) in acc.items() if a or b]
+        vec = _word_vector(word, memo, apply)
+        for acc, coef in ((acc_a, ca), (acc_b, cb)):
+            if coef:
+                get = acc.get
+                for r, c in vec.items():
+                    acc[r] = get(r, 0) + coef * c
+    pop = acc_b.pop
+    out = [(r, a, b) for r, a in acc_a.items() if (b := pop(r, 0)) or a]
+    out += [(r, 0, b) for r, b in acc_b.items() if b]
+    return out
 
 
 class ColumnEvaluator:
@@ -528,9 +534,12 @@ class ColumnEvaluator:
     serves every column of the batch.  Each letter's column at a visited
     subspace is built once, as a tuple of row ids.  The same-dimension
     letters (R, L, F0, F+, F-, F) read the hyperplanes of the subspace:
-    each hyperplane's covers are swept, interned and grouped by their
-    point modulo m + y once per evaluator (``GeometryContext.cover_groups``),
-    and ``geometry.letter_split`` joins whole groups into the columns.
+    each hyperplane's covers are swept and grouped by their point modulo
+    m + y once per evaluator (``GeometryContext.cover_groups``), and
+    interned as they are swept: a cover not seen before takes the next
+    id, so ids stay 0..len(rows)-1 in order of first sight.
+    ``geometry.letter_split`` joins whole groups into the columns, with at
+    most five slices per hyperplane.
     R1 and R2 are the zero group of the subspace's own covers and the rest;
     L1 and L2 split its hyperplanes (``GeometryContext.covers_below``).
     """
@@ -560,8 +569,16 @@ class ColumnEvaluator:
         entry = self._groups.get(mrows)
         if entry is None:
             covers, ends = self.ctx.cover_groups(mrows)
-            entry = self._groups[mrows] = (tuple(map(self.intern, covers)),
-                                           tuple(ends))
+            known = self._id
+            seen = len(known)
+            # a new cover takes the next id, in order of first sight
+            ids = tuple([known.setdefault(c, len(known)) for c in covers])
+            if len(known) > seen:
+                new = list(itertools.islice(reversed(known),
+                                            len(known) - seen))
+                new.reverse()
+                self.rows += new
+            entry = self._groups[mrows] = ids, tuple(ends)
         return entry
 
     def typed_columns(self, z: int) -> dict[str, tuple[int, ...]]:

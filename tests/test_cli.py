@@ -628,9 +628,9 @@ def test_verify_columns_mode_i_out_of_range_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--suite", "algebra",
                          "--mode", "columns", "--q", "2", "--n", "5",
                          "--k", "2", "--i", "5")
-    assert code == 2
-    assert out == ""
-    assert "got i=5" in err
+    # the one diameter rule of closed, with its message
+    assert (code, out, err) == (
+        2, "", "error: need a distance 0 <= i <= min(k, n-k) = 2, got i=5\n")
 
 
 def test_usage_error_leaves_out_file_unopened(tmp_path, capsys):

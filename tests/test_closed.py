@@ -99,15 +99,17 @@ def test_a_patched_cell_breaks_the_identities(monkeypatch):
 @pytest.mark.parametrize("q,n,k,i", [(2, 5, 3, 3), (2, 7, 3, 4),
                                      (2, 7, 3, -1)])
 def test_intersection_numbers_refuse_a_distance_off_the_graph(q, n, k, i):
-    # the distances of J_q(n,k) are 0..min(k, n-k), the rule of
-    # first_at_distance; past the top, [k-i] or [n-k-i] has a negative m
+    # the distances of J_q(n,k) are 0..min(k, n-k), the one rule that
+    # first_at_distance shares; past the top, [k-i] or [n-k-i] has a
+    # negative m
     top = min(k, n - k)
-    with pytest.raises(ValueError) as err:
-        closed.intersection_numbers(q, n, k, i)
-    assert str(err.value) == (f"distance {i} outside [0, min(k, n-k)] = "
-                              f"[0, {top}]")
-    with pytest.raises(ValueError, match="no k-space is at distance"):
-        GeometryContext(q, n, k, dims=()).first_at_distance(i)
+    message = f"need a distance 0 <= i <= min(k, n-k) = {top}, got i={i}"
+    for refuse in (lambda: closed.intersection_numbers(q, n, k, i),
+                   lambda: GeometryContext(q, n, k, dims=()
+                                           ).first_at_distance(i)):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == message
     # at the diameter itself nothing lies further: b vanishes
     assert closed.intersection_numbers(q, n, k, top) == (0, qint(top, q)**2)
 

@@ -279,6 +279,41 @@ def test_letter_split_matches_pair_profile():
                 assert dict(swept) == expected
 
 
+def test_letter_split_keeps_sweep_order_over_many_groups():
+    # oracle: pair_profile, on hyperplanes m of z with at least 8 cover
+    # groups, where a split by slices could drop, repeat or reorder a
+    # group: at (2,7,3) every m that meets y (7 points modulo m + y and
+    # the zero group), at (3,5,2) a point of y (13 points and the zero
+    # group).  Each column holds m's covers of its letter in sweep order,
+    # and the split over all of z's hyperplanes joins theirs in turn.
+    ctx273 = GeometryContext(2, 7, 3, dims=())
+    ctx352 = GeometryContext(3, 5, 2, dims=())
+    cases = [(ctx273, ctx273.first_at_distance(i).rows) for i in range(3)]
+    cases.append((ctx352, Subspace.from_matrix(
+        [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], 3).rows))
+    checked = {2: 0, 3: 0}
+    for ctx, zrows in cases:
+        z = Subspace(ctx.q, ctx.n, zrows)
+        joined = {letter: [] for letter in LETTER_OF_PAIR.values()}
+        for mrows in ctx.hyperplanes_rows(zrows):
+            groups = covers, ends = ctx.cover_groups(mrows)
+            split = letter_split(zrows, [groups])
+            for letter, col in split.items():
+                joined[letter] += col
+            if ctx.intersection_dim_with_y(mrows) == 0:
+                continue
+            assert len(ends) >= 8
+            letter_of = {u: LETTER_OF_PAIR[pair_profile(
+                Subspace(ctx.q, ctx.n, u), z, ctx)]
+                for u in covers if u != zrows}
+            assert split == {letter: [u for u in covers
+                                      if letter_of.get(u) == letter]
+                             for letter in joined}
+            checked[ctx.q] += 1
+        assert split_at(ctx, zrows) == joined
+    assert checked == {2: 7 + 7 + 3, 3: 1}
+
+
 def cover_kinds(ctx, u):
     """(above, below): the covers above u and the hyperplanes of u, each
     as a list of (rows, cover_kind) in sweep order."""
@@ -595,7 +630,7 @@ def test_the_k_spaces_at_distance_i_from_y():
                 for at_distance in (ctx.first_at_distance,
                                     ctx.rows_at_distance):
                     with pytest.raises(ValueError,
-                                       match=f"distance {i} from y"):
+                                       match=f"distance .*, got i={i}$"):
                         at_distance(i)
 
 

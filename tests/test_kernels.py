@@ -263,6 +263,19 @@ def test_barrett_constants_are_those_the_search_finds(kernels):
         assert (layout.shift, layout.mult) == _searched_barrett_constants(q)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 101])
+def test_the_inverses_are_computed_on_first_use(kernels, q):
+    # regression: a layout built the inverses of all q residues up front,
+    # 0.8 s and 45 MiB at q = 1,000,003 before the field was refused
+    inverse = kernels._layout(q).inverse
+    assert len(inverse) == 0
+    for c in range(1, q):
+        assert inverse[c] * c % q == 1, (q, c)
+    assert len(inverse) == q - 1
+    with pytest.raises(ValueError):
+        inverse[0]  # zero has no inverse
+
+
 @given(q=st.sampled_from(PRIMES), data=st.data())
 def test_pack_row_round_trips(kernels, q, data):
     row = data.draw(st.lists(st.integers(-3 * q, 3 * q), max_size=12))

@@ -29,6 +29,7 @@ from grassver.relations import (
     _lanes,
     _plans,
     _registry,
+    _residual,
     _stratum_coefficients,
     column_evaluator,
     relation_components,
@@ -372,6 +373,56 @@ def test_typed_columns_sweep_each_hyperplane_once(instance):
     hyperplanes = qint(3, instance[0])
     assert calls == {"_covers_above": hyperplanes + 1,
                      "cover_groups": hyperplanes}
+
+
+@pytest.mark.parametrize("instance", [(2, 4, 2), (2, 7, 3), (3, 5, 2)])
+def test_ids_stay_contiguous_in_order_of_first_sight(instance):
+    # oracle: one id per new subspace, handed out in the order the
+    # subspaces are first met, whether by intern or by a cover sweep; an
+    # enumerated context's elements keep their ids.  The sweeps and the
+    # interned rows overlap, so some covers are already known
+    q, n, k = instance
+    ctx = GeometryContext(q, n, k, dims=None if n < 5 else ())
+    ev = ColumnEvaluator(ctx)
+    seen = [u.rows for u in ctx.elements]
+    rng = random.Random(1)
+    spaces = [u.rows for u in enumerate_subspaces(n, 2, q)]
+    sample = rng.sample(spaces, 6)
+    for rows in sample:
+        for mrows in ctx.hyperplanes_rows(rows):
+            ids, ends = ev._cover_groups(mrows)
+            covers, _ = ctx.cover_groups(mrows)
+            seen += [u for u in covers if u not in seen]
+            assert [ev.rows[z] for z in ids] == covers
+        for u in (rows, rng.choice(spaces)):
+            z = ev.intern(u)
+            if u not in seen:
+                seen.append(u)
+            assert ev.rows[z] == u
+        ev.typed_columns(ev.intern(rows))  # swept above: no new id
+        ev._column("R1", ev.intern(rows))  # sweeps the covers of rows
+        seen += [u for u in ctx.cover_groups(rows)[0] if u not in seen]
+    assert ev.rows == seen
+    assert len(ev._id) == len(ev.rows)
+    assert sorted(ev._id.values()) == list(range(len(ev.rows)))
+    assert all(ev.rows[ev.intern(r)] == r for r in ev.rows)
+
+
+def test_residual_adds_each_part_and_drops_what_cancels():
+    # a hand-made memo, so no letter is applied: an a-only word, a
+    # b-only word, a word with both parts, and two words that cancel
+    memo = {("A",): {1: 2, 2: 1}, ("B",): {2: 3, 6: 1, 7: 1},
+            ("C",): {3: 1, 4: 2}, ("D",): {3: 1, 4: 2}, ("E",): {6: 5}}
+    coeffs = {("A",): [2, 0], ("B",): [0, 5], ("C",): [1, 0],
+              ("D",): [-1, 0], ("E",): [1, -1]}
+
+    def apply(sym, vec):
+        raise AssertionError("every word is in the memo")
+
+    got = _residual(coeffs, memo, apply)
+    # rows 3 and 4 cancel whole, row 6 in its b part only
+    assert sorted(got) == [(1, 4, 0), (2, 2, 15), (6, 5, 0), (7, 0, 5)]
+    assert _residual({("C",): [1, 0], ("D",): [-1, 0]}, memo, apply) == []
 
 
 def test_report_serialization(contexts):
